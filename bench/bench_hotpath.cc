@@ -5,7 +5,9 @@
  * Tight loops over the structures the per-access translation path is
  * made of — the packed set-associative cache, the elastic cuckoo
  * table's find and probe-address generation, and the one-pass hash
- * family — reported as operations per second and written to
+ * family — plus the machine-build step every run pays first, prefault
+ * (host ns per prefaulted page), reported as operations per second and
+ * nanoseconds per operation, and written to
  * BENCH_hotpath.json in the same shape bench_sim_throughput emits, so
  * tools/check_bench.py can diff either artifact against its committed
  * baseline. These are the structures the allocation-free-hot-path work
@@ -21,7 +23,9 @@
 #include "bench/bench_util.hh"
 #include "common/hash.hh"
 #include "mem/cache.hh"
+#include "os/system.hh"
 #include "pt/cuckoo.hh"
+#include "sim/config.hh"
 #include "tests/test_util.hh" // BumpAllocator backing the tables
 
 using namespace necpt;
@@ -37,6 +41,12 @@ struct Sample
     double rate;
 };
 
+double
+nsPerOp(const Sample &s)
+{
+    return s.rate > 0 ? 1e9 / s.rate : 0.0;
+}
+
 /** Time @p body (which performs @p ops operations) once. */
 template <typename Fn>
 Sample
@@ -50,8 +60,9 @@ measure(const std::string &name, std::uint64_t ops, Fn &&body)
     s.ops = ops;
     s.seconds = std::chrono::duration<double>(end - begin).count();
     s.rate = s.seconds > 0 ? static_cast<double>(ops) / s.seconds : 0.0;
-    std::printf("%-28s %12llu ops  %8.3f s  %14.0f ops/s\n", name.c_str(),
-                (unsigned long long)ops, s.seconds, s.rate);
+    std::printf("%-28s %12llu ops  %8.3f s  %14.0f ops/s  %9.1f ns/op\n",
+                name.c_str(), (unsigned long long)ops, s.seconds, s.rate,
+                nsPerOp(s));
     return s;
 }
 
@@ -164,6 +175,19 @@ hashAll()
     });
 }
 
+/** prefaultAll of one 1GB VMA into a fresh machine of configuration
+ *  @p id: 262144 4KB pages, enough to push the PTE-ECPTs through an
+ *  elastic resize. One op is one prefaulted page. */
+Sample
+prefault(const std::string &name, ConfigId id)
+{
+    NestedSystem sys(makeConfig(id).system);
+    const std::uint64_t bytes = 1ULL << 30;
+    sys.mmapRegion(bytes);
+    return measure(name, bytes / pageBytes(PageSize::Page4K),
+                   [&] { sys.prefaultAll(); });
+}
+
 } // namespace
 
 int
@@ -178,6 +202,10 @@ main()
     samples.push_back(cuckooFind());
     samples.push_back(cuckooProbeAddrs());
     samples.push_back(hashAll());
+    samples.push_back(
+        prefault("prefault_nested_ecpt_4k", ConfigId::NestedEcpt));
+    samples.push_back(
+        prefault("prefault_nested_radix", ConfigId::NestedRadix));
 
     const char *path = "BENCH_hotpath.json";
     std::FILE *out = std::fopen(path, "w");
@@ -191,9 +219,10 @@ main()
         const Sample &s = samples[i];
         std::fprintf(out,
                      "    {\"name\": \"%s\", \"ops\": %llu, "
-                     "\"seconds\": %.6f, \"ops_per_sec\": %.1f}%s\n",
+                     "\"seconds\": %.6f, \"ops_per_sec\": %.1f, "
+                     "\"ns_per_op\": %.2f}%s\n",
                      s.name.c_str(), (unsigned long long)s.ops, s.seconds,
-                     s.rate, i + 1 < samples.size() ? "," : "");
+                     s.rate, nsPerOp(s), i + 1 < samples.size() ? "," : "");
     }
     std::fprintf(out, "  ]\n}\n");
     std::fclose(out);

@@ -186,7 +186,7 @@ NestedSystem::hostMap(Addr gpa, Addr hpa, PageSize size)
     }
 }
 
-void
+Translation
 NestedSystem::guestFaultIn(Addr gva, const Vma &vma)
 {
     PhysMemPool &frames = cfg.virtualized ? *guest_pool : *host_pool;
@@ -195,9 +195,9 @@ NestedSystem::guestFaultIn(Addr gva, const Vma &vma)
     // Explicit 1GB (hugetlbfs-style) regions bypass the THP policy.
     if (vma.use_1g) {
         const Addr page = pageBase(gva, PageSize::Page1G);
-        guestMap(page, frames.allocFrame(PageSize::Page1G),
-                 PageSize::Page1G);
-        return;
+        const Addr frame = frames.allocFrame(PageSize::Page1G);
+        guestMap(page, frame, PageSize::Page1G);
+        return {frame, PageSize::Page1G, true};
     }
 
     // THP feasibility is decided per contiguous 64MB chunk: real
@@ -217,15 +217,10 @@ NestedSystem::guestFaultIn(Addr gva, const Vma &vma)
         }
     }
 
-    if (use_thp) {
-        const Addr page = pageBase(gva, PageSize::Page2M);
-        const Addr frame = frames.allocFrame(PageSize::Page2M);
-        guestMap(page, frame, PageSize::Page2M);
-    } else {
-        const Addr page = pageBase(gva, PageSize::Page4K);
-        const Addr frame = frames.allocFrame(PageSize::Page4K);
-        guestMap(page, frame, PageSize::Page4K);
-    }
+    const PageSize size = use_thp ? PageSize::Page2M : PageSize::Page4K;
+    const Addr frame = frames.allocFrame(size);
+    guestMap(pageBase(gva, size), frame, size);
+    return {frame, size, true};
 }
 
 void
@@ -239,7 +234,7 @@ NestedSystem::hostFaultIn(Addr gpa)
         const Addr page = pageBase(gpa, PageSize::Page4K);
         hostMap(page, host_pool->allocFrame(PageSize::Page4K),
                 PageSize::Page4K);
-        host_blocks_with_4k.insert(gpa >> pageShift(PageSize::Page2M));
+        noteHost4k(gpa);
         return;
     }
 
@@ -274,8 +269,21 @@ NestedSystem::hostFaultIn(Addr gpa)
         const Addr page = pageBase(gpa, PageSize::Page4K);
         hostMap(page, host_pool->allocFrame(PageSize::Page4K),
                 PageSize::Page4K);
-        host_blocks_with_4k.insert(gpa >> pageShift(PageSize::Page2M));
+        noteHost4k(gpa);
     }
+}
+
+void
+NestedSystem::noteHost4k(Addr gpa)
+{
+    // Faults arrive in address order, so consecutive 4KB backings
+    // mostly share a 2MB block; the set only grows, so the last block
+    // recorded is always still in it.
+    const std::uint64_t block = gpa >> pageShift(PageSize::Page2M);
+    if (block == last_4k_block)
+        return;
+    host_blocks_with_4k.insert(block);
+    last_4k_block = block;
 }
 
 void
@@ -502,7 +510,14 @@ NestedSystem::isResident(Addr gva) const
 bool
 NestedSystem::ensureResident(Addr gva)
 {
-    bool faulted = false;
+    const std::uint64_t faults = guest_faults + host_faults;
+    makeResident(gva);
+    return guest_faults + host_faults != faults;
+}
+
+Translation
+NestedSystem::makeResident(Addr gva)
+{
     Translation g = guestTranslate(gva);
     if (!g.valid) {
         const Vma *vma = vmaOf(gva);
@@ -510,28 +525,14 @@ NestedSystem::ensureResident(Addr gva)
             throw ConfigError(strfmt(
                 "access to unmapped guest VA 0x%llx",
                 static_cast<unsigned long long>(gva)));
-        guestFaultIn(gva, *vma);
-        g = guestTranslate(gva);
-        NECPT_ASSERT(g.valid);
-        faulted = true;
+        g = guestFaultIn(gva, *vma);
     }
     if (cfg.virtualized) {
         const Addr gpa = g.apply(gva);
-        Translation h;
-        if (host_radix)
-            h = host_radix->lookup(gpa);
-        else if (host_ecpt)
-            h = host_ecpt->lookup(gpa);
-        else if (host_flat)
-            h = host_flat->lookup(gpa);
-        else
-            h = host_hpt->lookup(gpa);
-        if (!h.valid) {
+        if (!hostPeek(gpa).valid)
             hostFaultIn(gpa);
-            faulted = true;
-        }
     }
-    return faulted;
+    return g;
 }
 
 void
@@ -542,12 +543,8 @@ NestedSystem::prefaultAll()
     for (std::size_t i = 0; i < vmas.size(); ++i) {
         const Vma vma = vmas[i];
         Addr va = vma.base;
-        while (va < vma.base + vma.bytes) {
-            ensureResident(va);
-            const Translation g = guestTranslate(va);
-            va += g.valid ? pageBytes(g.size)
-                          : pageBytes(PageSize::Page4K);
-        }
+        while (va < vma.base + vma.bytes)
+            va += pageBytes(makeResident(va).size);
     }
     // Let background migration finish: measurement starts from a
     // quiesced steady state (in-flight resizes would otherwise double

@@ -305,11 +305,19 @@ class NestedSystem
     bool blockCovered(std::uint64_t block, double coverage,
                       std::uint64_t salt) const;
 
-    /** Install a guest mapping for the page containing @p gva. */
-    void guestFaultIn(Addr gva, const Vma &vma);
+    /** Install a guest mapping for the page containing @p gva.
+     *  @return the mapping just installed. */
+    Translation guestFaultIn(Addr gva, const Vma &vma);
 
     /** Install host backing for the page containing @p gpa. */
     void hostFaultIn(Addr gpa);
+
+    /** Record that @p gpa's 2MB block holds a 4KB host mapping. */
+    void noteHost4k(Addr gpa);
+
+    /** ensureResident() that returns the guest mapping of @p gva: one
+     *  guest and one host lookup, plus the faults it takes. */
+    Translation makeResident(Addr gva);
 
     void guestMap(Addr gva, Addr gpa, PageSize size);
     void hostMap(Addr gpa, Addr hpa, PageSize size);
@@ -354,6 +362,8 @@ class NestedSystem
     /** gPA 2MB blocks already holding a 4KB mapping (e.g. a scattered
      *  page-table node): a huge host mapping would overlap them. */
     std::unordered_set<std::uint64_t> host_blocks_with_4k;
+    /** The block noteHost4k() recorded last. */
+    std::uint64_t last_4k_block = ~0ULL;
 
     std::uint64_t guest_faults = 0;
     std::uint64_t host_faults = 0;

@@ -53,6 +53,11 @@ struct CuckooConfig
 
 /**
  * @tparam ValueT payload stored per key (e.g. a block of 8 PTEs).
+ *
+ * In the simulator's own memory, each generation keeps every way's keys
+ * in one packed array and the payloads in a parallel array, so a probe
+ * reads 8 bytes and only a hit touches its payload. The all-ones key
+ * marks a free slot and cannot be stored.
  */
 template <typename ValueT>
 class ElasticCuckooTable
@@ -69,10 +74,24 @@ class ElasticCuckooTable
         explicit operator bool() const { return value != nullptr; }
     };
 
-    /** Invoked whenever a key settles at a (possibly new) location.
-     *  Non-owning: the registered callee must outlive the table's use
-     *  (the ECPT stores its per-size notifier functors as members). */
-    using MoveCallback = FunctionRef<void(std::uint64_t key, int way)>;
+    /** Outcome of upsert(): the way holding the key afterwards, and
+     *  whether the call (re)placed it — in which case the move callback
+     *  has already reported that location with the updated payload. */
+    struct Upserted
+    {
+        int way = -1;
+        bool placed = false;
+    };
+
+    /** Reserved key marking a free slot. */
+    static constexpr std::uint64_t empty_key = ~0ULL;
+
+    /** Invoked whenever a key settles at a (possibly new) location,
+     *  with the payload it carries there. Non-owning: the registered
+     *  callee must outlive the table's use (the ECPT stores its
+     *  per-size notifier functors as members). */
+    using MoveCallback = FunctionRef<void(std::uint64_t key,
+                                          const ValueT &value, int way)>;
 
     ElasticCuckooTable(RegionAllocator &allocator,
                        const CuckooConfig &config)
@@ -114,6 +133,20 @@ class ElasticCuckooTable
     void
     insert(std::uint64_t key, const ValueT &value)
     {
+        upsert(key, [&](ValueT &slot) { slot = value; });
+    }
+
+    /**
+     * Insert-or-update @p key in place with one lookup: @p update runs
+     * on the resident payload, or on a value-initialized one that is
+     * then placed. Fault draws, the migration step and the resize check
+     * are exactly insert()'s.
+     */
+    template <typename Fn>
+    Upserted
+    upsert(std::uint64_t key, Fn &&update)
+    {
+        NECPT_ASSERT(key != empty_key);
         // Injected resize window: open a fresh two-generation phase so
         // this insert (and the probes that follow) run mid-resize.
         if (fault_plan && !old && fault_plan->forceResizeWindow()) {
@@ -121,15 +154,22 @@ class ElasticCuckooTable
             startResize();
         }
         const std::uint64_t kicks_before = rehash_moves;
+        tracked = {};
+        tracked_key = key;
+        tracking = true;
         if (FindResult hit = find(key)) {
-            *hit.value = value;
+            update(*hit.value);
+            tracked.way = hit.way;
         } else {
+            ValueT value{};
+            update(value);
             homeless.emplace_back(key, value);
             settle();
         }
         migrateSome();
         if (!old && loadFactor() > cfg.resize_threshold)
             startResize();
+        tracking = false;
         // One aggregated event per displacing insert (never one per
         // kick: prefault storms would flush the whole ring).
         if (tracer && rehash_moves > kicks_before)
@@ -139,6 +179,8 @@ class ElasticCuckooTable
                 {{"kicks", static_cast<std::int64_t>(rehash_moves
                                                      - kicks_before)},
                  {"key", static_cast<std::int64_t>(key)}});
+        NECPT_ASSERT(tracked.way >= 0);
+        return tracked;
     }
 
     /** Look up @p key. */
@@ -148,7 +190,8 @@ class ElasticCuckooTable
         // Empty tables answer without hashing: a multi-size lookup
         // probes every page-size table, and for most workloads all but
         // one of them stays empty for the whole run.
-        if (live.used == 0 && (!old || old->used == 0))
+        if ((live.used == 0 && (!old || old->used == 0))
+            || key == empty_key)
             return {};
         // One hash pass covers both generations: the raw 64-bit values
         // are generation-independent, only the modulo differs.
@@ -208,15 +251,6 @@ class ElasticCuckooTable
             if (old)
                 out.push_back(slotAddr(*old, w, reduce(*old, raw[w])));
         }
-    }
-
-    /** Which way currently holds @p key (-1 when absent). */
-    int
-    wayOf(std::uint64_t key) const
-    {
-        auto *self = const_cast<ElasticCuckooTable *>(this);
-        FindResult r = self->find(key);
-        return r ? r.way : -1;
     }
 
     /// @name Capacity and accounting
@@ -285,33 +319,28 @@ class ElasticCuckooTable
     void
     forEach(Fn &&fn) const
     {
-        for (int w = 0; w < cfg.ways; ++w)
-            for (const Slot &slot : live.way_slots[w])
-                if (slot.valid)
-                    fn(slot.key, slot.value, w, false);
+        forEachIn(live, false, fn);
         if (old)
-            for (int w = 0; w < cfg.ways; ++w)
-                for (const Slot &slot : old->way_slots[w])
-                    if (slot.valid)
-                        fn(slot.key, slot.value, w, true);
+            forEachIn(*old, true, fn);
     }
 
   private:
-    struct Slot
-    {
-        std::uint64_t key = 0;
-        ValueT value{};
-        bool valid = false;
-    };
-
     struct Generation
     {
         std::uint64_t slots = 0;
         std::uint64_t used = 0;
         std::uint64_t slot_mask = 0; //!< slots-1 when power of 2, else 0
-        std::vector<std::vector<Slot>> way_slots; //!< [way][slot]
-        std::vector<Addr> base;                   //!< per-way region base
-        std::uint64_t migrate_scan = 0;           //!< way-major scan index
+        /** Way-major packed keys ([way * slots + slot]; empty_key when
+         *  free) and the payloads at the same indices. */
+        std::vector<std::uint64_t> keys;
+        std::vector<ValueT> values;
+        std::vector<Addr> base;         //!< per-way region base
+        std::uint64_t migrate_scan = 0; //!< way-major scan index
+
+        std::uint64_t at(int way, std::uint64_t idx) const
+        {
+            return static_cast<std::uint64_t>(way) * slots + idx;
+        }
     };
 
     Generation
@@ -320,7 +349,8 @@ class ElasticCuckooTable
         Generation gen;
         gen.slots = slots;
         gen.slot_mask = isPowerOf2(slots) ? slots - 1 : 0;
-        gen.way_slots.assign(cfg.ways, std::vector<Slot>(slots));
+        gen.keys.assign(slots * cfg.ways, empty_key);
+        gen.values.resize(slots * cfg.ways);
         for (int w = 0; w < cfg.ways; ++w)
             gen.base.push_back(alloc.allocRegion(slots * cfg.slot_bytes));
         return gen;
@@ -331,8 +361,19 @@ class ElasticCuckooTable
     {
         for (std::size_t w = 0; w < gen.base.size(); ++w)
             alloc.freeRegion(gen.base[w], gen.slots * cfg.slot_bytes);
-        gen.way_slots.clear();
+        gen.keys = std::vector<std::uint64_t>();
+        gen.values = std::vector<ValueT>();
         gen.base.clear();
+    }
+
+    template <typename Fn>
+    static void
+    forEachIn(const Generation &gen, bool is_old, Fn &fn)
+    {
+        for (std::uint64_t i = 0; i < gen.keys.size(); ++i)
+            if (gen.keys[i] != empty_key)
+                fn(gen.keys[i], gen.values[i],
+                   static_cast<int>(i / gen.slots), is_old);
     }
 
     /** Compute all ways' raw hashes of @p key in one pass — the d
@@ -387,9 +428,9 @@ class ElasticCuckooTable
     {
         for (int w = 0; w < cfg.ways; ++w) {
             const auto idx = reduce(gen, raw[w]);
-            Slot &slot = gen.way_slots[w][idx];
-            if (slot.valid && slot.key == key)
-                return {&slot.value, w, slotAddr(gen, w, idx), is_old};
+            const auto at = gen.at(w, idx);
+            if (gen.keys[at] == key)
+                return {&gen.values[at], w, slotAddr(gen, w, idx), is_old};
         }
         return {};
     }
@@ -398,10 +439,9 @@ class ElasticCuckooTable
     eraseIn(Generation &gen, std::uint64_t key)
     {
         for (int w = 0; w < cfg.ways; ++w) {
-            const auto idx = slotIndex(gen, w, key);
-            Slot &slot = gen.way_slots[w][idx];
-            if (slot.valid && slot.key == key) {
-                slot.valid = false;
+            const auto at = gen.at(w, slotIndex(gen, w, key));
+            if (gen.keys[at] == key) {
+                gen.keys[at] = empty_key;
                 --gen.used;
                 return true;
             }
@@ -435,12 +475,12 @@ class ElasticCuckooTable
         for (int kick = 0; kick <= cfg.max_kicks; ++kick) {
             rawHashes(cur_key, raw);
             for (int w = 0; w < cfg.ways; ++w) {
-                const auto idx = reduce(live, raw[w]);
-                Slot &slot = live.way_slots[w][idx];
-                if (!slot.valid) {
-                    slot = {cur_key, cur_value, true};
+                const auto at = live.at(w, reduce(live, raw[w]));
+                if (live.keys[at] == empty_key) {
+                    live.keys[at] = cur_key;
+                    live.values[at] = cur_value;
                     ++live.used;
-                    notifyMove(cur_key, w, kick > 0);
+                    notifyMove(cur_key, live.values[at], w, kick > 0);
                     return true;
                 }
             }
@@ -448,11 +488,10 @@ class ElasticCuckooTable
             do {
                 w = static_cast<int>(rng.below(cfg.ways));
             } while (w == last_way && cfg.ways > 1);
-            const auto idx = reduce(live, raw[w]);
-            Slot &slot = live.way_slots[w][idx];
-            std::swap(cur_key, slot.key);
-            std::swap(cur_value, slot.value);
-            notifyMove(slot.key, w, true);
+            const auto at = live.at(w, reduce(live, raw[w]));
+            std::swap(cur_key, live.keys[at]);
+            std::swap(cur_value, live.values[at]);
+            notifyMove(live.keys[at], live.values[at], w, true);
             last_way = w;
         }
         homeless.emplace_back(cur_key, cur_value);
@@ -484,12 +523,15 @@ class ElasticCuckooTable
     }
 
     void
-    notifyMove(std::uint64_t key, int way, bool was_displacement)
+    notifyMove(std::uint64_t key, const ValueT &value, int way,
+               bool was_displacement)
     {
         if (was_displacement)
             ++rehash_moves;
+        if (tracking && key == tracked_key)
+            tracked = {way, true};
         if (on_move)
-            on_move(key, way);
+            on_move(key, value, way);
     }
 
     /**
@@ -502,13 +544,11 @@ class ElasticCuckooTable
     startResize()
     {
         if (old) {
-            for (auto &way : old->way_slots) {
-                for (Slot &slot : way) {
-                    if (slot.valid) {
-                        homeless.emplace_back(slot.key, slot.value);
-                        slot.valid = false;
-                        --old->used;
-                    }
+            for (std::uint64_t i = 0; i < old->keys.size(); ++i) {
+                if (old->keys[i] != empty_key) {
+                    homeless.emplace_back(old->keys[i], old->values[i]);
+                    old->keys[i] = empty_key;
+                    --old->used;
                 }
             }
             releaseGeneration(*old);
@@ -536,14 +576,11 @@ class ElasticCuckooTable
         const std::uint64_t total = old->slots * cfg.ways;
         while (old->migrate_scan < total
                && moved < cfg.migrate_per_insert) {
-            const auto way = old->migrate_scan / old->slots;
-            const auto idx = old->migrate_scan % old->slots;
-            ++old->migrate_scan;
-            Slot &slot = old->way_slots[way][idx];
-            if (slot.valid) {
-                const auto key = slot.key;
-                const auto value = slot.value;
-                slot.valid = false;
+            const auto at = old->migrate_scan++;
+            if (old->keys[at] != empty_key) {
+                const auto key = old->keys[at];
+                const auto value = old->values[at];
+                old->keys[at] = empty_key;
                 --old->used;
                 ++resize_moves;
                 ++moved;
@@ -591,6 +628,12 @@ class ElasticCuckooTable
     /** Set by tryPlace when its failure was injected, so the caller
      *  retries instead of doubling the table. */
     bool kick_injected = false;
+
+    /** upsert()'s key while it runs: notifyMove records where it
+     *  settles, so the caller learns its way without another find. */
+    bool tracking = false;
+    std::uint64_t tracked_key = 0;
+    Upserted tracked;
 
     std::uint64_t rehash_moves = 0;
     std::uint64_t resize_moves = 0;

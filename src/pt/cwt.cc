@@ -38,17 +38,36 @@ CuckooWalkTable::~CuckooWalkTable()
 CuckooWalkTable::Chunk &
 CuckooWalkTable::chunkOf(Addr va)
 {
-    auto [it, fresh] = chunks.try_emplace(chunkKey(va));
+    const std::uint64_t key = chunkKey(va);
+    if (memo_chunk && memo_chunk_key == key)
+        return *memo_chunk;
+    auto [it, fresh] = chunks.try_emplace(key);
     if (fresh)
         it->second.base = alloc.allocRegion(chunk_bytes);
+    memo_chunk_key = key;
+    memo_chunk = &it->second;
     return it->second;
 }
 
 const CuckooWalkTable::Chunk *
 CuckooWalkTable::peekChunk(Addr va) const
 {
-    auto it = chunks.find(chunkKey(va));
+    const std::uint64_t key = chunkKey(va);
+    if (memo_chunk && memo_chunk_key == key)
+        return memo_chunk;
+    auto it = chunks.find(key);
     return it == chunks.end() ? nullptr : &it->second;
+}
+
+std::array<std::uint32_t, 2> &
+CuckooWalkTable::smallerCounts(Addr va)
+{
+    const std::uint64_t key = sectionKey(va);
+    if (!memo_counts || memo_section_key != key) {
+        memo_counts = &smaller_counts[key];
+        memo_section_key = key;
+    }
+    return *memo_counts;
 }
 
 std::uint8_t
@@ -76,6 +95,14 @@ CuckooWalkTable::unpackNibble(std::uint8_t nibble)
     return d;
 }
 
+CwtDescriptor
+CuckooWalkTable::load(Addr va)
+{
+    const int section = sectionOf(va);
+    const std::uint8_t byte = chunkOf(va).nibbles[section / 2];
+    return unpackNibble((byte >> ((section % 2) * 4)) & 0xF);
+}
+
 void
 CuckooWalkTable::update(Addr va, const CwtDescriptor &d)
 {
@@ -100,9 +127,7 @@ CuckooWalkTable::setPresent(Addr va, int way)
 void
 CuckooWalkTable::clearPresent(Addr va)
 {
-    CwtDescriptor d;
-    if (auto q = query(va))
-        d = *q;
+    CwtDescriptor d = load(va);
     d.present = false;
     d.way = 0;
     update(va, d);
@@ -111,9 +136,7 @@ CuckooWalkTable::clearPresent(Addr va)
 void
 CuckooWalkTable::setHasSmaller(Addr va, PageSize smaller)
 {
-    CwtDescriptor d;
-    if (auto q = query(va))
-        d = *q;
+    CwtDescriptor d = load(va);
     const bool already = (smaller == PageSize::Page4K && d.smaller_4k)
         || (smaller == PageSize::Page2M && d.smaller_2m);
     if (already && !d.present)
@@ -131,7 +154,7 @@ void
 CuckooWalkTable::addSmaller(Addr va, PageSize smaller)
 {
     const int idx = smaller == PageSize::Page4K ? 0 : 1;
-    ++smaller_counts[sectionKey(va)][idx];
+    ++smallerCounts(va)[idx];
     setHasSmaller(va, smaller);
 }
 
@@ -144,16 +167,17 @@ CuckooWalkTable::removeSmaller(Addr va, PageSize smaller)
     if (--it->second[idx] > 0)
         return;
     // Last page of this size in the section: downgrade the descriptor.
-    CwtDescriptor d;
-    if (auto q = query(va))
-        d = *q;
+    CwtDescriptor d = load(va);
     if (smaller == PageSize::Page4K)
         d.smaller_4k = false;
     else
         d.smaller_2m = false;
     update(va, d);
-    if (it->second[0] == 0 && it->second[1] == 0)
+    if (it->second[0] == 0 && it->second[1] == 0) {
+        if (memo_counts == &it->second)
+            memo_counts = nullptr;
         smaller_counts.erase(it);
+    }
 }
 
 std::optional<CwtDescriptor>

@@ -166,11 +166,19 @@ class CuckooWalkTable
                                 & (sections_per_chunk - 1));
     }
 
+    /** The chunk covering @p va, materialized on first touch. */
     Chunk &chunkOf(Addr va);
     const Chunk *peekChunk(Addr va) const;
 
-    /** Read-modify-write of one section descriptor. */
+    /** Descriptor of @p va's section, materializing its chunk. */
+    CwtDescriptor load(Addr va);
+
+    /** Overwrite one section descriptor (chunk materialized). */
     void update(Addr va, const CwtDescriptor &d);
+
+    /** Per-section smaller-size counts of @p va's section, created on
+     *  first use. */
+    std::array<std::uint32_t, 2> &smallerCounts(Addr va);
 
     static std::uint8_t packNibble(const CwtDescriptor &d);
     static CwtDescriptor unpackNibble(std::uint8_t nibble);
@@ -196,6 +204,19 @@ class CuckooWalkTable
      *  backs the exact clear in removeSmaller(). */
     std::unordered_map<std::uint64_t, std::array<std::uint32_t, 2>>
         smaller_counts;
+
+    /// @name Last-used memos
+    /// Prefault maps pages in address order, so consecutive updates
+    /// land in the same chunk and section. Map nodes never move, so a
+    /// memo stays valid until its entry is erased. Only the mutation
+    /// path writes them: const lookups run concurrently on the
+    /// simulator's worker threads and may only read.
+    /// @{
+    std::uint64_t memo_chunk_key = 0;
+    Chunk *memo_chunk = nullptr;
+    std::uint64_t memo_section_key = 0;
+    std::array<std::uint32_t, 2> *memo_counts = nullptr;
+    /// @}
 };
 
 } // namespace necpt

@@ -45,19 +45,22 @@ EcptPageTable::EcptPageTable(RegionAllocator &allocator,
 
 void
 EcptPageTable::noteBlockPlacement(PageSize size, std::uint64_t key,
-                                  int way)
+                                  const PteBlock &block, int way)
 {
     CuckooWalkTable *cwt = cwtOf(size);
     if (!cwt)
         return;
-    // The block covers 8 consecutive pages; each of its *mapped* pages'
-    // sections must have their way bits refreshed.
     const Addr block_base = (key << 3) << pageShift(size);
-    auto hit = tableOf(size).find(key);
-    if (!hit)
+    // A PTE-CWT section is the whole 8-page block: one write covers it.
+    if (size == PageSize::Page4K) {
+        if (!block.empty())
+            cwt->setPresent(block_base, way);
         return;
+    }
+    // PMD/PUD-CWT sections cover one page each: refresh every mapped
+    // page's section.
     for (int j = 0; j < PteBlock::entries; ++j) {
-        if (hit.value->pte[j].present()) {
+        if (block.pte[j].present()) {
             const Addr va = block_base
                 + (static_cast<Addr>(j) << pageShift(size));
             cwt->setPresent(va, way);
@@ -70,25 +73,24 @@ EcptPageTable::map(Addr va, Addr pa, PageSize size)
 {
     NECPT_ASSERT(pageOffset(va, size) == 0);
     NECPT_ASSERT(pageOffset(pa, size) == 0);
-    auto &table = tableOf(size);
-    const auto key = blockKey(va, size);
     const int sub = static_cast<int>(pageNumber(va, size) & 0x7);
-
-    PteBlock block;
-    if (auto hit = table.find(key))
-        block = *hit.value;
-    const bool fresh = !block.pte[sub].present();
-    block.pte[sub] = Pte::make(pa);
-    table.insert(key, block);
+    bool fresh = false;
+    const auto slot = tableOf(size).upsert(
+        blockKey(va, size), [&](PteBlock &block) {
+            fresh = !block.pte[sub].present();
+            block.pte[sub] = Pte::make(pa);
+        });
     if (fresh)
         ++mapped[static_cast<int>(size)];
 
-    // CWT maintenance: present bit at this size...
-    if (CuckooWalkTable *cwt = cwtOf(size)) {
-        const int way = table.wayOf(key);
-        NECPT_ASSERT(way >= 0);
-        cwt->setPresent(va, way);
-    }
+    // CWT maintenance: present bit at this size. A block the upsert
+    // (re)placed went through noteBlockPlacement with this page in it
+    // already. A block updated where it sat needs this page's section
+    // written, except at the PTE level, whose section is the whole
+    // block and already names its way.
+    if (CuckooWalkTable *cwt = cwtOf(size);
+        cwt && !slot.placed && size != PageSize::Page4K)
+        cwt->setPresent(va, slot.way);
     // ...and which-smaller-size bits at every larger level (Figure
     // 14's pruning depends on these). Counted per fresh page so the
     // unmap path can downgrade the bits exactly; a re-map of an

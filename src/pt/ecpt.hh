@@ -206,8 +206,9 @@ class EcptPageTable
     const EcptConfig &config() const { return cfg; }
 
   private:
-    /** Refresh the CWT way bits after a block moved to @p way. */
-    void noteBlockPlacement(PageSize size, std::uint64_t key, int way);
+    /** Refresh the CWT way bits after @p block settled in @p way. */
+    void noteBlockPlacement(PageSize size, std::uint64_t key,
+                            const PteBlock &block, int way);
 
     /** Persistent callee behind each table's MoveCallback (the
      *  FunctionRef contract: the closure state lives here, not in a
@@ -218,9 +219,9 @@ class EcptPageTable
         PageSize size{};
 
         void
-        operator()(std::uint64_t key, int way)
+        operator()(std::uint64_t key, const PteBlock &block, int way)
         {
-            owner->noteBlockPlacement(size, key, way);
+            owner->noteBlockPlacement(size, key, block, way);
         }
     };
 

@@ -109,19 +109,25 @@ RadixPageTable::unmap(Addr va, PageSize size)
 Translation
 RadixPageTable::lookup(Addr va) const
 {
-    std::vector<RadixStep> steps;
-    return walk(va, steps);
+    return descend(va, nullptr);
 }
 
 Translation
 RadixPageTable::walk(Addr va, std::vector<RadixStep> &steps) const
+{
+    return descend(va, &steps);
+}
+
+Translation
+RadixPageTable::descend(Addr va, std::vector<RadixStep> *steps) const
 {
     const Node *node = root_.get();
     for (int level = top_level; level >= 1; --level) {
         const unsigned idx = radixIndex(va, level);
         const Entry &entry = node->slots[idx];
         const bool is_leaf = entry.kind == Entry::Kind::Leaf;
-        steps.push_back({node->entryAddr(idx), level, is_leaf});
+        if (steps)
+            steps->push_back({node->entryAddr(idx), level, is_leaf});
         if (entry.kind == Entry::Kind::None)
             return {};
         if (is_leaf) {

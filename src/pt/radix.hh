@@ -108,6 +108,10 @@ class RadixPageTable
 
     Node *ensureChild(Node *node, unsigned idx);
 
+    /** The walk behind lookup() and walk(); records each entry fetched
+     *  into @p steps when non-null. */
+    Translation descend(Addr va, std::vector<RadixStep> *steps) const;
+
     /** True when no leaf mapping lives anywhere under @p node. */
     static bool subtreeEmpty(const Node *node);
 

@@ -282,13 +282,13 @@ Simulator::runWith(const std::string &label,
         }
 
         Simulator &sim;
-        std::vector<CoreState> cores;
+        std::vector<CoreState> cores{};
         /** The sharded scheduler: one pump per core plus the shared
          *  domain, merged in canonical (cycle, priority, core, seq)
          *  order — byte-identical to the old single heap. */
-        SchedContext ctx;
-        std::vector<CorePump> pumps;
-        SharedDomain sched;
+        SchedContext ctx{};
+        std::vector<CorePump> pumps{};
+        SharedDomain sched{};
         std::uint64_t total = 0;
         bool overlap = false;
         bool coalescing = false; //!< overlap && params.walk_coalescing

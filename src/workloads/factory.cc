@@ -51,7 +51,8 @@ std::unique_ptr<Workload>
 makeWorkload(const std::string &name, std::uint64_t scale_denominator,
              std::uint64_t seed)
 {
-    NECPT_ASSERT(scale_denominator >= 1);
+    if (scale_denominator < 1)
+        throw ConfigError("scale denominator must be at least 1, got 0");
     std::uint64_t paper_bytes = 0;
     for (const AppEntry &entry : app_table)
         if (name == entry.name)

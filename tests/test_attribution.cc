@@ -80,8 +80,9 @@ expectConserved(const SimResult &r)
         share_sum += r.metrics.at(an + ".share");
     }
     EXPECT_EQ(bin_sum, total) << r.config;
-    if (total > 0)
+    if (total > 0) {
         EXPECT_NEAR(share_sum, 1.0, 1e-9) << r.config;
+    }
 }
 
 using AttrParam = std::tuple<ConfigId, int>;

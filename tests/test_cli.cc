@@ -1,0 +1,75 @@
+/**
+ * @file
+ * Table-driven checks of the necpt-run command line: bad input must end
+ * in a clean, typed error and exit code 1, never an abort.
+ */
+
+#include <gtest/gtest.h>
+
+#include <cstdio>
+#include <string>
+#include <sys/wait.h>
+
+namespace
+{
+
+struct CliCase
+{
+    const char *name;
+    const char *args;
+    int exit_code;
+    const char *stderr_has; //!< required substring of the output
+};
+
+/** Run necpt-run with @p args; @return (exit status, merged output). */
+std::pair<int, std::string>
+runCli(const std::string &args)
+{
+    const std::string cmd =
+        std::string("\"") + NECPT_RUN_PATH + "\" " + args + " 2>&1";
+    std::FILE *pipe = popen(cmd.c_str(), "r");
+    if (!pipe)
+        return {-1, "popen failed"};
+    std::string out;
+    char buf[512];
+    while (std::fgets(buf, sizeof buf, pipe))
+        out += buf;
+    const int status = pclose(pipe);
+    // A signal (abort, crash) is reported as -1, never as an exit code.
+    const int code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+    return {code, out};
+}
+
+class Cli : public ::testing::TestWithParam<CliCase>
+{};
+
+TEST_P(Cli, RejectsBadInputCleanly)
+{
+    const CliCase &c = GetParam();
+    const auto [code, out] = runCli(c.args);
+    EXPECT_EQ(code, c.exit_code) << out;
+    EXPECT_NE(out.find(c.stderr_has), std::string::npos) << out;
+    EXPECT_EQ(out.find("panic"), std::string::npos) << out;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    NecptRun, Cli,
+    ::testing::Values(
+        CliCase{"ScaleZero",
+                "--config \"Nested ECPTs\" --app GUPS --scale 0",
+                1, "config error: scale denominator must be at least 1"},
+        CliCase{"CoresZero",
+                "--config \"Nested ECPTs\" --app GUPS --cores 0",
+                1, "config error: cores must be in [1, 8]"},
+        CliCase{"UnknownApp",
+                "--config \"Nested ECPTs\" --app NoSuchApp",
+                1, "config error: unknown workload 'NoSuchApp'"},
+        CliCase{"UnknownConfig", "--config \"No Such\" --app GUPS", 1,
+                "unknown configuration 'No Such'"},
+        CliCase{"UnknownOption", "--no-such-flag", 1,
+                "unknown option: --no-such-flag"}),
+    [](const ::testing::TestParamInfo<CliCase> &param_info) {
+        return std::string(param_info.param.name);
+    });
+
+} // namespace

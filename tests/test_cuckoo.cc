@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <unordered_map>
 
+#include "common/fault.hh"
 #include "pt/cuckoo.hh"
 #include "tests/test_util.hh"
 
@@ -100,7 +102,7 @@ TEST(Cuckoo, DisplacementsReported)
     cfg.resize_threshold = 0.95; // force collisions before resizing
     Table table(alloc, cfg);
     std::map<std::uint64_t, int> way_of;
-    auto record = [&](std::uint64_t key, int way) {
+    auto record = [&](std::uint64_t key, const std::uint64_t &, int way) {
         way_of[key] = way;
     };
     table.setMoveCallback(record);
@@ -221,6 +223,94 @@ TEST(Cuckoo, InsertsRelocateOtherKeys)
     // rehash counter, which only counts displacements of *resident*
     // entries.
     EXPECT_GT(table.rehashMoves(), 0u);
+}
+
+/**
+ * The packed key/value layout against a std::unordered_map reference,
+ * through inserts, erases, forced kick exhaustion and forced resize
+ * windows. An insert()-driven twin with the same seeds must end with
+ * identical accounting, so upsert() is insert() with one lookup; its
+ * reported way and placed flag must match find() and the move
+ * callback.
+ */
+TEST(Cuckoo, PackedSlotsMatchReferenceUnderFaults)
+{
+    BumpAllocator alloc_a, alloc_b;
+    const CuckooConfig cfg = tinyConfig(16, 3);
+    Table a(alloc_a, cfg), b(alloc_b, cfg);
+    FaultSpec spec;
+    spec.kick_prob = 0.1;
+    spec.resize_prob = 0.05;
+    FaultPlan plan_a(spec, 9), plan_b(spec, 9);
+    a.setFaultPlan(&plan_a);
+    b.setFaultPlan(&plan_b);
+
+    std::uint64_t upserting = Table::empty_key;
+    int reported_way = -1;
+    auto record = [&](std::uint64_t key, const std::uint64_t &, int way) {
+        if (key == upserting)
+            reported_way = way;
+    };
+    a.setMoveCallback(record);
+
+    std::unordered_map<std::uint64_t, std::uint64_t> ref;
+    Rng rng(0x5107);
+    for (int op = 0; op < 4000; ++op) {
+        const std::uint64_t key = rng.below(600);
+        if (rng.chance(0.7)) {
+            const std::uint64_t value = rng.next();
+            upserting = key;
+            reported_way = -1;
+            const auto placed =
+                a.upsert(key, [&](std::uint64_t &v) { v = value; });
+            upserting = Table::empty_key;
+            b.insert(key, value);
+            ref[key] = value;
+            const auto hit = a.find(key);
+            ASSERT_TRUE(hit) << "key " << key;
+            EXPECT_EQ(placed.way, hit.way) << "key " << key;
+            EXPECT_EQ(placed.placed, reported_way >= 0) << "key " << key;
+            if (placed.placed) {
+                EXPECT_EQ(placed.way, reported_way) << "key " << key;
+            }
+        } else {
+            EXPECT_EQ(a.erase(key), ref.erase(key) > 0) << "key " << key;
+            b.erase(key);
+        }
+        ASSERT_EQ(a.size(), ref.size()) << "op " << op;
+        ASSERT_EQ(a.homelessCount(), 0u) << "op " << op;
+    }
+    EXPECT_GT(a.injectedKickFailures(), 0u);
+    EXPECT_GT(a.injectedResizes(), 0u);
+    EXPECT_GT(a.rehashMoves(), 0u);
+    EXPECT_EQ(a.rehashMoves(), b.rehashMoves());
+    EXPECT_EQ(a.resizeCount(), b.resizeCount());
+    EXPECT_EQ(a.resizeMoves(), b.resizeMoves());
+    EXPECT_EQ(a.size(), b.size());
+
+    for (std::uint64_t key = 0; key < 600; ++key) {
+        const auto hit = a.find(key);
+        const auto it = ref.find(key);
+        ASSERT_EQ(static_cast<bool>(hit), it != ref.end()) << "key " << key;
+        if (hit) {
+            EXPECT_EQ(*hit.value, it->second) << "key " << key;
+        }
+    }
+    // forEach visits each resident entry once, where find() sees it,
+    // and the twin holds every entry at the same place.
+    std::unordered_map<std::uint64_t, std::uint64_t> seen;
+    a.forEach([&](std::uint64_t key, const std::uint64_t &value, int way,
+                  bool in_old) {
+        EXPECT_TRUE(seen.emplace(key, value).second) << "key " << key;
+        const auto hit = a.find(key);
+        EXPECT_EQ(hit.way, way) << "key " << key;
+        EXPECT_EQ(hit.in_old_generation, in_old) << "key " << key;
+        // Both allocators hand out the same address sequence.
+        const auto twin = b.find(key);
+        ASSERT_TRUE(twin) << "key " << key;
+        EXPECT_EQ(twin.slot_addr, hit.slot_addr) << "key " << key;
+    });
+    EXPECT_EQ(seen, ref);
 }
 
 /** Parameterized sweep over ways/slots: membership is exact. */

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "pt/cwt.hh"
+#include "pt/ecpt.hh"
 #include "tests/test_util.hh"
 
 namespace necpt
@@ -179,6 +180,41 @@ TEST(Cwt, StructureBytesGrowPerChunk)
     // A section in another chunk materializes a new one.
     cwt.setPresent(1ULL << 40, 2);
     EXPECT_EQ(cwt.structureBytes(), 2 * CuckooWalkTable::chunk_bytes);
+}
+
+/** Map, unmap and remap 4KB pages of one 2MB section: the memoised
+ *  per-section count entry is erased when the last page goes and must
+ *  be recreated, not reused, when pages come back. */
+TEST(Cwt, SmallerCountSurvivesEraseAndRecreate)
+{
+    BumpAllocator alloc;
+    EcptConfig cfg;
+    cfg.initial_slots = {256, 128, 64};
+    EcptPageTable pt(alloc, cfg);
+    const CuckooWalkTable &pmd = *pt.cwtOf(PageSize::Page2M);
+    const Addr section = 0x4000'0000;
+    const Addr other = section + (2ULL << 20);
+    auto smaller4k = [&](Addr va) {
+        const auto d = pmd.query(va);
+        return d && d->smaller_4k;
+    };
+
+    for (int round = 0; round < 3; ++round) {
+        for (Addr off = 0; off < 3 * 4096; off += 4096)
+            pt.map(section + off, 0x10'0000 + off, PageSize::Page4K);
+        // A neighbouring section moves the memo away and back.
+        pt.map(other, 0x20'0000, PageSize::Page4K);
+        EXPECT_TRUE(smaller4k(section)) << "round " << round;
+        for (Addr off = 0; off < 3 * 4096; off += 4096) {
+            EXPECT_TRUE(smaller4k(section)) << "round " << round;
+            pt.unmap(section + off, PageSize::Page4K);
+        }
+        EXPECT_FALSE(smaller4k(section)) << "round " << round;
+        EXPECT_TRUE(smaller4k(other)) << "round " << round;
+        pt.unmap(other, PageSize::Page4K);
+        EXPECT_FALSE(smaller4k(other)) << "round " << round;
+        pt.auditCwtConsistency("test");
+    }
 }
 
 } // namespace necpt

@@ -94,8 +94,9 @@ TEST(Ecpt, CwtTracksHugePagePresence)
     ASSERT_TRUE(d.has_value());
     EXPECT_TRUE(d->present);
     EXPECT_EQ(d->way, pt.tableOf(PageSize::Page2M)
-                          .wayOf(pt.blockKey(0x4000'0000,
-                                             PageSize::Page2M)));
+                          .find(pt.blockKey(0x4000'0000,
+                                            PageSize::Page2M))
+                          .way);
 }
 
 TEST(Ecpt, CwtTracksHasSmaller)
@@ -161,8 +162,9 @@ TEST(Ecpt, CwtWaysCoherentAfterChurn)
         ASSERT_TRUE(d.has_value());
         ASSERT_TRUE(d->present);
         const int actual_way = pt.tableOf(PageSize::Page2M)
-                                   .wayOf(pt.blockKey(va,
-                                                      PageSize::Page2M));
+                                   .find(pt.blockKey(va,
+                                                     PageSize::Page2M))
+                                   .way;
         EXPECT_EQ(d->way, actual_way) << "va " << std::hex << va;
     }
 }

@@ -12,7 +12,9 @@
  *   - MemoryHierarchy batchAccess/issueBatch/drain (pooled PendingTxns,
  *     scratch line buffers),
  *   - a full NestedEcptWalker::translate on resident pages (pooled walk
- *     machines, per-machine ProbeScratch).
+ *     machines, per-machine ProbeScratch),
+ *   - NestedSystem::ensureResident on resident pages under Nested Radix
+ *     and Nested ECPTs (the per-access residency check).
  *
  * Each test warms the structure first — pools and scratch buffers are
  * allowed to grow to their high-water mark — then snapshots the global
@@ -46,7 +48,9 @@ std::atomic<std::uint64_t> g_news{0};
 thread_local std::uint64_t t_news = 0;
 }
 
-void *
+// Out of line: inlined into a delete site, std::free would meet a
+// pointer from operator new and trip -Wmismatched-new-delete.
+[[gnu::noinline]] void *
 operator new(std::size_t size)
 {
     g_news.fetch_add(1, std::memory_order_relaxed);
@@ -62,10 +66,14 @@ operator new[](std::size_t size)
     return ::operator new(size);
 }
 
-void operator delete(void *p) noexcept { std::free(p); }
-void operator delete[](void *p) noexcept { std::free(p); }
-void operator delete(void *p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void *p) noexcept { std::free(p); }
+void operator delete[](void *p) noexcept { ::operator delete(p); }
+void operator delete(void *p, std::size_t) noexcept { ::operator delete(p); }
+void
+operator delete[](void *p, std::size_t) noexcept
+{
+    ::operator delete(p);
+}
 
 namespace necpt
 {
@@ -206,6 +214,27 @@ TEST(HotPathAlloc, HierarchySteadyStateIsAllocationFree)
         }
     });
     EXPECT_EQ(allocs, 0u);
+}
+
+TEST(HotPathAlloc, EnsureResidentOnResidentPagesIsAllocationFree)
+{
+    for (const ConfigId id : {ConfigId::NestedRadix, ConfigId::NestedEcpt}) {
+        NestedSystem sys(makeConfig(id).system);
+        const std::uint64_t bytes = 64ULL << 20;
+        const Addr base = sys.mmapRegion(bytes);
+        std::vector<Addr> vas;
+        for (Addr off = 0; off < bytes; off += 7 * 4096 + 64)
+            vas.push_back(base + off);
+        for (Addr va : vas)
+            sys.ensureResident(va);
+
+        const std::uint64_t allocs = allocationsDuring([&] {
+            for (int round = 0; round < 4; ++round)
+                for (Addr va : vas)
+                    ASSERT_FALSE(sys.ensureResident(va));
+        });
+        EXPECT_EQ(allocs, 0u) << configName(id);
+    }
 }
 
 TEST(HotPathAlloc, NestedEcptWalkSteadyStateIsAllocationFree)

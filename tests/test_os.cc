@@ -258,4 +258,75 @@ TEST(System, HostFlatBaseline)
     EXPECT_TRUE(sys.fullTranslate(base).valid);
 }
 
+/** One organization pairing for the prefault property below. */
+struct PrefaultCase
+{
+    const char *name;
+    PtKind guest;
+    PtKind host;
+    bool guest_thp;
+    bool host_thp;
+};
+
+class PrefaultResident : public ::testing::TestWithParam<PrefaultCase>
+{};
+
+/** After prefaultAll every page it mapped is resident: a second pass
+ *  faults nothing and mutates no table. */
+TEST_P(PrefaultResident, SecondPassIsANoOp)
+{
+    const PrefaultCase &c = GetParam();
+    auto cfg = smallSystem(c.guest, c.host, false);
+    cfg.guest_thp = c.guest_thp;
+    cfg.host_thp = c.host_thp;
+    cfg.guest_thp_coverage = 0.5;
+    cfg.host_thp_coverage = 0.5;
+    NestedSystem sys(cfg);
+    sys.mmapRegion(192ULL << 20, true);
+    sys.mmapRegion(5ULL << 20, false);
+    sys.prefaultAll();
+
+    const auto guest_faults = sys.guestFaults();
+    const auto host_faults = sys.hostFaults();
+    const auto stamp = sys.mutationStamp();
+    std::uint64_t pages = 0;
+    bool saw_2m = false;
+    for (std::size_t i = 0; i < sys.vmaCount(); ++i) {
+        const auto [base, bytes] = sys.vmaRange(i);
+        for (Addr va = base; va < base + bytes;) {
+            EXPECT_FALSE(sys.ensureResident(va)) << std::hex << va;
+            const Translation g = sys.guestTranslate(va);
+            ASSERT_TRUE(g.valid) << std::hex << va;
+            saw_2m |= g.size == PageSize::Page2M;
+            va += pageBytes(g.size);
+            ++pages;
+        }
+    }
+    EXPECT_GT(pages, 0u);
+    EXPECT_EQ(saw_2m, c.guest_thp);
+    EXPECT_EQ(sys.guestFaults(), guest_faults);
+    EXPECT_EQ(sys.hostFaults(), host_faults);
+    EXPECT_EQ(sys.mutationStamp(), stamp);
+    sys.auditInvariants();
+}
+
+// Hashed page tables map 4KB pages only (Section 2.2), so the HPT
+// rows turn THP on at the radix guest above an HPT host.
+INSTANTIATE_TEST_SUITE_P(
+    Organizations, PrefaultResident,
+    ::testing::Values(
+        PrefaultCase{"Radix", PtKind::Radix, PtKind::Radix, false, false},
+        PrefaultCase{"RadixThp", PtKind::Radix, PtKind::Radix, true, true},
+        PrefaultCase{"Ecpt", PtKind::Ecpt, PtKind::Ecpt, false, false},
+        PrefaultCase{"EcptThp", PtKind::Ecpt, PtKind::Ecpt, true, true},
+        PrefaultCase{"Hpt", PtKind::Hpt, PtKind::Hpt, false, false},
+        PrefaultCase{"HptHostGuestThp", PtKind::Radix, PtKind::Hpt, true,
+                     false},
+        PrefaultCase{"FlatHost", PtKind::Radix, PtKind::Flat, false, false},
+        PrefaultCase{"FlatHostThp", PtKind::Radix, PtKind::Flat, true,
+                     true}),
+    [](const ::testing::TestParamInfo<PrefaultCase> &param_info) {
+        return std::string(param_info.param.name);
+    });
+
 } // namespace necpt
