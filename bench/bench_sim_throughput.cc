@@ -5,12 +5,10 @@
  * engine's regimes — single-core serialized (the byte-identical
  * legacy path), 8-core serialized (event interleaving + shared
  * resources), and 8-core with overlapped walks (walk machines, the
- * memory pump, completion events) — followed by a --sim-threads
- * scaling sweep of the thread-sharded core (1/2/4/8 host threads on
- * the 8-core machine; simulated results are bit-identical across the
- * sweep, only wall-clock moves). Emits BENCH_throughput.json so CI
- * can archive the numbers; a regression in the hot loop shows up in
- * the artifact series long before it shows up in review.
+ * memory pump, completion events), with and without walk coalescing.
+ * Emits BENCH_throughput.json so CI can archive the numbers; a
+ * regression in the hot loop shows up in the artifact series long
+ * before it shows up in review.
  *
  * Run length follows the NECPT_WARMUP / NECPT_MEASURE / NECPT_SCALE
  * environment knobs (sim/experiment.hh).
@@ -36,7 +34,6 @@ struct Sample
     std::string name;
     int cores;
     int mlp;
-    int sim_threads;
     bool walk_coalescing;
     std::uint64_t accesses;
     double seconds;
@@ -49,12 +46,11 @@ struct Sample
 
 Sample
 measure(const std::string &name, int cores, int mlp,
-        int sim_threads = 1, bool coalesce = false)
+        bool coalesce = false)
 {
     SimParams params = paramsFromEnv();
     params.cores = cores;
     params.max_outstanding_walks = mlp;
-    params.sim_threads = sim_threads;
     params.walk_coalescing = coalesce;
     ExperimentConfig config = makeConfig(ConfigId::NestedEcpt);
     if (cores > 1)
@@ -68,7 +64,6 @@ measure(const std::string &name, int cores, int mlp,
     s.name = name;
     s.cores = cores;
     s.mlp = mlp;
-    s.sim_threads = sim_threads;
     s.walk_coalescing = coalesce;
     // Total simulated workload accesses driven through the engine
     // (every core runs the full warm-up + measured trace).
@@ -147,45 +142,9 @@ main()
     // walks no longer re-simulate duplicate walk work (ROADMAP item
     // 1). The no-coalesce row keeps the old configuration visible so
     // the cost of duplicate walks stays in the artifact series.
-    samples.push_back(measure("8-core GUPS mlp=4", 8, 4, 1, true));
+    samples.push_back(measure("8-core GUPS mlp=4", 8, 4, true));
     samples.push_back(
-        measure("8-core GUPS mlp=4 no-coalesce", 8, 4, 1, false));
-    // Thread-sharding scaling: same simulation, 1/2/4/8 host threads,
-    // with and without coalescing. The sim-threads=1 rows repeat the
-    // fixed points through the sharded path (identical by
-    // construction); the others show what the lookahead workers buy
-    // on this host. Simulated cycles must match within each sweep —
-    // the determinism contract.
-    for (int t : {1, 2, 4, 8})
-        samples.push_back(measure(
-            "8-core GUPS sim-threads=" + std::to_string(t), 8, 1, t));
-    for (int t : {1, 8})
-        samples.push_back(
-            measure("8-core GUPS mlp=4 sim-threads=" + std::to_string(t),
-                    8, 4, t, true));
-    // Divergence gate: every row must reproduce the sim cycles of the
-    // fixed-point row with the same (mlp, coalescing) configuration.
-    struct SweepCheck
-    {
-        std::size_t reference;
-        std::size_t first;
-        std::size_t count;
-    };
-    for (const SweepCheck &chk :
-         {SweepCheck{1, 4, 4}, SweepCheck{2, 8, 2}}) {
-        const std::uint64_t expect = samples[chk.reference].sim_cycles;
-        for (std::size_t i = chk.first; i < chk.first + chk.count; ++i) {
-            if (samples[i].sim_cycles != expect) {
-                std::fprintf(stderr,
-                             "FATAL: sim-threads sweep diverged "
-                             "(%llu != %llu at %s)\n",
-                             (unsigned long long)samples[i].sim_cycles,
-                             (unsigned long long)expect,
-                             samples[i].name.c_str());
-                return 1;
-            }
-        }
-    }
+        measure("8-core GUPS mlp=4 no-coalesce", 8, 4, false));
 
     const char *path = "BENCH_throughput.json";
     std::FILE *out = std::fopen(path, "w");
@@ -203,11 +162,10 @@ main()
         std::fprintf(out,
                      "    {\"name\": \"%s\", \"cores\": %d, "
                      "\"max_outstanding_walks\": %d, "
-                     "\"sim_threads\": %d, "
                      "\"walk_coalescing\": %s, "
                      "\"accesses\": %llu, \"seconds\": %.6f, "
                      "\"accesses_per_sec\": %.1f, \"attr\": {",
-                     s.name.c_str(), s.cores, s.mlp, s.sim_threads,
+                     s.name.c_str(), s.cores, s.mlp,
                      s.walk_coalescing ? "true" : "false",
                      (unsigned long long)s.accesses, s.seconds, s.rate);
         for (int c = 0; c < num_attr_causes; ++c)

@@ -20,16 +20,12 @@
  * Simulator schedules the rounds it plans on its scheduler and
  * charges the initiator stall to the right core.
  *
- * Under the thread-sharded timing core (sim/shared_domain.hh), churn
- * mutations and shootdown rounds are shared-resource events: they run
- * at priority -2 on the domain queue, committing through the same
- * canonical (cycle, priority, core, sequence) merge as every core
- * step — i.e. shootdowns are epoch-aligned. Within a cycle they land
- * before the memory pump and before any core's step or retire, so
+ * Churn mutations and shootdown rounds run as priority -2 events on
+ * the simulator's one (cycle, priority, sequence) event queue
+ * (sim/sched.hh). Within a cycle they land before the memory pump (-1)
+ * and before any core's step or retire (priority = core index), so
  * every core observes an invalidation batch at the same simulated
- * instant regardless of --sim-threads, and the lookahead rings'
- * residency verdicts go stale atomically with it (the mutation stamp
- * bumps inside the churn handler, on the coordinator thread).
+ * instant.
  */
 
 #ifndef NECPT_COHERENCE_CONTROLLER_HH

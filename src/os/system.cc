@@ -10,6 +10,9 @@ namespace necpt
 NestedSystem::NestedSystem(const SystemConfig &config)
     : cfg(config), mmap_cursor(config.mmap_base)
 {
+    if (cfg.radix_levels != 4 && cfg.radix_levels != 5)
+        throw ConfigError(strfmt("radix levels must be 4 or 5, got %d",
+                                 cfg.radix_levels));
     host_pool =
         std::make_unique<PhysMemPool>(0, cfg.host_phys_bytes, "host-phys");
     if (cfg.virtualized)
@@ -157,7 +160,6 @@ NestedSystem::blockCovered(std::uint64_t block, double coverage,
 void
 NestedSystem::guestMap(Addr gva, Addr gpa, PageSize size)
 {
-    ++mutation_stamp;
     if (guest_radix) {
         guest_radix->map(gva, gpa, size);
     } else if (guest_hpt) {
@@ -172,7 +174,6 @@ NestedSystem::guestMap(Addr gva, Addr gpa, PageSize size)
 void
 NestedSystem::hostMap(Addr gpa, Addr hpa, PageSize size)
 {
-    ++mutation_stamp;
     if (host_radix) {
         host_radix->map(gpa, hpa, size);
     } else if (host_ecpt) {
@@ -289,7 +290,6 @@ NestedSystem::noteHost4k(Addr gpa)
 void
 NestedSystem::guestUnmap(Addr page, PageSize size)
 {
-    ++mutation_stamp;
     if (guest_radix) {
         guest_radix->unmap(page, size);
     } else if (guest_hpt) {
@@ -303,7 +303,6 @@ NestedSystem::guestUnmap(Addr page, PageSize size)
 void
 NestedSystem::hostUnmap(Addr page, PageSize size)
 {
-    ++mutation_stamp;
     if (host_radix) {
         host_radix->unmap(page, size);
     } else if (host_ecpt) {
@@ -462,49 +461,12 @@ NestedSystem::writeProtectPage(Addr gva)
     const Translation g = guestTranslate(gva);
     if (!g.valid)
         return false;
-    // Residency is untouched (the mapping stays valid), but the PTE
-    // flag RMW is still a table mutation: bump conservatively so any
-    // outstanding lookahead verdict re-verifies.
-    ++mutation_stamp;
     if (guest_ecpt)
         return guest_ecpt->writeProtect(pageBase(gva, g.size), g.size);
     // Radix/HPT organizations store no flag word in this model: the
     // downgrade is the invalidation itself (the caller shoots the
     // cached translation down).
     return true;
-}
-
-bool
-NestedSystem::isResident(Addr gva) const
-{
-    // Side-effect-free twin of ensureResident(): no faults, no
-    // statistics, no tracer output — callable from the epoch barrier's
-    // worker threads (the HPT paths use the uncounted peek; the other
-    // organizations' lookups are stat-free already). True means
-    // ensureResident(gva) would be a pure no-op under the current
-    // mutationStamp().
-    Translation g;
-    if (guest_radix)
-        g = guest_radix->lookup(gva);
-    else if (guest_hpt)
-        g = guest_hpt->peek(gva);
-    else
-        g = guest_ecpt->lookup(gva);
-    if (!g.valid)
-        return false;
-    if (!cfg.virtualized)
-        return true;
-    const Addr gpa = g.apply(gva);
-    Translation h;
-    if (host_radix)
-        h = host_radix->lookup(gpa);
-    else if (host_ecpt)
-        h = host_ecpt->lookup(gpa);
-    else if (host_flat)
-        h = host_flat->lookup(gpa);
-    else
-        h = host_hpt->peek(gpa);
-    return h.valid;
 }
 
 bool
@@ -559,12 +521,6 @@ NestedSystem::quiesce()
         guest_ecpt->quiesce();
     if (host_ecpt)
         host_ecpt->quiesce();
-    // Completing in-flight elastic resizes retires the old table
-    // generations, which changes the probe-address sets hardware would
-    // fetch — a layout mutation even though no mapping changed. Bump
-    // the stamp so speculative probe precomputations (walk/spec_plan.hh)
-    // computed against the pre-quiesce layout are discarded.
-    ++mutation_stamp;
 }
 
 Translation
@@ -600,41 +556,6 @@ NestedSystem::hostTranslate(Addr gpa)
         NECPT_ASSERT(h.valid);
     }
     return h;
-}
-
-Translation
-NestedSystem::peekFullTranslate(Addr gva) const
-{
-    // Strictly side-effect free (see the header contract): guest
-    // lookups through the HPT use the uncounted peek, the host side
-    // goes through hostPeek's peek chain, and nothing faults in. The
-    // composition mirrors fullTranslate() exactly, so under an
-    // unchanged mutationStamp() a valid result here is byte-identical
-    // to what fullTranslate() would produce (which, with both lookups
-    // hitting, is itself mutation-free).
-    Translation g;
-    if (guest_radix)
-        g = guest_radix->lookup(gva);
-    else if (guest_hpt)
-        g = guest_hpt->peek(gva);
-    else
-        g = guest_ecpt->lookup(gva);
-    if (!g.valid)
-        return {};
-    if (!cfg.virtualized)
-        return g;
-    const Addr gpa = g.apply(gva);
-    Translation h;
-    if (host_hpt)
-        h = host_hpt->peek(gpa);
-    else
-        h = hostPeek(gpa);
-    if (!h.valid)
-        return {};
-    const PageSize eff = static_cast<int>(g.size) < static_cast<int>(h.size)
-                             ? g.size : h.size;
-    const Addr hpa = h.apply(gpa);
-    return {hpa - pageOffset(gva, eff), eff, true};
 }
 
 Translation

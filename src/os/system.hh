@@ -122,31 +122,6 @@ class NestedSystem
     bool ensureResident(Addr gva);
 
     /**
-     * Would ensureResident(@p gva) be a pure no-op right now? Strictly
-     * side-effect free — no faults, no statistics (HPT lookups go
-     * through the uncounted peek), no tracer output — so the
-     * thread-sharded simulator's lookahead workers may call it
-     * concurrently with each other (never with a mutation: the
-     * coordinator, the only mutator, is parked during rendezvous
-     * windows). A true verdict is valid while mutationStamp() is
-     * unchanged.
-     */
-    bool isResident(Addr gva) const;
-
-    /**
-     * Monotonic page-table mutation counter: bumped by every map,
-     * unmap, and permission change on either level (the guestMap /
-     * guestUnmap / hostMap / hostUnmap / writeProtectPage funnels, so
-     * churn, ballooning, migration, THP promotion/demotion, and
-     * demand faults all count), plus quiesce() — retiring old table
-     * generations changes probe-address layouts without touching any
-     * mapping. Lookahead residency verdicts and speculative walk plans
-     * carry the stamp they were computed under; consumers seeing a
-     * newer stamp must re-verify.
-     */
-    std::uint64_t mutationStamp() const { return mutation_stamp; }
-
-    /**
      * Fault in every page of every VMA — the steady state the paper
      * measures in (applications materialize their datasets during
      * initialization; Section 8 measures after warm-up).
@@ -231,16 +206,6 @@ class NestedSystem
      * min(guest, host) — the granularity a nested TLB entry covers.
      */
     Translation fullTranslate(Addr gva);
-
-    /**
-     * Side-effect-free twin of fullTranslate(): never faults backing
-     * in (an unmapped host page yields an invalid result instead), no
-     * statistics (HPT paths go through the uncounted peek), no tracer
-     * output. Callable from the epoch barrier's worker threads; while
-     * mutationStamp() is unchanged, a *valid* result is exactly what
-     * fullTranslate() would return.
-     */
-    Translation peekFullTranslate(Addr gva) const;
     /// @}
 
     /// @name Structure access for walkers
@@ -367,7 +332,6 @@ class NestedSystem
 
     std::uint64_t guest_faults = 0;
     std::uint64_t host_faults = 0;
-    std::uint64_t mutation_stamp = 0;
 };
 
 } // namespace necpt

@@ -209,8 +209,7 @@ class CuckooWalkTable
     /// Prefault maps pages in address order, so consecutive updates
     /// land in the same chunk and section. Map nodes never move, so a
     /// memo stays valid until its entry is erased. Only the mutation
-    /// path writes them: const lookups run concurrently on the
-    /// simulator's worker threads and may only read.
+    /// path writes them; const lookups may only read.
     /// @{
     std::uint64_t memo_chunk_key = 0;
     Chunk *memo_chunk = nullptr;

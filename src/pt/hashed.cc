@@ -72,22 +72,6 @@ HashedPageTable::lookup(Addr va, std::vector<Addr> *probe_addrs) const
     return {};
 }
 
-Translation
-HashedPageTable::peek(Addr va) const
-{
-    const auto vpn = pageNumber(va, PageSize::Page4K);
-    auto idx = slotOf(vpn);
-    for (std::uint64_t i = 0; i < num_slots; ++i) {
-        const Slot &slot = table[idx];
-        if (slot.state == Slot::State::Empty)
-            return {};
-        if (slot.state == Slot::State::Full && slot.vpn == vpn)
-            return {slot.pa, PageSize::Page4K, true};
-        idx = (idx + 1) & (num_slots - 1);
-    }
-    return {};
-}
-
 double
 HashedPageTable::avgProbes() const
 {

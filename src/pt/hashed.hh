@@ -49,16 +49,6 @@ class HashedPageTable
     Translation lookup(Addr va,
                        std::vector<Addr> *probe_addrs = nullptr) const;
 
-    /**
-     * Statistics-free lookup: same chain walk, but does not count
-     * toward avgProbes(). The residency probes of the thread-sharded
-     * simulator use this — their call count depends on rendezvous
-     * timing, which must not perturb any observable statistic (and
-     * they may run on worker threads, where the mutable counters
-     * would race).
-     */
-    Translation peek(Addr va) const;
-
     /** Mean probes per successful lookup observed so far. */
     double avgProbes() const;
 

@@ -9,17 +9,18 @@
  * (max_outstanding_walks > 1): when a walk for 4KB guest page P is in
  * flight on this core, later L2-TLB misses for P park on its entry
  * instead of spawning a duplicate WalkMachine; at the primary's retire
- * the translation fans out — per-waiter TLB install + data access at
- * the completion cycle, and the waiter's whole latency binned as
- * AttrCause::Coalesce (see Walker::recordCoalescedWalk), keeping both
- * cycle-ledger conservation and the walks ≈ L2-TLB-misses invariant.
+ * the translation fans out — a data access per waiter at the
+ * completion cycle (the primary's TLB install covers the page), and
+ * the waiter's whole latency binned as AttrCause::Coalesce (see
+ * Walker::recordCoalescedWalk), keeping both cycle-ledger conservation
+ * and the walks ≈ L2-TLB-misses invariant.
  *
- * Determinism: the coalescer runs only on the coordinator thread,
- * inside step/retire events that the scheduler already orders
- * canonically, and waiters are fanned out in append order — so the
- * bytes cannot depend on --jobs or --sim-threads. Entries and waiter
- * vectors are pooled: steady state touches the heap only until the
- * working set's high-water mark is reached.
+ * Determinism: the coalescer runs only inside step/retire events,
+ * which the scheduler orders by (cycle, priority, sequence), and
+ * waiters are fanned out in append order — so the bytes cannot depend
+ * on --jobs. Entries and waiter vectors are pooled: steady state
+ * touches the heap only until the working set's high-water mark is
+ * reached.
  */
 
 #ifndef NECPT_SIM_COALESCER_HH

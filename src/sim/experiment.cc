@@ -38,8 +38,6 @@ paramsFromEnv()
     params.scale_denominator = envU64("NECPT_SCALE", full ? 8 : 16);
     params.max_outstanding_walks = static_cast<int>(
         std::max<std::uint64_t>(1, envU64("NECPT_MLP", 1)));
-    params.sim_threads = static_cast<int>(
-        std::max<std::uint64_t>(1, envU64("NECPT_SIM_THREADS", 1)));
     return params;
 }
 

@@ -7,10 +7,7 @@
 #include "common/log.hh"
 #include "sim/coalescer.hh"
 #include "sim/critical_path.hh"
-#include "sim/epoch.hh"
-#include "sim/pump.hh"
 #include "sim/sched.hh"
-#include "sim/shared_domain.hh"
 #include "sim/timeseries.hh"
 #include "workloads/churn_sources.hh"
 #include "walk/machine.hh"
@@ -38,10 +35,15 @@ Simulator::Simulator(const ExperimentConfig &config,
         throw ConfigError(
             strfmt("max_outstanding_walks must be in [1, 64], got %d",
                    params.max_outstanding_walks));
-    if (params.sim_threads < 1 || params.sim_threads > 64)
+    // The stats reset fires when a core reaches warmup_accesses, so an
+    // empty measured window would report the warm-up as measured.
+    if (params.measure_accesses == 0)
+        throw ConfigError("measure accesses must be at least 1");
+    // The serialized model never has a second same-page miss in
+    // flight, so coalescing would silently do nothing.
+    if (params.walk_coalescing && params.max_outstanding_walks == 1)
         throw ConfigError(
-            strfmt("sim_threads must be in [1, 64], got %d",
-                   params.sim_threads));
+            "walk coalescing needs max_outstanding_walks > 1");
 }
 
 std::unique_ptr<Walker>
@@ -283,15 +285,9 @@ Simulator::runWith(const std::string &label,
 
         Simulator &sim;
         std::vector<CoreState> cores{};
-        /** The sharded scheduler: one pump per core plus the shared
-         *  domain, merged in canonical (cycle, priority, core, seq)
-         *  order — byte-identical to the old single heap. */
-        SchedContext ctx{};
-        std::vector<CorePump> pumps{};
-        SharedDomain sched{};
+        EventScheduler sched{};
         std::uint64_t total = 0;
         bool overlap = false;
-        bool coalescing = false; //!< overlap && params.walk_coalescing
         bool stats_reset = false;
         std::uint64_t inflight_peak = 0;
         /** Registry backing the interval sampler (null = sampling off;
@@ -467,33 +463,8 @@ Simulator::runWith(const std::string &label,
                 stats_reset = true;
             }
 
-            // Next access: from the core's lookahead ring when primed
-            // (the pump owns the same workload stream, so order is
-            // preserved), straight from the workload otherwise. A
-            // fresh resident verdict lets us skip ensureResident —
-            // observably a pure no-op then; stale or negative verdicts
-            // take the full path, so the bytes cannot depend on when
-            // (or on which thread) the ring was filled.
-            CorePump &pump = pumps[core];
-            MemAccess access;
-            // Speculative walk plan riding with the ring entry (null
-            // when spec planning is off or the ring ran dry). The
-            // pointer stays valid across ringPop — entries recycle
-            // only at refills, which happen at epoch boundaries, never
-            // mid-step — so it can be handed to startWalk below.
-            const SpecWalkPlan *spec = nullptr;
-            if (!pump.ringEmpty()) {
-                const CorePump::AccessPlan plan = pump.ringFront();
-                spec = pump.ringFrontSpec();
-                pump.ringPop();
-                access = plan.access;
-                if (!plan.resident
-                    || plan.stamp != sim.sys->mutationStamp())
-                    sim.sys->ensureResident(access.vaddr);
-            } else {
-                access = cs.workload->next();
-                sim.sys->ensureResident(access.vaddr);
-            }
+            const MemAccess access = cs.workload->next();
+            sim.sys->ensureResident(access.vaddr);
 
             cs.cycle += params.base_cpi * access.inst_gap;
             cs.instructions += access.inst_gap + 1;
@@ -543,7 +514,7 @@ Simulator::runWith(const std::string &label,
             // again. The waiter's TLB install + data access happen when
             // the primary retires; it neither counts toward the MLP cap
             // nor parks the core (merging is the parallelism win).
-            if (coalescing) {
+            if (params.walk_coalescing) {
                 const Addr page = WalkCoalescer::pageOf(access.vaddr);
                 if (WalkCoalescer::Entry *e = cs.coalescer.find(page)) {
                     e->waiters.push_back({access.vaddr, cs.cycle});
@@ -556,13 +527,10 @@ Simulator::runWith(const std::string &label,
 
             // Overlap mode, L2-TLB miss: issue a resumable walk and
             // keep going. The access's data fetch rides on the
-            // completion. The speculative plan (if any) lets the walk
-            // machine skip the hash/lookup work the epoch workers
-            // already did — stamp-checked per step, byte-identical
-            // either way.
+            // completion.
             WalkMachinePtr m = sim.walkers[core]->startWalk(
-                access.vaddr, static_cast<Cycles>(cs.cycle), spec);
-            if (coalescing)
+                access.vaddr, static_cast<Cycles>(cs.cycle));
+            if (params.walk_coalescing)
                 cs.coalescer.open(WalkCoalescer::pageOf(access.vaddr),
                                   m.get());
             if (sim.coherence)
@@ -611,10 +579,9 @@ Simulator::runWith(const std::string &label,
         void
         retire(int core, WalkMachine *mp, double end)
         {
-            // Machines are pinned to their core's arena: this retire
-            // event carries priority == core, so it committed through
-            // that core's pump, and the machine it releases recycles
-            // into that same core's walker pool.
+            // Machines are pinned to their core's arena: the machine
+            // this retire releases recycles into the same core's
+            // walker pool.
             NECPT_ASSERT(sim.walkers[core]->coreIndex() == core);
             if (sim.params.critical_path)
                 sim.params.critical_path->noteCoreEvent(
@@ -665,7 +632,7 @@ Simulator::runWith(const std::string &label,
             // install: the primary installed the same 4K page at this
             // very cycle just above, so repeating it would only touch
             // the LRU state it already owns.
-            if (coalescing) {
+            if (sim.params.walk_coalescing) {
                 WalkCoalescer::Entry *entry =
                     owner.coalescer.byPrimary(mp);
                 NECPT_ASSERT(entry != nullptr);
@@ -721,17 +688,14 @@ Simulator::runWith(const std::string &label,
         loop.sample_reg = &sample_reg;
     }
     loop.cores.resize(static_cast<std::size_t>(params.cores));
-    loop.pumps.reserve(static_cast<std::size_t>(params.cores));
     for (int core = 0; core < params.cores; ++core) {
         Loop::CoreState &cs = loop.cores[core];
         cs.workload = factory(0xB0B + static_cast<std::uint64_t>(core));
         cs.workload->setup(*sys);
         cs.done = Loop::DoneHandler{&loop, core};
-        loop.pumps.emplace_back(loop.ctx, core);
     }
-    loop.sched.attach(&loop.ctx, &loop.pumps);
     loop.sched.setPumpSink(
-        SharedDomain::PumpSink::bind<&Loop::pumpFire>(&loop),
+        EventScheduler::PumpSink::bind<&Loop::pumpFire>(&loop),
         Loop::evk(SimEventKind::EvPump));
     if (params.critical_path)
         loop.sched.setEdgeSink(params.critical_path);
@@ -740,10 +704,6 @@ Simulator::runWith(const std::string &label,
 
     loop.total = params.warmup_accesses + params.measure_accesses;
     loop.overlap = params.max_outstanding_walks > 1;
-    // Coalescing is meaningful only when walks overlap: the serialized
-    // model never has a second same-page miss in flight, and gating it
-    // keeps mlp=1 runs byte-identical with the flag set either way.
-    loop.coalescing = loop.overlap && params.walk_coalescing;
     // Overlap mode wires the hierarchy's completion sink into the
     // scheduler: one pump event per transaction, armed at issue with
     // the analytically known completion cycle. Serial mode drains
@@ -780,80 +740,8 @@ Simulator::runWith(const std::string &label,
                       Loop::evk(SimEventKind::EvSample));
     }
 
-    // Lookahead residency oracle. HPT organizations keep verdicts off:
-    // ensureResident's guest/host lookups there count probe statistics
-    // (avgProbes), so skipping the call would be observable — every
-    // other organization's already-resident path is side-effect free.
-    struct SysProbe final : ResidencyProbe
-    {
-        NestedSystem *sys = nullptr;
-        bool verdicts = true;
-
-        std::uint64_t
-        stamp() const override
-        {
-            return sys->mutationStamp();
-        }
-
-        bool
-        resident(Addr gva) const override
-        {
-            return verdicts && sys->isResident(gva);
-        }
-    };
-    SysProbe probe;
-    probe.sys = sys.get();
-    probe.verdicts = !sys->guestHpt() && !sys->hostHpt();
-
-    // Each pump prefetches its own core's workload stream; the ring
-    // capacity bounds how far a rendezvous window runs ahead. Epochs
-    // are one L3 hit long — the minimum latency anything takes through
-    // the shared domain.
-    constexpr std::size_t ring_capacity = 1024;
-    for (int core = 0; core < params.cores; ++core) {
-        loop.pumps[static_cast<std::size_t>(core)].bindWorkload(
-            loop.cores[static_cast<std::size_t>(core)].workload.get());
-        loop.pumps[static_cast<std::size_t>(core)].reserveRing(
-            ring_capacity);
-    }
-
-    // Epoch-window walk execution: with walks overlapped, a nested-
-    // ECPT machine, and real worker threads to farm it to, rendezvous
-    // workers also precompute each ring-ahead access's speculative
-    // walk plan (probe-address hashing + functional translations —
-    // the stat-free pure-function slice of a walk; walk/spec_plan.hh).
-    // Consumption is stamp-validated per step, so bytes are identical
-    // whether plans exist or not — which is exactly why the gate can
-    // be this selective without forking behavior.
-    struct SpecSource
-    {
-        const NestedSystem *sys = nullptr;
-
-        void
-        plan(Addr gva, std::uint64_t stamp, std::vector<Addr> &scratch,
-             SpecWalkPlan &out)
-        {
-            computeSpecWalkPlan(*sys, gva, stamp, scratch, out);
-        }
-    };
-    SpecSource spec_source;
-    spec_source.sys = sys.get();
-    if (loop.overlap && params.sim_threads > 1
-        && cfg.walker == WalkerKind::NestedEcpt) {
-        for (CorePump &p : loop.pumps)
-            p.enableSpecPlans(
-                CorePump::SpecPlanner::bind<&SpecSource::plan>(
-                    &spec_source));
-    }
-
-    EpochBarrier barrier(loop.pumps, probe, params.sim_threads,
-                         static_cast<double>(cfg.memory.l3.latency));
-    barrier.prime();
-
-    while (!loop.sched.empty()) {
-        barrier.maybeRendezvous(loop.sched.nextCycle());
+    while (!loop.sched.empty())
         loop.sched.runNext();
-    }
     // Defensive: any transaction the pump chain did not cover (e.g.
     // background refills issued by the very last completion).
     mem->setCompletionSink(nullptr);

@@ -90,27 +90,17 @@ struct SimParams
      * overlapped walks enabled, an L2-TLB miss whose 4KB guest page
      * already has a walk in flight on this core parks on that walk's
      * coalescer entry instead of issuing a duplicate machine; when the
-     * primary retires, its translation fans out to every waiter (TLB
-     * install + data access at completion). A waiter is recorded as a
-     * walk whose entire latency bins to AttrCause::Coalesce, so the
-     * walks ≈ L2-TLB-misses invariant and cycle-ledger conservation
-     * both hold exactly. Waiters do not count toward the
-     * max_outstanding_walks cap — that is the parallelism the MSHR
-     * merge buys. Off, the simulation is byte-identical to a build
-     * without the feature; on, it is deterministic at any
-     * --jobs/--sim-threads.
+     * primary retires, its translation fans out to every waiter (data
+     * access at completion). A waiter is recorded as a walk whose
+     * entire latency bins to AttrCause::Coalesce, so the walks ≈
+     * L2-TLB-misses invariant and cycle-ledger conservation both hold
+     * exactly. Waiters do not count toward the max_outstanding_walks
+     * cap — that is the parallelism the MSHR merge buys. Requires
+     * max_outstanding_walks > 1 (the Simulator throws ConfigError
+     * otherwise). Off, the simulation is byte-identical to a build
+     * without the feature; on, it is deterministic at any --jobs.
      */
     bool walk_coalescing = false;
-
-    /**
-     * Host worker threads the simulation shards across (the timing
-     * core stays on one coordinator thread; the extra threads fill the
-     * per-core lookahead rings during epoch rendezvous windows — see
-     * sim/epoch.hh). Clamped to the simulated core count at run time.
-     * Any value produces bit-identical metrics, goldens, traces, and
-     * timeseries: the sharding is wall-clock-only by construction.
-     */
-    int sim_threads = 1;
 
     /**
      * Fault injection (off by default). When any site is armed the

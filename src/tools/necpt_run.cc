@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -76,9 +77,6 @@ usage(const char *prog)
         "  --coalesce          walk-MSHR same-page coalescing: misses\n"
         "                      for a page whose walk is in flight park\n"
         "                      on it instead of walking (needs --mlp>1)\n"
-        "  --sim-threads N     host threads the simulation shards\n"
-        "                      across (default 1; results are\n"
-        "                      bit-identical for any N)\n"
         "  --seed N            simulation seed\n"
         "  --churn SPEC        arm translation churn + shootdowns:\n"
         "                      migrate:PERIOD[:PAGES], balloon:...,\n"
@@ -117,7 +115,7 @@ run(int argc, char **argv)
     std::uint64_t sample_metrics = 0; //!< cycles between snapshots
     int critical_path_k = 0;          //!< top-K stalls; 0 = off
     SimParams params = paramsFromEnv();
-    int radix_levels = 0;
+    std::optional<int> radix_levels;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -141,8 +139,6 @@ run(int argc, char **argv)
         else if (arg == "--mlp")
             params.max_outstanding_walks = std::stoi(value());
         else if (arg == "--coalesce") params.walk_coalescing = true;
-        else if (arg == "--sim-threads")
-            params.sim_threads = std::stoi(value());
         else if (arg == "--seed") params.seed = std::stoull(value());
         else if (arg == "--churn")
             params.churn = parseChurnSpec(value());
@@ -220,7 +216,7 @@ run(int argc, char **argv)
         fatal("unknown configuration '%s' (see --list)",
               config_name.c_str());
     if (radix_levels)
-        config.system.radix_levels = radix_levels;
+        config.system.radix_levels = *radix_levels;
 
     // The tracer must outlive the Simulator (components keep a raw
     // pointer to it until they are torn down).

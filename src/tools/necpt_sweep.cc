@@ -28,10 +28,8 @@
  * any --jobs value.
  */
 
-#include <algorithm>
 #include <cstdio>
 #include <string>
-#include <thread>
 
 #include "common/error.hh"
 #include "common/log.hh"
@@ -54,11 +52,6 @@ usage(const char *prog)
         "  --list          list registered sweep grids\n"
         "  --jobs N        worker threads (default: NECPT_JOBS or\n"
         "                  min(4, hardware threads))\n"
-        "  --sim-threads N host threads each simulation shards across\n"
-        "                  (default: NECPT_SIM_THREADS or 1; results\n"
-        "                  are bit-identical for any N; clamped so\n"
-        "                  jobs x sim-threads never oversubscribes\n"
-        "                  the machine)\n"
         "  --timeout SEC   per-job wall-clock budget (default: none)\n"
         "  --seed N        sweep base seed (per-job seeds derive\n"
         "                  from it and the job key)\n"
@@ -115,8 +108,6 @@ run(int argc, char **argv)
         };
         if (arg == "--list") list = true;
         else if (arg == "--jobs") options.jobs = std::stoi(value());
-        else if (arg == "--sim-threads")
-            params.sim_threads = std::stoi(value());
         else if (arg == "--timeout")
             options.timeout_ms = std::stoull(value()) * 1000;
         else if (arg == "--seed") {
@@ -173,28 +164,6 @@ run(int argc, char **argv)
     if (!grid)
         fatal("unknown sweep grid '%s' (see --list)",
               grid_name.c_str());
-
-    // Oversubscription guard: the sweep runs jobs simulations at once
-    // and each shards across sim-threads host threads. Results are
-    // bit-identical at any sim-threads value, so clamping is purely a
-    // wall-clock protection — jobs wins, sim-threads yields.
-    if (params.sim_threads > 1) {
-        const unsigned hw =
-            std::max(1u, std::thread::hardware_concurrency());
-        const SweepEngine probe(options);
-        const unsigned jobs =
-            static_cast<unsigned>(std::max(1, probe.jobs()));
-        if (jobs * static_cast<unsigned>(params.sim_threads) > hw) {
-            const int clamped =
-                static_cast<int>(std::max(1u, hw / jobs));
-            std::fprintf(stderr,
-                         "warning: %u jobs x %d sim-threads "
-                         "oversubscribes %u hardware threads; "
-                         "clamping sim-threads to %d\n",
-                         jobs, params.sim_threads, hw, clamped);
-            params.sim_threads = clamped;
-        }
-    }
 
     if (!sweep_trace_path.empty()) {
         options.trace_capacity = TraceBuffer::default_capacity;

@@ -208,30 +208,8 @@ class NestedEcptWalker::Machine : public WalkMachine
         h3plan = EcptProbePlan{};
         gpa_data = 0;
         use_pte3 = false;
-        has_spec = false;
         ledger.reset();
         scratch.clear();
-    }
-
-    /** Adopt a speculative precomputation (copied: the source lives in
-     *  the core's lookahead ring and is recycled at the next refill,
-     *  while this machine parks across memory transactions). */
-    void
-    adoptSpec(const SpecWalkPlan &plan)
-    {
-        spec = plan;
-        has_spec = true;
-    }
-
-    /** Is the adopted plan still valid against the tables right now?
-     *  Re-checked at every consumption site: churn (and quiesce) can
-     *  mutate between this machine's asynchronous steps, and the stamp
-     *  is the proof nothing did since the plan was computed. */
-    bool
-    specLive() const
-    {
-        return has_spec && spec.valid && spec.gva == va()
-            && spec.stamp == w.sys.mutationStamp();
     }
 
     void
@@ -263,14 +241,7 @@ class NestedEcptWalker::Machine : public WalkMachine
         if (tracing)
             w.tracePlan("gcwc", w.gcwc, gplan, t);
 
-        // Step-1 candidate-slot addresses: from the speculative plan
-        // when its stamp proves the tables unchanged since the epoch
-        // workers hashed them, recomputed inline otherwise. Both paths
-        // append identical bytes (walk/spec_plan.hh).
-        if (specLive() && spec.guest.ok)
-            appendSpecProbes(spec.guest, gplan, scratch.guest_slots);
-        else
-            appendPlannedProbes(guest, gva, gplan, scratch.guest_slots);
+        appendPlannedProbes(guest, gva, gplan, scratch.guest_slots);
 
         // For each candidate gECPT slot (a gPA), translate through the
         // hECPTs — the parallel Step-1 probe group.
@@ -344,9 +315,7 @@ class NestedEcptWalker::Machine : public WalkMachine
 
         // ---- Step 3: translate the data page's gPA ----
         EcptPageTable &host = *w.sys.hostEcpt();
-        const bool spec_live = specLive();
-        const Translation g =
-            spec_live ? spec.guest_tr : w.sys.guestTranslate(va());
+        const Translation g = w.sys.guestTranslate(va());
         if (!g.valid) {
             // Translation churn unmapped the page beneath this
             // in-flight walk. Real hardware would read the stale PTE;
@@ -377,13 +346,7 @@ class NestedEcptWalker::Machine : public WalkMachine
             w.tracePlan("hcwc_step3", w.hcwc_step3, h3plan, t);
 
         scratch.probes.clear();
-        // spec.host3 was hashed for spec.gpa_data; under a matching
-        // stamp the inline guest translation above IS spec.guest_tr,
-        // so the addresses line up by construction.
-        if (spec_live && spec.host3.ok)
-            appendSpecProbes(spec.host3, h3plan, scratch.probes);
-        else
-            appendPlannedProbes(host, gpa_data, h3plan, scratch.probes);
+        appendPlannedProbes(host, gpa_data, h3plan, scratch.probes);
         w.mem.issueBatch(scratch.probes, t, w.core,
                          TxnCallback::bind<&Machine::afterStep3>(this));
     }
@@ -423,15 +386,7 @@ class NestedEcptWalker::Machine : public WalkMachine
         }
 
         WalkResult result;
-        // Final translation: a stamp-valid *valid* peeked translation
-        // is exactly what fullTranslate() would return (and proves the
-        // inline call would not have demand-faulted anything in). An
-        // invalid peek cannot distinguish "unmapped" from "host
-        // backing not yet faulted" — fall back inline for both.
-        if (specLive() && spec.full_tr.valid)
-            result.translation = spec.full_tr;
-        else
-            result.translation = w.sys.fullTranslate(va());
+        result.translation = w.sys.fullTranslate(va());
         // Invalid here means churn unmapped the page mid-walk (see
         // abortUnmapped); the retire-time coherence check replays.
         w.finishWalk(result, startCycle(), t, fg_requests, &ledger);
@@ -464,10 +419,6 @@ class NestedEcptWalker::Machine : public WalkMachine
     EcptProbePlan h3plan;
     Addr gpa_data = 0;
     bool use_pte3 = false;
-    /** Speculative epoch-window precomputation (walk/spec_plan.hh),
-     *  copied in at startWalk; consumed per step iff specLive(). */
-    SpecWalkPlan spec;
-    bool has_spec = false;
     /** Per-walk probe buffers (guest_slots = Step-1 candidate gECPT
      *  gPAs, background = deferred refill traffic). */
     ProbeScratch scratch;
@@ -490,13 +441,6 @@ NestedEcptWalker::noteBackground(const BatchResult &batch, Cycles)
 WalkMachinePtr
 NestedEcptWalker::startWalk(Addr gva, Cycles now)
 {
-    return startWalk(gva, now, nullptr);
-}
-
-WalkMachinePtr
-NestedEcptWalker::startWalk(Addr gva, Cycles now,
-                            const SpecWalkPlan *spec)
-{
     Machine *m = nullptr;
     if (!machine_free.empty()) {
         m = machine_free.back();
@@ -506,8 +450,6 @@ NestedEcptWalker::startWalk(Addr gva, Cycles now,
         machine_arena.emplace_back(new Machine(*this, gva, now));
         m = machine_arena.back().get();
     }
-    if (spec && spec->valid && spec->gva == gva)
-        m->adoptSpec(*spec);
     m->start();
     return WalkMachinePtr(m);
 }

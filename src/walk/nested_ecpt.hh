@@ -78,20 +78,6 @@ class NestedEcptWalker : public Walker
      */
     WalkMachinePtr startWalk(Addr gva, Cycles now) override;
 
-    /**
-     * startWalk consuming a speculative precomputation: the machine
-     * copies the plan and, at each step whose inputs the plan covers
-     * (Step-1 guest slot addresses, the Step-2 functional guest
-     * translation, Step-3 host probe addresses, the final full
-     * translation), uses the precomputed value *iff* the plan's stamp
-     * still matches the system's mutationStamp() at that step's commit
-     * time — otherwise that step recomputes inline. Either path yields
-     * identical bytes; the plan only moves hash/lookup work off the
-     * coordinator's critical path and onto the epoch workers.
-     */
-    WalkMachinePtr startWalk(Addr gva, Cycles now,
-                             const SpecWalkPlan *spec) override;
-
     std::string name() const override
     {
         return plainDesign() ? "PlainNestedECPT" : "NestedECPT";

@@ -169,83 +169,6 @@ executeProbePhase(MemoryHierarchy &mem, int core, WalkerStats &stats,
 }
 
 void
-computeSpecProbes(const EcptPageTable &pt, Addr va,
-                  std::vector<Addr> &scratch, SpecProbeSet &out)
-{
-    out.ok = false;
-    const int ways = pt.config().ways;
-    if (ways < 1 || ways > SpecProbeSet::max_plan_ways)
-        return;
-    for (int s = 0; s < num_page_sizes; ++s) {
-        scratch.clear();
-        pt.probeAddrs(va, all_page_sizes[s], (1u << ways) - 1, scratch);
-        // probeAddrs emits, per way in ascending order, one address per
-        // live generation — uniform across ways — so the per-way count
-        // is the quotient.
-        const std::size_t per =
-            scratch.size() / static_cast<std::size_t>(ways);
-        if (per < 1 || per > SpecProbeSet::max_gens
-            || scratch.size() != per * static_cast<std::size_t>(ways))
-            return;
-        for (int w = 0; w < ways; ++w) {
-            out.count[s][w] = static_cast<std::uint8_t>(per);
-            for (std::size_t g = 0; g < per; ++g)
-                out.addr[s][w][g] =
-                    scratch[static_cast<std::size_t>(w) * per + g];
-        }
-        for (int w = ways; w < SpecProbeSet::max_plan_ways; ++w)
-            out.count[s][w] = 0;
-    }
-    out.ok = true;
-}
-
-void
-computeSpecWalkPlan(const NestedSystem &sys, Addr gva,
-                    std::uint64_t stamp, std::vector<Addr> &scratch,
-                    SpecWalkPlan &out)
-{
-    out.valid = false;
-    out.stamp = stamp;
-    out.gva = gva;
-    out.guest.ok = false;
-    out.host3.ok = false;
-    out.guest_tr = Translation{};
-    out.full_tr = Translation{};
-    out.gpa_data = 0;
-    const EcptPageTable *guest = sys.guestEcpt();
-    const EcptPageTable *host = sys.hostEcpt();
-    if (!guest || !host)
-        return;
-    computeSpecProbes(*guest, gva, scratch, out.guest);
-    out.guest_tr = sys.guestTranslate(gva);
-    if (out.guest_tr.valid) {
-        out.gpa_data = out.guest_tr.apply(gva);
-        computeSpecProbes(*host, out.gpa_data, scratch, out.host3);
-    }
-    out.full_tr = sys.peekFullTranslate(gva);
-    out.valid = true;
-}
-
-std::size_t
-appendSpecProbes(const SpecProbeSet &set, const EcptProbePlan &plan,
-                 std::vector<Addr> &out)
-{
-    const std::size_t before = out.size();
-    for (int s = 0; s < num_page_sizes; ++s) {
-        const unsigned mask = plan.way_mask[s];
-        if (!mask)
-            continue;
-        for (int w = 0; w < SpecProbeSet::max_plan_ways; ++w) {
-            if (!(mask & (1u << w)))
-                continue;
-            for (int g = 0; g < set.count[s][w]; ++g)
-                out.push_back(set.addr[s][w][g]);
-        }
-    }
-    return out.size() - before;
-}
-
-void
 collectCwcRefills(const EcptPageTable &pt, CuckooWalkCache &cwc, Addr va,
                   const EcptProbePlan &plan, const PlanOptions &options,
                   std::vector<Addr> &fetch_addrs)

@@ -14,7 +14,6 @@
 
 #include "mmu/cwc.hh"
 #include "pt/ecpt.hh"
-#include "walk/spec_plan.hh"
 #include "walk/walker.hh"
 
 namespace necpt
@@ -114,47 +113,6 @@ BatchResult executeProbePhase(MemoryHierarchy &mem, int core,
                               WalkerStats &stats, int step,
                               AddrSpan addrs, Cycles now,
                               CycleLedger *ledger = nullptr);
-
-/// @}
-
-/// @name Speculative epoch-window precomputation (walk/spec_plan.hh)
-/// @{
-
-/**
- * Fill @p out with the (page size, way, generation) probe addresses of
- * @p pt for @p va — the hash-unit slice of planning, independent of any
- * CWC state. @p scratch is caller-owned reusable storage (reserve ≥
- * ways * 2 once; the call is then allocation-free, which the epoch
- * workers require). Leaves out.ok false when the geometry exceeds
- * SpecProbeSet::max_plan_ways.
- */
-void computeSpecProbes(const EcptPageTable &pt, Addr va,
-                       std::vector<Addr> &scratch, SpecProbeSet &out);
-
-/**
- * Compute the full speculative plan for @p gva under mutation stamp
- * @p stamp: guest candidate-slot probes, the functional guest
- * translation, Step-3 host probes for the data gPA, and the peeked
- * full translation. Strictly side-effect free — no faults, no
- * statistics, no tracer output — so epoch-barrier workers may run it
- * concurrently (never concurrently with a mutation: the coordinator is
- * parked during rendezvous windows). Requires both ECPTs; leaves
- * out.valid false otherwise.
- */
-void computeSpecWalkPlan(const NestedSystem &sys, Addr gva,
-                         std::uint64_t stamp, std::vector<Addr> &scratch,
-                         SpecWalkPlan &out);
-
-/**
- * Append the probe addresses @p plan's way masks select from the
- * precomputed @p set — the speculative twin of appendPlannedProbes,
- * byte-identical to it whenever the set's stamp is still current.
- *
- * @return the number of addresses appended.
- */
-std::size_t appendSpecProbes(const SpecProbeSet &set,
-                             const EcptProbePlan &plan,
-                             std::vector<Addr> &out);
 
 /// @}
 

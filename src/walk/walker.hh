@@ -150,7 +150,6 @@ struct WalkerStats
 
 class WalkMachine;
 class ImmediateWalkMachine;
-struct SpecWalkPlan;
 
 /** Returns a machine to its owner's pool (or deletes an unpooled one).
  *  Defined in walk/machine.hh — TUs destroying a WalkMachinePtr must
@@ -190,24 +189,6 @@ class Walker
      */
     virtual WalkMachinePtr startWalk(Addr gva, Cycles now);
 
-    /**
-     * startWalk with an optional speculative precomputation for @p gva
-     * (walk/spec_plan.hh), produced by the epoch barrier's rendezvous
-     * workers. A plan is a pure function of (gva, page tables) stamped
-     * with the mutation epoch it was computed under; walkers that
-     * understand plans consume the stamp-valid parts and recompute the
-     * rest, so the simulated bytes never depend on whether (or when) a
-     * plan was supplied. The base implementation ignores the plan.
-     * @p spec may be null and is only borrowed for the duration of the
-     * call — the walk machine copies what it keeps.
-     */
-    virtual WalkMachinePtr
-    startWalk(Addr gva, Cycles now, const SpecWalkPlan *spec)
-    {
-        (void)spec;
-        return startWalk(gva, now);
-    }
-
     /** Human-readable configuration name. */
     virtual std::string name() const = 0;
 
@@ -236,10 +217,8 @@ class Walker
      * The simulated core this walker (and every machine it pools)
      * belongs to. Walk machines are pinned to their walker's core
      * arena: startWalk() recycles only machines this walker released,
-     * so machine state never migrates between cores — the invariant
-     * the thread-sharded timing core's per-core event pumps rely on
-     * (a core's step/retire events only ever touch that core's
-     * arena; cross-core traffic goes through the shared domain).
+     * so machine state never migrates between cores (the simulator
+     * asserts it when a walk retires).
      */
     int coreIndex() const { return core; }
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <ostream>
 #include <string>
 #include <sys/wait.h>
 
@@ -19,6 +20,13 @@ struct CliCase
     const char *args;
     int exit_code;
     const char *stderr_has; //!< required substring of the output
+
+    /** Print as the case name; the default byte dump would put this
+     *  build's string addresses into the listed test name. */
+    friend void PrintTo(const CliCase &c, std::ostream *os)
+    {
+        *os << c.name;
+    }
 };
 
 /** Run necpt-run with @p args; @return (exit status, merged output). */
@@ -61,6 +69,23 @@ INSTANTIATE_TEST_SUITE_P(
         CliCase{"CoresZero",
                 "--config \"Nested ECPTs\" --app GUPS --cores 0",
                 1, "config error: cores must be in [1, 8]"},
+        CliCase{"MeasureZero",
+                "--config \"Nested ECPTs\" --app GUPS --measure 0",
+                1, "config error: measure accesses must be at least 1"},
+        CliCase{"CoalesceAtMlpOne",
+                "--config \"Nested ECPTs\" --app GUPS --mlp 1 --coalesce",
+                1,
+                "config error: walk coalescing needs "
+                "max_outstanding_walks > 1"},
+        CliCase{"RadixLevelsThreeOnRadix",
+                "--config \"Nested Radix\" --app GUPS --radix-levels 3",
+                1, "config error: radix levels must be 4 or 5, got 3"},
+        CliCase{"RadixLevelsThreeOnEcpt",
+                "--config \"Nested ECPTs\" --app GUPS --radix-levels 3",
+                1, "config error: radix levels must be 4 or 5, got 3"},
+        CliCase{"RadixLevelsZero",
+                "--config \"Nested Radix\" --app GUPS --radix-levels 0",
+                1, "config error: radix levels must be 4 or 5, got 0"},
         CliCase{"UnknownApp",
                 "--config \"Nested ECPTs\" --app NoSuchApp",
                 1, "config error: unknown workload 'NoSuchApp'"},

@@ -4,19 +4,22 @@
  * parsing, the shootdown batcher and directory, partial invalidation
  * of the TLB hierarchy and POM-TLB (LRU ranks of survivors must not
  * move), controller round planning under both protocols, churn-source
- * determinism, and the functional-mutation property that cuckoo
+ * determinism, the functional-mutation property that cuckoo
  * delete + CWT downgrade round-trips leave the system invariants
- * clean across forced resizes.
+ * clean across forced resizes, and coalesced walks racing shootdowns.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "coherence/churn.hh"
 #include "coherence/controller.hh"
 #include "coherence/shootdown.hh"
 #include "common/error.hh"
+#include "common/fault.hh"
+#include "common/metrics.hh"
 #include "common/rng.hh"
 #include "exec/engine.hh"
 #include "mmu/pom_tlb.hh"
@@ -552,6 +555,49 @@ TEST(CoherenceSweep, ChurnGridIsWorkerCountInvariant)
         EXPECT_EQ(s.metrics, w.metrics);
         EXPECT_GT(s.metrics.at("shootdown.rounds"), 0.0) << s.config;
     }
+}
+
+// The coalescer's staleness contract: a waiter parked on a primary
+// whose walk raced an invalidation must retire the *replayed*
+// translation, never the stale one. The fan-out happens after the
+// primary's replay (and NECPT_ASSERT(tr.valid) guards every retire),
+// so the test's job is to prove the race actually occurs: merges and
+// replays non-zero in one run. Churn here is dense (a full
+// migrate+protect batch every 100 cycles): the coherence directory's
+// 256-record ring overflows past every in-flight walk's epoch,
+// forcing its conservative invalidated-since answer and with it the
+// replay path on walks whose waiters are parked.
+TEST(WalkCoalescing, WaitersAndReplaysCooccurUnderChurn)
+{
+    SimParams params;
+    params.warmup_accesses = 500;
+    params.measure_accesses = 2000;
+    params.cores = 2;
+    params.max_outstanding_walks = 4;
+    params.walk_coalescing = true;
+    params.scale_denominator = 64;
+    params.churn =
+        parseChurnSpec("migrate:100:64,protect:100:64,batch:64");
+    params.faults = parseFaultSpec("shootdown:0.05");
+
+    Simulator sim(makeConfig(ConfigId::NestedEcpt), params);
+    sim.run("GUPS");
+    MetricsRegistry reg;
+    sim.exportMetrics(reg);
+
+    double coalesced = 0.0, replays = 0.0;
+    for (const auto &[name, value] : reg.scalarSnapshot()) {
+        if (name.find(".coalesced") != std::string::npos)
+            coalesced += value;
+        if (name.find("walk_replays") != std::string::npos)
+            replays += value;
+    }
+    EXPECT_GT(coalesced, 0.0)
+        << "no walk ever merged: the workload no longer exercises "
+           "the coalescer";
+    EXPECT_GT(replays, 0.0)
+        << "no walk ever raced an invalidation: the staleness path "
+           "is untested";
 }
 
 } // namespace necpt

@@ -14,14 +14,13 @@
  *   - a full NestedEcptWalker::translate on resident pages (pooled walk
  *     machines, per-machine ProbeScratch),
  *   - NestedSystem::ensureResident on resident pages under Nested Radix
- *     and Nested ECPTs (the per-access residency check).
+ *     and Nested ECPTs (the per-access residency check),
+ *   - EventScheduler at/armPump/runNext (inline Handler storage, whose
+ *     size and triviality sim/sched.hh also checks at compile time).
  *
  * Each test warms the structure first — pools and scratch buffers are
  * allowed to grow to their high-water mark — then snapshots the global
- * counter around the measured loop. The simulator's event scheduler is
- * covered indirectly: its inline Handler storage is enforced by
- * static_asserts in sim/sched.hh, and its heap vector reaches steady
- * capacity during warm-up just like the pools here.
+ * counter around the measured loop.
  */
 
 #include <gtest/gtest.h>
@@ -36,16 +35,13 @@
 #include "mem/hierarchy.hh"
 #include "pt/cuckoo.hh"
 #include "sim/config.hh"
+#include "sim/sched.hh"
 #include "sim/simulator.hh"
 #include "tests/test_util.hh"
 
 namespace
 {
 std::atomic<std::uint64_t> g_news{0};
-/** Allocations performed by the calling thread alone. Subtracting the
- *  caller's share from the global count isolates what every *other*
- *  thread allocated — the measurement behind the pump-worker test. */
-thread_local std::uint64_t t_news = 0;
 }
 
 // Out of line: inlined into a delete site, std::free would meet a
@@ -54,7 +50,6 @@ thread_local std::uint64_t t_news = 0;
 operator new(std::size_t size)
 {
     g_news.fetch_add(1, std::memory_order_relaxed);
-    ++t_news;
     if (void *p = std::malloc(size ? size : 1))
         return p;
     throw std::bad_alloc{};
@@ -89,19 +84,6 @@ allocationsDuring(Fn &&body)
     const std::uint64_t before = g_news.load(std::memory_order_relaxed);
     body();
     return g_news.load(std::memory_order_relaxed) - before;
-}
-
-/** Allocations performed by threads OTHER than the calling one while
- *  @p body ran: global count minus the caller's thread-local share. */
-template <typename Fn>
-std::uint64_t
-offThreadAllocationsDuring(Fn &&body)
-{
-    const std::uint64_t g0 = g_news.load(std::memory_order_relaxed);
-    const std::uint64_t t0 = t_news;
-    body();
-    const std::uint64_t g1 = g_news.load(std::memory_order_relaxed);
-    return (g1 - g0) - (t_news - t0);
 }
 
 } // namespace
@@ -274,32 +256,63 @@ TEST(HotPathAlloc, NestedEcptWalkSteadyStateIsAllocationFree)
     EXPECT_EQ(allocs, 0u);
 }
 
-TEST(HotPathAlloc, PumpWorkerThreadsNeverAllocate)
+namespace
 {
-    // Thread-sharded run: the EpochBarrier spawns worker threads that
-    // refill the per-core lookahead rings during rendezvous windows
-    // (workload stream advance + residency probes). Everything a
-    // worker touches is pre-reserved — the ring vector, the walk-free
-    // probe path — so once the machine is built, EVERY heap
-    // allocation of the run must come from the coordinator thread.
-    // The std::thread spawns themselves allocate on the constructing
-    // (coordinator) thread, so the off-thread count has no expected
-    // baseline to subtract: it must be exactly zero.
-    SimParams params;
-    params.warmup_accesses = 1000;
-    params.measure_accesses = 5000;
-    params.cores = 2;
-    params.sim_threads = 2;
-    params.scale_denominator = 64;
-    Simulator sim(makeConfig(ConfigId::NestedEcpt), params);
 
-    const std::uint64_t off_thread = offThreadAllocationsDuring([&] {
-        const SimResult result = sim.run("GUPS");
-        // 6000 accesses per core drain the 1024-entry rings several
-        // times over, so worker refills demonstrably happened.
-        ASSERT_GT(result.cycles, 0u);
+/** A core's rhythm on the scheduler: each step arms two memory pumps
+ *  for the same completion cycle and re-arms itself, like the
+ *  simulator's overlapped-walk loop. */
+struct SchedRig
+{
+    EventScheduler sched;
+    std::uint64_t steps = 0;
+    std::uint64_t pumps = 0;
+
+    void onPump(double) { ++pumps; }
+};
+
+struct RigStep
+{
+    SchedRig *rig;
+    int core;
+    double at;
+    int left;
+
+    void
+    operator()() const
+    {
+        ++rig->steps;
+        rig->sched.armPump(at + 3);
+        rig->sched.armPump(at + 3);
+        if (left > 0) {
+            const double next = at + 1 + core;
+            rig->sched.at(next, core, RigStep{rig, core, next, left - 1});
+        }
+    }
+};
+
+} // namespace
+
+TEST(HotPathAlloc, EventSchedulerSteadyStateIsAllocationFree)
+{
+    SchedRig rig;
+    rig.sched.setPumpSink(
+        EventScheduler::PumpSink::bind<&SchedRig::onPump>(&rig));
+    auto round = [&rig](double base) {
+        for (int core = 0; core < 4; ++core)
+            rig.sched.at(base, core, RigStep{&rig, core, base, 100});
+        while (!rig.sched.empty())
+            rig.sched.runNext();
+    };
+    round(0.0); // warm: the heap and the calendar reach capacity
+
+    const std::uint64_t allocs = allocationsDuring([&] {
+        for (int r = 1; r <= 10; ++r)
+            round(1e6 * r);
     });
-    EXPECT_EQ(off_thread, 0u);
+    EXPECT_EQ(allocs, 0u);
+    EXPECT_EQ(rig.steps, 11u * 4 * 101);
+    EXPECT_GT(rig.pumps, 0u);
 }
 
 TEST(HotPathAlloc, WalkWithAttributionDisabledIsAllocationFree)
