@@ -20,12 +20,12 @@
 #include <string>
 #include <vector>
 
-#include "bench/bench_util.hh"
 #include "common/hash.hh"
 #include "mem/cache.hh"
 #include "os/system.hh"
 #include "pt/cuckoo.hh"
 #include "sim/config.hh"
+#include "sim/experiment.hh"
 #include "tests/test_util.hh" // BumpAllocator backing the tables
 
 using namespace necpt;
@@ -193,7 +193,7 @@ prefault(const std::string &name, ConfigId id)
 int
 main()
 {
-    benchBanner("Hot-path component throughput (wall clock)",
+    printBanner("Hot-path component throughput (wall clock)",
                 "engineering harness; not a paper figure");
 
     std::vector<Sample> samples;

@@ -20,8 +20,8 @@
 #include <string>
 #include <vector>
 
-#include "bench/bench_util.hh"
 #include "common/cycle_ledger.hh"
+#include "sim/experiment.hh"
 #include "sim/simulator.hh"
 
 using namespace necpt;
@@ -131,7 +131,7 @@ int
 main()
 {
     const double host_ref = hostReferenceRate();
-    benchBanner("Timing-core throughput (wall clock)",
+    printBanner("Timing-core throughput (wall clock)",
                 "engineering harness; not a paper figure");
 
     std::vector<Sample> samples;

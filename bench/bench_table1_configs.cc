@@ -3,8 +3,10 @@
  * Table 1: the modeled page-table architecture configurations.
  */
 
-#include "bench/bench_util.hh"
+#include <cstdio>
+
 #include "sim/config.hh"
+#include "sim/experiment.hh"
 
 using namespace necpt;
 
@@ -28,7 +30,7 @@ kindName(PtKind kind)
 int
 main()
 {
-    benchBanner("Modeled page table architecture configurations",
+    printBanner("Modeled page table architecture configurations",
                 "Table 1");
 
     std::printf("%-22s %-8s %-7s %-7s %s\n", "Configuration", "Nested",

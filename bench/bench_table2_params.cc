@@ -3,17 +3,19 @@
  * Table 2: the architectural parameters the simulator models.
  */
 
-#include "bench/bench_util.hh"
+#include <cstdio>
+
 #include "mem/hierarchy.hh"
 #include "mmu/tlb.hh"
 #include "pt/ecpt.hh"
+#include "sim/experiment.hh"
 
 using namespace necpt;
 
 int
 main()
 {
-    benchBanner("Architectural parameters used in the evaluation",
+    printBanner("Architectural parameters used in the evaluation",
                 "Table 2");
 
     const MemHierarchyConfig mem;

@@ -4,8 +4,10 @@
  * 22nm, standing in for Cacti 6.5).
  */
 
-#include "bench/bench_util.hh"
+#include <cstdio>
+
 #include "sim/cacti_lite.hh"
+#include "sim/experiment.hh"
 
 using namespace necpt;
 
@@ -28,7 +30,7 @@ row(const char *name, const std::vector<SramStructure> &structures,
 int
 main()
 {
-    benchBanner("Area and power of the MMU hardware caches", "Table 3");
+    printBanner("Area and power of the MMU hardware caches", "Table 3");
 
     std::printf("%-16s %-10s %-26s %s\n", "Configuration", "Size",
                 "Area", "Power");

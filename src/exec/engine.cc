@@ -10,6 +10,7 @@
 
 #include "common/error.hh"
 #include "exec/thread_pool.hh"
+#include "sim/experiment.hh"
 
 namespace necpt
 {

@@ -3,9 +3,10 @@
  * The sweep engine: schedules an experiment grid onto a fixed-size
  * thread pool with per-job fault isolation.
  *
- *  - Determinism: each job's RNG seed is deriveJobSeed(base, key) —
- *    a pure function of the job key — so --jobs 1 and --jobs 8 yield
- *    bit-identical per-job records, in identical (submission) order.
+ *  - Determinism: each job's seed is deriveJobSeed(base, key) — a
+ *    pure function of the job key — and simulations run the base
+ *    seed itself, so --jobs 1 and --jobs 8 yield bit-identical
+ *    per-job records, in identical (submission) order.
  *  - Fault isolation: a job that throws is captured as a `failed`
  *    record carrying the exception message (plus the SimError
  *    taxonomy kind when typed); a job that exceeds its wall-clock
@@ -39,7 +40,8 @@ struct SweepOptions
     int jobs = 0;
     /** Default per-job wall-clock budget in ms; 0 = unlimited. */
     std::uint64_t timeout_ms = 0;
-    /** Base seed every job key is mixed with. */
+    /** Base seed every job key is mixed with (the grids' simulations
+     *  run SimParams::seed, which necpt_sweep sets to the same value). */
     std::uint64_t base_seed = 0xD15EA5E;
     /** Progress destination (one line per job); nullptr = silent. */
     std::FILE *progress = stderr;

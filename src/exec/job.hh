@@ -3,10 +3,13 @@
  * The unit of sweep work: a keyed, seeded, fault-isolated simulation
  * job and the structured record it leaves behind.
  *
- * Determinism contract: a job's RNG seed is derived purely from
- * (sweep base seed, job key) — never from submission order, worker
+ * Determinism contract: a job's seed is derived purely from (sweep
+ * base seed, job key) — never from submission order, worker
  * identity, or wall-clock — so a grid run with 1 worker and with 8
- * workers produces bit-identical per-job results.
+ * workers produces bit-identical per-job results. Simulation jobs
+ * run the sweep's base seed itself (common random numbers across
+ * configurations); the derived seed drives their fault draws and
+ * seeds jobs that run no simulation.
  */
 
 #ifndef NECPT_EXEC_JOB_HH
@@ -29,7 +32,9 @@ namespace necpt
 /** What the engine hands a job when it runs. */
 struct JobContext
 {
-    /** Seed derived from (base seed, job key); see deriveJobSeed(). */
+    /** Seed derived from (base seed, job key); see deriveJobSeed().
+     *  It seeds fault draws (faultSeed()) and jobs that run no
+     *  simulation; simulations run the sweep's base seed. */
     std::uint64_t seed = 0;
 
     /** Retry attempt number, 0 on the first run. The simulation seed
@@ -115,7 +120,9 @@ struct JobRecord
     std::string key;
     JobStatus status = JobStatus::Failed;
     std::string error;       //!< non-empty iff status != Ok
-    std::uint64_t seed = 0;  //!< the derived seed the job ran with
+    /** The job's derived seed (fault draws, non-simulation jobs);
+     *  its simulation ran the sweep's base seed. */
+    std::uint64_t seed = 0;
     double wall_ms = 0;      //!< observed wall-clock (informational)
     JobOutput out;           //!< valid iff status == Ok
 

@@ -1,12 +1,11 @@
 /**
  * @file
- * The sweep-grid registry: every paper figure/table grid ported onto
- * the engine registers itself here under a short name, so one CLI
- * (`necpt_sweep`) can enumerate and run all of them, and the original
- * bench binary can run the identical grid through the same code path.
+ * The sweep-grid registry: every paper experiment that runs a
+ * simulation registers itself here under a short name, so one CLI
+ * (`necpt_sweep`) enumerates and runs all of them.
  *
  * A grid contributes two things: a job list (pure — building it runs
- * no simulation) and a summary printer that reproduces the bench's
+ * no simulation) and a summary printer that prints the experiment's
  * human-readable stdout tables from the structured records.
  */
 
@@ -27,16 +26,28 @@ namespace necpt
 struct SweepGrid
 {
     std::string name;      //!< CLI handle, e.g. "fig9"
-    std::string title;     //!< bench banner line
+    std::string title;     //!< banner line
     std::string paper_ref; //!< e.g. "Figure 9"
 
     /** Build the job list (no simulation happens here). */
     std::vector<JobSpec> (*make_jobs)(const SimParams &params);
 
-    /** Print the bench's summary tables from the finished records. */
+    /** Print the summary tables from the finished records; a run
+     *  that failed prints "(failed)" where its numbers would go. */
     void (*print_summary)(const ResultSink &sink,
                           const SimParams &params);
 };
+
+/**
+ * One simulation job per (configuration, application) pair, keyed
+ * "<grid>/<config>/<app>", all at @p params and its seed — the shape
+ * of every figure grid, read back through ResultSink::toGrid().
+ */
+std::vector<JobSpec>
+configAppJobs(const std::string &grid,
+              const std::vector<ExperimentConfig> &configs,
+              const std::vector<std::string> &apps,
+              const SimParams &params);
 
 /** All registered grids, stable order. */
 const std::vector<SweepGrid> &sweepGrids();
@@ -45,8 +56,8 @@ const std::vector<SweepGrid> &sweepGrids();
 const SweepGrid *findSweepGrid(const std::string &name);
 
 /**
- * Run @p grid end to end the way its bench binary does: banner,
- * engine fan-out, summary. Returns the sink for optional export.
+ * Run @p grid end to end: banner, engine fan-out, summary. Returns
+ * the sink for optional export.
  */
 ResultSink runSweepGrid(const SweepGrid &grid, const SimParams &params,
                         const SweepOptions &options);

@@ -110,6 +110,14 @@ ResultSink::toGrid() const
     return grid;
 }
 
+double
+speedupOver(const ResultGrid &grid, const std::string &baseline,
+            const std::string &config, const std::string &app)
+{
+    return static_cast<double>(grid.at(baseline, app).cycles)
+        / static_cast<double>(grid.at(config, app).cycles);
+}
+
 bool
 ResultSink::writeJson(const std::string &path,
                       const std::string &sweep_name,

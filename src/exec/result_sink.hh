@@ -12,15 +12,59 @@
 #ifndef NECPT_EXEC_RESULT_SINK_HH
 #define NECPT_EXEC_RESULT_SINK_HH
 
+#include <map>
 #include <mutex>
 #include <string>
 #include <vector>
 
 #include "exec/job.hh"
-#include "sim/experiment.hh"
 
 namespace necpt
 {
+
+/** Successful results keyed by (config name, app name): the table a
+ *  figure summary reads. */
+class ResultGrid
+{
+  public:
+    void
+    add(const SimResult &result)
+    {
+        grid[{result.config, result.app}] = result;
+    }
+
+    /** The (config, app) result; call only where has() holds. */
+    const SimResult &
+    at(const std::string &config, const std::string &app) const
+    {
+        return grid.at({config, app});
+    }
+
+    bool
+    has(const std::string &config, const std::string &app) const
+    {
+        return grid.count({config, app}) > 0;
+    }
+
+    /** Whether @p config succeeded on every one of @p apps — the check
+     *  a summary makes before it reads that configuration's row. */
+    bool
+    complete(const std::string &config,
+             const std::vector<std::string> &apps) const
+    {
+        for (const std::string &app : apps)
+            if (!has(config, app))
+                return false;
+        return true;
+    }
+
+  private:
+    std::map<std::pair<std::string, std::string>, SimResult> grid;
+};
+
+/** Speedup of @p config over @p baseline for @p app (cycle ratio). */
+double speedupOver(const ResultGrid &grid, const std::string &baseline,
+                   const std::string &config, const std::string &app);
 
 class ResultSink
 {
@@ -56,7 +100,7 @@ class ResultSink
     /** Successful SimResults, submission order (CSV/grid fodder). */
     std::vector<SimResult> okResults() const;
 
-    /** Bridge to the (config, app)-keyed grid the benches consume. */
+    /** The successful records as a (config, app)-keyed grid. */
     ResultGrid toGrid() const;
 
     /**

@@ -1,14 +1,11 @@
 #include "sim/experiment.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <mutex>
 #include <sstream>
 #include <thread>
 
-#include "common/log.hh"
 #include "workloads/workload.hh"
 
 namespace necpt
@@ -85,86 +82,13 @@ configureSharedResources(ExperimentConfig &config, int cores)
     config.memory.dram.channels = std::max(2, cores);
 }
 
-ResultGrid
-runGrid(const std::vector<ExperimentConfig> &configs,
-        const std::vector<std::string> &apps, const SimParams &params)
-{
-    // Flatten the work list; every run is independent.
-    std::vector<std::pair<const ExperimentConfig *, const std::string *>>
-        work;
-    for (const ExperimentConfig &config : configs)
-        for (const std::string &app : apps)
-            work.emplace_back(&config, &app);
-
-    ResultGrid grid;
-    std::mutex grid_mutex;
-    std::atomic<std::size_t> next{0};
-
-    auto worker = [&]() {
-        for (;;) {
-            const std::size_t i = next.fetch_add(1);
-            if (i >= work.size())
-                return;
-            const auto [config, app] = work[i];
-            {
-                std::lock_guard<std::mutex> lock(grid_mutex);
-                std::fprintf(stderr, "  [run] %-22s %-9s ...\n",
-                             config->name.c_str(), app->c_str());
-            }
-            SimResult result = runSim(*config, params, *app);
-            std::lock_guard<std::mutex> lock(grid_mutex);
-            grid.add(result);
-        }
-    };
-
-    const int jobs =
-        std::min<int>(jobsFromEnv(), static_cast<int>(work.size()));
-    if (jobs <= 1) {
-        worker();
-    } else {
-        std::vector<std::thread> pool;
-        for (int j = 0; j < jobs; ++j)
-            pool.emplace_back(worker);
-        for (std::thread &t : pool)
-            t.join();
-    }
-    return grid;
-}
-
-double
-speedupOver(const ResultGrid &grid, const std::string &baseline,
-            const std::string &config, const std::string &app)
-{
-    const auto &base = grid.at(baseline, app);
-    const auto &other = grid.at(config, app);
-    return static_cast<double>(base.cycles)
-        / static_cast<double>(other.cycles);
-}
-
 void
-printHeader(const std::string &title)
+printBanner(const std::string &what, const std::string &paper_ref)
 {
-    std::printf("\n=== %s ===\n", title.c_str());
-}
-
-void
-printRow(const std::string &label, const std::vector<double> &values,
-         int width, int precision)
-{
-    std::printf("%-24s", label.c_str());
-    for (double v : values)
-        std::printf("%*.*f", width, precision, v);
-    std::printf("\n");
-}
-
-void
-printColumns(const std::string &label,
-             const std::vector<std::string> &columns, int width)
-{
-    std::printf("%-24s", label.c_str());
-    for (const std::string &c : columns)
-        std::printf("%*s", width, c.c_str());
-    std::printf("\n");
+    std::printf("######################################################\n");
+    std::printf("# %s\n", what.c_str());
+    std::printf("# Reproduces: %s\n", paper_ref.c_str());
+    std::printf("######################################################\n");
 }
 
 } // namespace necpt

@@ -1,23 +1,24 @@
 /**
  * @file
- * Experiment-runner helpers shared by the bench binaries: run a grid
- * of (configuration x application) simulations, environment-variable
- * run-length control, and fixed-width table printing in the style of
- * the paper's figures.
+ * Helpers for every program that runs experiments (necpt-run, the
+ * sweep grids in exec/, the benches, the examples): the environment
+ * knobs below, the shared L3/DRAM a multi-core run restores, and the
+ * stdout banner. Nothing here depends on exec/, so src/ without
+ * exec/ still builds and links.
  *
  * Environment knobs (all optional):
  *   NECPT_WARMUP   warm-up accesses per run      (default 200000)
  *   NECPT_MEASURE  measured accesses per run     (default 1000000)
- *   NECPT_SCALE    Table-4 footprint divisor     (default 32)
+ *   NECPT_SCALE    Table-4 footprint divisor     (default 16)
  *   NECPT_APPS     comma-separated app subset    (default: all 11)
- *   NECPT_FULL     =1: 4x longer runs, scale 16
+ *   NECPT_MLP      in-flight walks per core      (default 1)
+ *   NECPT_JOBS     sweep worker threads          (default min(4, hw))
+ *   NECPT_FULL     =1: 4x longer runs, scale 8
  */
 
 #ifndef NECPT_SIM_EXPERIMENT_HH
 #define NECPT_SIM_EXPERIMENT_HH
 
-#include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -29,13 +30,13 @@ namespace necpt
 /** SimParams honoring the environment knobs. */
 SimParams paramsFromEnv();
 
-/** Worker count for runGrid (NECPT_JOBS; default min(4, hw)). */
+/** Sweep worker count (NECPT_JOBS; default min(4, hw)). */
 int jobsFromEnv();
 
 /**
  * @p params with the measured/warm-up run lengths divided — the
- * standard shortening the wide-grid benches apply (divisors of 0 or
- * 1 leave the phase untouched).
+ * standard shortening the wide grids apply (divisors of 0 or 1 leave
+ * the phase untouched).
  */
 SimParams scaledParams(SimParams params, std::uint64_t measure_div,
                        std::uint64_t warmup_div);
@@ -51,57 +52,9 @@ void configureSharedResources(ExperimentConfig &config, int cores);
 /** Application list honoring NECPT_APPS. */
 std::vector<std::string> appsFromEnv();
 
-/** Results keyed by (config name, app name). */
-class ResultGrid
-{
-  public:
-    void
-    add(const SimResult &result)
-    {
-        grid[{result.config, result.app}] = result;
-    }
-
-    const SimResult &
-    at(const std::string &config, const std::string &app) const
-    {
-        return grid.at({config, app});
-    }
-
-    bool
-    has(const std::string &config, const std::string &app) const
-    {
-        return grid.count({config, app}) > 0;
-    }
-
-  private:
-    std::map<std::pair<std::string, std::string>, SimResult> grid;
-};
-
-/**
- * Run every (config, app) pair, logging progress to stderr.
- *
- * Runs are independent (each builds its own machine), so they execute
- * on a small thread pool; NECPT_JOBS overrides the worker count
- * (default: min(4, hardware threads), 1 disables threading). Results
- * are deterministic regardless of the worker count.
- */
-ResultGrid runGrid(const std::vector<ExperimentConfig> &configs,
-                   const std::vector<std::string> &apps,
-                   const SimParams &params);
-
-/** Speedup of @p config over @p baseline for @p app (cycle ratio). */
-double speedupOver(const ResultGrid &grid, const std::string &baseline,
-                   const std::string &config, const std::string &app);
-
-/// @name Table printing
-/// @{
-void printHeader(const std::string &title);
-void printRow(const std::string &label,
-              const std::vector<double> &values, int width = 9,
-              int precision = 3);
-void printColumns(const std::string &label,
-                  const std::vector<std::string> &columns, int width = 9);
-/// @}
+/** The banner that opens every experiment's stdout: what it shows and
+ *  the paper table/figure it reproduces. */
+void printBanner(const std::string &what, const std::string &paper_ref);
 
 } // namespace necpt
 

@@ -30,6 +30,7 @@
 #include "sim/experiment.hh"
 #include "sim/report.hh"
 #include "sim/timeseries.hh"
+#include "tools/cli.hh"
 #include "workloads/trace.hh"
 
 using namespace necpt;
@@ -124,40 +125,46 @@ run(int argc, char **argv)
                 fatal("missing value for %s", arg.c_str());
             return argv[++i];
         };
+        auto u64 = [&](const std::string &text) {
+            return parseNumber<std::uint64_t>(arg, text);
+        };
+        auto i32 = [&](const std::string &text) {
+            return parseNumber<int>(arg, text);
+        };
         if (arg == "--list") list = true;
         else if (arg == "--config") config_name = value();
         else if (arg == "--app") app_name = value();
         else if (arg == "--trace") trace_path = value();
         else if (arg == "--record") record_path = value();
         else if (arg == "--measure")
-            params.measure_accesses = std::stoull(value());
+            params.measure_accesses = u64(value());
         else if (arg == "--warmup")
-            params.warmup_accesses = std::stoull(value());
+            params.warmup_accesses = u64(value());
         else if (arg == "--scale")
-            params.scale_denominator = std::stoull(value());
-        else if (arg == "--cores") params.cores = std::stoi(value());
+            params.scale_denominator = u64(value());
+        else if (arg == "--cores") params.cores = i32(value());
         else if (arg == "--mlp")
-            params.max_outstanding_walks = std::stoi(value());
+            params.max_outstanding_walks = i32(value());
         else if (arg == "--coalesce") params.walk_coalescing = true;
-        else if (arg == "--seed") params.seed = std::stoull(value());
+        else if (arg == "--seed") params.seed = u64(value());
         else if (arg == "--churn")
             params.churn = parseChurnSpec(value());
         else if (arg == "--radix-levels")
-            radix_levels = std::stoi(value());
+            radix_levels = i32(value());
         else if (arg == "--csv") csv_path = value();
         else if (arg == "--json") json = true;
         else if (arg == "--stats-json") stats_json_path = value();
         else if (arg == "--trace-walks") trace_walks = 1;
         else if (arg.rfind("--trace-walks=", 0) == 0)
-            trace_walks = std::stoull(arg.substr(14));
+            trace_walks = u64(arg.substr(14));
         else if (arg == "--trace-out") trace_out_path = value();
-        else if (arg == "--sample-metrics") sample_metrics = std::stoull(value());
+        else if (arg == "--sample-metrics") sample_metrics = u64(value());
         else if (arg.rfind("--sample-metrics=", 0) == 0)
-            sample_metrics = std::stoull(arg.substr(17));
+            sample_metrics = u64(arg.substr(17));
         else if (arg == "--timeseries-out") timeseries_out_path = value();
         else if (arg == "--critical-path") critical_path_k = 5;
         else if (arg.rfind("--critical-path=", 0) == 0)
-            critical_path_k = std::stoi(arg.substr(16));
+            critical_path_k = i32(arg.substr(16));
         else if (arg == "--no-attribution") params.attribution = false;
         else if (arg == "--quiet") setLogLevel(LogLevel::Quiet);
         else if (arg == "--help" || arg == "-h") {

@@ -7,17 +7,20 @@
  *   necpt_sweep multicore --jobs 4 --timeout 600 --json mc.json \
  *               --csv mc.csv
  *
- * Runs any registered figure/table grid on the sweep engine: the
- * grid fans out across a fixed-size thread pool, each (config, app)
- * job is fault-isolated (exceptions and timeouts become `failed`
- * records instead of aborting the sweep), and results are emitted
- * both as the bench binary's human tables (byte-identical stdout)
- * and as machine-readable JSON (always) / CSV (on request).
+ * The one way to run a paper experiment: every figure and section
+ * that simulates is a registered grid (`--list`). The grid fans out
+ * across a fixed-size thread pool, each (config, app) job is
+ * fault-isolated (exceptions and timeouts become `failed` records
+ * instead of aborting the sweep), and results are emitted both as
+ * the figure's human tables on stdout and as machine-readable JSON
+ * (always) / CSV (on request).
  *
- * Determinism: per-job seeds derive from the job key, so any --jobs
- * value produces identical records. Environment knobs (NECPT_WARMUP,
- * NECPT_MEASURE, NECPT_SCALE, NECPT_APPS, NECPT_FULL, NECPT_JOBS)
- * are honored exactly as the bench binaries honor them.
+ * Determinism: every simulation of a sweep runs its base seed
+ * (--seed), so configurations compare on the same random draws; the
+ * per-job seeds derived from the base seed and the job key drive
+ * fault draws only. Any --jobs value produces identical records.
+ * Environment knobs: NECPT_WARMUP, NECPT_MEASURE, NECPT_SCALE,
+ * NECPT_APPS, NECPT_MLP, NECPT_FULL, NECPT_JOBS (sim/experiment.hh).
  *
  * Fault campaigns (`--faults SPEC`) replicate the grid under
  * --fault-seeds independent fault streams with the spec's injection
@@ -36,6 +39,7 @@
 #include "common/trace_events.hh"
 #include "exec/fault_campaign.hh"
 #include "exec/registry.hh"
+#include "tools/cli.hh"
 
 using namespace necpt;
 
@@ -53,8 +57,9 @@ usage(const char *prog)
         "  --jobs N        worker threads (default: NECPT_JOBS or\n"
         "                  min(4, hardware threads))\n"
         "  --timeout SEC   per-job wall-clock budget (default: none)\n"
-        "  --seed N        sweep base seed (per-job seeds derive\n"
-        "                  from it and the job key)\n"
+        "  --seed N        seed of every simulation in the sweep;\n"
+        "                  fault draws use per-job seeds derived\n"
+        "                  from it and the job key\n"
         "  --json FILE     results JSON (default: sweep_GRID.json,\n"
         "                  faults_GRID.json in campaign mode)\n"
         "  --no-json       skip the JSON results file\n"
@@ -106,12 +111,18 @@ run(int argc, char **argv)
                 fatal("missing value for %s", arg.c_str());
             return argv[++i];
         };
+        auto u64 = [&](const std::string &text) {
+            return parseNumber<std::uint64_t>(arg, text);
+        };
+        auto i32 = [&](const std::string &text) {
+            return parseNumber<int>(arg, text);
+        };
         if (arg == "--list") list = true;
-        else if (arg == "--jobs") options.jobs = std::stoi(value());
+        else if (arg == "--jobs") options.jobs = i32(value());
         else if (arg == "--timeout")
-            options.timeout_ms = std::stoull(value()) * 1000;
+            options.timeout_ms = u64(value()) * 1000;
         else if (arg == "--seed") {
-            options.base_seed = std::stoull(value());
+            options.base_seed = u64(value());
             params.seed = options.base_seed;
         } else if (arg == "--json") json_path = value();
         else if (arg == "--no-json") no_json = true;
@@ -123,19 +134,19 @@ run(int argc, char **argv)
         else if (arg == "--trace") sweep_trace_path = value();
         else if (arg == "--trace-walks") trace_walks = 1;
         else if (arg.rfind("--trace-walks=", 0) == 0)
-            trace_walks = std::stoull(arg.substr(14));
+            trace_walks = u64(arg.substr(14));
         else if (arg == "--trace-canonical") trace_canonical = true;
         else if (arg == "--sample-metrics")
-            options.sample_interval = std::stoull(value());
+            options.sample_interval = u64(value());
         else if (arg.rfind("--sample-metrics=", 0) == 0)
-            options.sample_interval = std::stoull(arg.substr(17));
+            options.sample_interval = u64(arg.substr(17));
         else if (arg == "--timeseries-out") timeseries_path = value();
         else if (arg == "--faults") fault_spec_str = value();
         else if (arg == "--fault-seeds")
-            fault_seeds = std::stoi(value());
-        else if (arg == "--retries") options.retries = std::stoi(value());
+            fault_seeds = i32(value());
+        else if (arg == "--retries") options.retries = i32(value());
         else if (arg == "--backoff-ms")
-            options.backoff_ms = std::stoull(value());
+            options.backoff_ms = u64(value());
         else if (arg == "--help" || arg == "-h") {
             usage(argv[0]);
             return 0;
@@ -151,7 +162,7 @@ run(int argc, char **argv)
     if (list) {
         std::printf("registered sweep grids:\n");
         for (const SweepGrid &grid : sweepGrids())
-            std::printf("  %-12s %s (%s)\n", grid.name.c_str(),
+            std::printf("  %-16s %s (%s)\n", grid.name.c_str(),
                         grid.title.c_str(), grid.paper_ref.c_str());
         return 0;
     }

@@ -1,7 +1,8 @@
 /**
  * @file
- * Table-driven checks of the necpt-run command line: bad input must end
- * in a clean, typed error and exit code 1, never an abort.
+ * Table-driven checks of the necpt-run and necpt_sweep command lines:
+ * bad input must end in a clean, typed error and exit code 1, never an
+ * abort.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +21,7 @@ struct CliCase
     const char *args;
     int exit_code;
     const char *stderr_has; //!< required substring of the output
+    const char *tool = NECPT_RUN_PATH; //!< binary under test
 
     /** Print as the case name; the default byte dump would put this
      *  build's string addresses into the listed test name. */
@@ -29,12 +31,11 @@ struct CliCase
     }
 };
 
-/** Run necpt-run with @p args; @return (exit status, merged output). */
+/** Run @p tool with @p args; @return (exit status, merged output). */
 std::pair<int, std::string>
-runCli(const std::string &args)
+runCli(const std::string &tool, const std::string &args)
 {
-    const std::string cmd =
-        std::string("\"") + NECPT_RUN_PATH + "\" " + args + " 2>&1";
+    const std::string cmd = "\"" + tool + "\" " + args + " 2>&1";
     std::FILE *pipe = popen(cmd.c_str(), "r");
     if (!pipe)
         return {-1, "popen failed"};
@@ -48,13 +49,20 @@ runCli(const std::string &args)
     return {code, out};
 }
 
+/** The listed test name: the case name. */
+std::string
+caseName(const ::testing::TestParamInfo<CliCase> &info)
+{
+    return info.param.name;
+}
+
 class Cli : public ::testing::TestWithParam<CliCase>
 {};
 
 TEST_P(Cli, RejectsBadInputCleanly)
 {
     const CliCase &c = GetParam();
-    const auto [code, out] = runCli(c.args);
+    const auto [code, out] = runCli(c.tool, c.args);
     EXPECT_EQ(code, c.exit_code) << out;
     EXPECT_NE(out.find(c.stderr_has), std::string::npos) << out;
     EXPECT_EQ(out.find("panic"), std::string::npos) << out;
@@ -86,6 +94,18 @@ INSTANTIATE_TEST_SUITE_P(
         CliCase{"RadixLevelsZero",
                 "--config \"Nested Radix\" --app GUPS --radix-levels 0",
                 1, "config error: radix levels must be 4 or 5, got 0"},
+        CliCase{"CoresNotANumber",
+                "--config \"Nested ECPTs\" --app GUPS --cores abc",
+                1, "config error: --cores expects a number, got 'abc'"},
+        CliCase{"MeasureTrailingGarbage",
+                "--config \"Nested ECPTs\" --app GUPS --measure 4x",
+                1, "config error: --measure expects a number, got '4x'"},
+        CliCase{"SeedOutOfRange",
+                "--config \"Nested ECPTs\" --app GUPS "
+                "--seed 18446744073709551616",
+                1,
+                "config error: --seed value '18446744073709551616' is "
+                "out of range"},
         CliCase{"UnknownApp",
                 "--config \"Nested ECPTs\" --app NoSuchApp",
                 1, "config error: unknown workload 'NoSuchApp'"},
@@ -93,8 +113,14 @@ INSTANTIATE_TEST_SUITE_P(
                 "unknown configuration 'No Such'"},
         CliCase{"UnknownOption", "--no-such-flag", 1,
                 "unknown option: --no-such-flag"}),
-    [](const ::testing::TestParamInfo<CliCase> &param_info) {
-        return std::string(param_info.param.name);
-    });
+    caseName);
+
+INSTANTIATE_TEST_SUITE_P(
+    NecptSweep, Cli,
+    ::testing::Values(CliCase{
+        "JobsNotANumber", "smoke --jobs abc --no-json", 1,
+        "config error: --jobs expects a number, got 'abc'",
+        NECPT_SWEEP_PATH}),
+    caseName);
 
 } // namespace

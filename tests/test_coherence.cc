@@ -21,7 +21,7 @@
 #include "common/fault.hh"
 #include "common/metrics.hh"
 #include "common/rng.hh"
-#include "exec/engine.hh"
+#include "exec/registry.hh"
 #include "mmu/pom_tlb.hh"
 #include "mmu/tlb.hh"
 #include "os/system.hh"
@@ -518,22 +518,11 @@ TEST(CoherenceSweep, ChurnGridIsWorkerCountInvariant)
     params.churn =
         parseChurnSpec("migrate:3000:4,balloon:9000:16,batch:8");
 
-    std::vector<JobSpec> specs;
-    for (const ConfigId id :
-         {ConfigId::NestedRadix, ConfigId::NestedEcpt}) {
-        const ExperimentConfig config = makeConfig(id);
-        JobSpec spec;
-        spec.key = "churn-mini/" + config.name + "/GUPS";
-        spec.fn = [config, params](const JobContext &ctx) {
-            SimParams p = params;
-            p.seed = ctx.seed;
-            JobOutput out;
-            out.sim = runSim(config, p, "GUPS");
-            out.metrics = out.sim.metrics;
-            return out;
-        };
-        specs.push_back(std::move(spec));
-    }
+    const auto specs = configAppJobs(
+        "churn-mini",
+        {makeConfig(ConfigId::NestedRadix),
+         makeConfig(ConfigId::NestedEcpt)},
+        {"GUPS"}, params);
 
     SweepOptions serial_opts, wide_opts;
     serial_opts.jobs = 1;

@@ -1,6 +1,7 @@
 /** @file The sweep engine: thread-pool scheduling, key-derived seed
  *  determinism (jobs=1 == jobs=8), per-job fault isolation (throws
- *  and timeouts become failed records), and structured result export. */
+ *  and timeouts become failed records), structured result export, and
+ *  the grid registry (every configuration runs the sweep's seed). */
 
 #include <gtest/gtest.h>
 
@@ -8,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -154,28 +156,16 @@ TEST(SweepEngine, RealSimulationGridIsWorkerCountInvariant)
 {
     // A miniature fig9-style grid through the real simulator: two
     // configurations x one app, short runs. jobs=1 and jobs=4 must
-    // produce bit-identical stats (seeds derive from keys, not from
-    // scheduling).
+    // produce bit-identical stats (seeds never depend on scheduling).
     SimParams params;
     params.warmup_accesses = 2'000;
     params.measure_accesses = 10'000;
     params.scale_denominator = 2048;
-
-    std::vector<JobSpec> specs;
-    for (const ConfigId id :
-         {ConfigId::NestedRadix, ConfigId::NestedEcpt}) {
-        const ExperimentConfig config = makeConfig(id);
-        JobSpec spec;
-        spec.key = "mini/" + config.name + "/GUPS";
-        spec.fn = [config, params](const JobContext &ctx) {
-            SimParams p = params;
-            p.seed = ctx.seed;
-            JobOutput out;
-            out.sim = runSim(config, p, "GUPS");
-            return out;
-        };
-        specs.push_back(std::move(spec));
-    }
+    const auto specs = configAppJobs(
+        "mini",
+        {makeConfig(ConfigId::NestedRadix),
+         makeConfig(ConfigId::NestedEcpt)},
+        {"GUPS"}, params);
 
     const ResultSink serial = SweepEngine(quietOptions(1)).run(specs);
     const ResultSink wide = SweepEngine(quietOptions(4)).run(specs);
@@ -204,24 +194,11 @@ TEST(SweepEngine, OverlappedWalkGridIsWorkerCountInvariant)
     params.measure_accesses = 8'000;
     params.scale_denominator = 2048;
     params.max_outstanding_walks = 4;
-
-    std::vector<JobSpec> specs;
-    for (const ConfigId id :
-         {ConfigId::NestedRadix, ConfigId::NestedEcpt}) {
-        const ExperimentConfig config = makeConfig(id);
-        JobSpec spec;
-        spec.key = "mlp-mini/" + config.name + "/GUPS";
-        spec.fn = [config, params](const JobContext &ctx) {
-            SimParams p = params;
-            p.seed = ctx.seed;
-            JobOutput out;
-            out.sim = runSim(config, p, "GUPS");
-            out.metrics["walk.inflight"] =
-                out.sim.walk_inflight_avg;
-            return out;
-        };
-        specs.push_back(std::move(spec));
-    }
+    const auto specs = configAppJobs(
+        "mlp-mini",
+        {makeConfig(ConfigId::NestedRadix),
+         makeConfig(ConfigId::NestedEcpt)},
+        {"GUPS"}, params);
 
     const ResultSink serial = SweepEngine(quietOptions(1)).run(specs);
     const ResultSink wide = SweepEngine(quietOptions(8)).run(specs);
@@ -233,8 +210,7 @@ TEST(SweepEngine, OverlappedWalkGridIsWorkerCountInvariant)
         EXPECT_EQ(s.cycles, w.cycles) << s.config;
         EXPECT_EQ(s.walks, w.walks);
         EXPECT_EQ(s.mmu_busy_cycles, w.mmu_busy_cycles);
-        EXPECT_EQ(serial.records()[i].out.metrics.at("walk.inflight"),
-                  wide.records()[i].out.metrics.at("walk.inflight"));
+        EXPECT_EQ(s.walk_inflight_avg, w.walk_inflight_avg);
     }
 }
 
@@ -255,23 +231,9 @@ TEST(SweepEngine, CoalescedChurnGridIsWorkerCountInvariant)
     params.churn = parseChurnSpec(
         "migrate:5000:8,balloon:20000:16,protect:15000:4,batch:8");
     params.faults = parseFaultSpec("shootdown:0.05");
-
-    std::vector<JobSpec> specs;
-    const ExperimentConfig config = makeConfig(ConfigId::NestedEcpt);
-    for (const char *app : {"GUPS", "SysBench"}) {
-        JobSpec spec;
-        spec.key = std::string("coalesce-mini/") + config.name + "/"
-            + app;
-        const std::string app_name = app;
-        spec.fn = [config, params, app_name](const JobContext &ctx) {
-            SimParams p = params;
-            p.seed = ctx.seed;
-            JobOutput out;
-            out.sim = runSim(config, p, app_name);
-            return out;
-        };
-        specs.push_back(std::move(spec));
-    }
+    const auto specs =
+        configAppJobs("coalesce-mini", {makeConfig(ConfigId::NestedEcpt)},
+                      {"GUPS", "SysBench"}, params);
 
     const ResultSink serial = SweepEngine(quietOptions(1)).run(specs);
     const ResultSink wide = SweepEngine(quietOptions(8)).run(specs);
@@ -429,8 +391,11 @@ TEST(ResultSink, ToGridBridgesOkRecords)
 
 TEST(SweepRegistry, PortedGridsAreRegistered)
 {
-    EXPECT_GE(sweepGrids().size(), 3u);
-    for (const char *name : {"fig9", "table4", "multicore"}) {
+    EXPECT_GE(sweepGrids().size(), 13u);
+    for (const char *name :
+         {"fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "sec94",
+          "sec95", "sec96", "ablation_5level", "ablation_design",
+          "table4", "multicore"}) {
         const SweepGrid *grid = findSweepGrid(name);
         ASSERT_NE(grid, nullptr) << name;
         EXPECT_EQ(grid->name, name);
@@ -457,6 +422,56 @@ TEST(SweepRegistry, JobKeysAreUniqueAndStable)
         ASSERT_EQ(again.size(), jobs.size());
         for (std::size_t i = 0; i < jobs.size(); ++i)
             EXPECT_EQ(again[i].key, jobs[i].key);
+    }
+}
+
+TEST(SweepRegistry, SummariesSurviveFailedJobs)
+{
+    // Every job failed: each summary must print "(failed)" where its
+    // numbers would go, never throw (necpt_sweep catches SimErrors
+    // only, so a std::out_of_range would abort the process).
+    const SimParams params;
+    for (const SweepGrid &grid : sweepGrids()) {
+        const auto jobs = grid.make_jobs(params);
+        ResultSink sink(jobs.size());
+        for (std::size_t i = 0; i < jobs.size(); ++i) {
+            JobRecord record;
+            record.key = jobs[i].key;
+            record.status = JobStatus::Failed;
+            record.error = "injected failure";
+            sink.put(i, std::move(record));
+        }
+        EXPECT_NO_THROW(grid.print_summary(sink, params)) << grid.name;
+    }
+}
+
+TEST(SweepSeeds, ConfigurationsShareTheSweepSeed)
+{
+    // fig10 holds two THP configurations, whose per-64MB huge-page
+    // coverage is drawn from the seed: a job seeded from its key would
+    // diverge from the common-seed run below.
+    setenv("NECPT_APPS", "GUPS", 1);
+    SimParams params;
+    params.warmup_accesses = 1'000;
+    params.measure_accesses = 5'000;
+    params.scale_denominator = 256;
+    params.seed = 7;
+    SweepOptions options = quietOptions(4);
+    options.base_seed = params.seed;
+    const ResultSink sink =
+        SweepEngine(options).run(findSweepGrid("fig10")->make_jobs(params));
+    unsetenv("NECPT_APPS");
+
+    ASSERT_EQ(sink.size(), 4u);
+    for (const ConfigId id :
+         {ConfigId::NestedRadix, ConfigId::NestedRadixThp,
+          ConfigId::NestedEcpt, ConfigId::NestedEcptThp}) {
+        const ExperimentConfig config = makeConfig(id);
+        const JobRecord *r = sink.find("fig10/" + config.name + "/GUPS");
+        ASSERT_NE(r, nullptr) << config.name;
+        ASSERT_EQ(r->status, JobStatus::Ok) << r->error;
+        EXPECT_EQ(r->out.sim.cycles, runSim(config, params, "GUPS").cycles)
+            << config.name;
     }
 }
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hh"
+#include "exec/registry.hh"
 #include "sim/experiment.hh"
 #include "sim/simulator.hh"
 
@@ -174,14 +175,33 @@ TEST(Simulator, InvalidOutstandingWalksRejected)
         ConfigError);
 }
 
+namespace
+{
+/** Run @p configs x @p apps through the sweep engine on @p jobs
+ *  workers. */
+ResultSink
+runConfigApps(const std::vector<ExperimentConfig> &configs,
+              const std::vector<std::string> &apps,
+              const SimParams &params, int jobs)
+{
+    SweepOptions options;
+    options.jobs = jobs;
+    options.progress = nullptr;
+    return SweepEngine(options).run(
+        configAppJobs("test", configs, apps, params));
+}
+} // namespace
+
 TEST(ExperimentHelpers, GridAndSpeedup)
 {
     SimParams params = quickParams();
     params.measure_accesses = 30'000;
-    const auto grid = runGrid({makeConfig(ConfigId::NestedRadix),
-                               makeConfig(ConfigId::NestedEcpt)},
-                              {"BFS"}, params);
-    EXPECT_TRUE(grid.has("Nested Radix", "BFS"));
+    const ResultGrid grid =
+        runConfigApps({makeConfig(ConfigId::NestedRadix),
+                       makeConfig(ConfigId::NestedEcpt)},
+                      {"BFS"}, params, 1)
+            .toGrid();
+    EXPECT_TRUE(grid.complete("Nested Radix", {"BFS"}));
     const double s =
         speedupOver(grid, "Nested Radix", "Nested ECPTs", "BFS");
     EXPECT_GT(s, 0.5);
@@ -206,13 +226,14 @@ TEST(ExperimentHelpers, ParallelGridMatchesSerial)
     };
     const std::vector<std::string> apps = {"BFS", "GUPS"};
 
-    setenv("NECPT_JOBS", "1", 1);
-    const ResultGrid serial = runGrid(configs, apps, params);
-    setenv("NECPT_JOBS", "4", 1);
-    const ResultGrid parallel = runGrid(configs, apps, params);
-    unsetenv("NECPT_JOBS");
+    const ResultGrid serial =
+        runConfigApps(configs, apps, params, 1).toGrid();
+    const ResultGrid parallel =
+        runConfigApps(configs, apps, params, 4).toGrid();
 
     for (const auto &cfg : configs) {
+        ASSERT_TRUE(serial.complete(cfg.name, apps));
+        ASSERT_TRUE(parallel.complete(cfg.name, apps));
         for (const auto &app : apps) {
             EXPECT_EQ(serial.at(cfg.name, app).cycles,
                       parallel.at(cfg.name, app).cycles)
