@@ -42,7 +42,7 @@ main()
                     kindName(cfg.system.guest_kind),
                     cfg.system.virtualized
                         ? kindName(cfg.system.host_kind) : "-",
-                    cfg.thp ? "4KB + 2MB (THP)" : "4KB only");
+                    cfg.system.guest_thp ? "4KB + 2MB (THP)" : "4KB only");
     }
 
     std::printf("\nSection 9.6 baselines:\n");

@@ -1,9 +1,9 @@
 #include "coherence/churn.hh"
 
-#include <cstdlib>
 #include <vector>
 
 #include "common/error.hh"
+#include "common/parse.hh"
 
 namespace necpt
 {
@@ -11,43 +11,20 @@ namespace necpt
 namespace
 {
 
-std::vector<std::string>
-splitOn(const std::string &text, char sep)
-{
-    std::vector<std::string> parts;
-    std::string::size_type start = 0;
-    while (start <= text.size()) {
-        const auto end = text.find(sep, start);
-        if (end == std::string::npos) {
-            parts.push_back(text.substr(start));
-            break;
-        }
-        parts.push_back(text.substr(start, end - start));
-        start = end + 1;
-    }
-    return parts;
-}
-
+/** A period field of churn spec clause @p clause. */
 std::uint64_t
-parseU64(const std::string &clause, const std::string &value)
+parsePeriod(const std::string &clause, const std::string &value)
 {
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-    if (!end || *end != '\0' || value.empty())
-        throw ConfigError(strfmt("churn spec: bad value '%s' in '%s'",
-                                 value.c_str(), clause.c_str()));
-    return v;
+    return parseNumber<std::uint64_t>("churn spec '" + clause + "'",
+                                      value);
 }
 
+/** A page/block/batch count field of churn spec clause @p clause. */
 int
 parseCount(const std::string &clause, const std::string &value)
 {
-    const std::uint64_t v = parseU64(clause, value);
-    if (v == 0 || v > 4096)
-        throw ConfigError(strfmt("churn spec: count %llu out of "
-                                 "[1, 4096] in '%s'",
-                                 (unsigned long long)v, clause.c_str()));
-    return static_cast<int>(v);
+    return parseNumber<int>("churn spec '" + clause + "' count", value, 1,
+                            4096);
 }
 
 } // namespace
@@ -75,19 +52,19 @@ parseChurnSpec(const std::string &text)
             return fields[i];
         };
         if (site == "migrate") {
-            spec.migrate_period = parseU64(clause, arg(1));
+            spec.migrate_period = parsePeriod(clause, arg(1));
             if (fields.size() > 2)
                 spec.migrate_pages = parseCount(clause, fields[2]);
         } else if (site == "balloon") {
-            spec.balloon_period = parseU64(clause, arg(1));
+            spec.balloon_period = parsePeriod(clause, arg(1));
             if (fields.size() > 2)
                 spec.balloon_pages = parseCount(clause, fields[2]);
         } else if (site == "thp") {
-            spec.thp_period = parseU64(clause, arg(1));
+            spec.thp_period = parsePeriod(clause, arg(1));
             if (fields.size() > 2)
                 spec.thp_blocks = parseCount(clause, fields[2]);
         } else if (site == "protect") {
-            spec.protect_period = parseU64(clause, arg(1));
+            spec.protect_period = parsePeriod(clause, arg(1));
             if (fields.size() > 2)
                 spec.protect_pages = parseCount(clause, fields[2]);
         } else if (site == "mode") {

@@ -1,9 +1,9 @@
 #include "common/fault.hh"
 
-#include <cstdlib>
 #include <vector>
 
 #include "common/error.hh"
+#include "common/parse.hh"
 
 namespace necpt
 {
@@ -11,35 +11,20 @@ namespace necpt
 namespace
 {
 
-std::vector<std::string>
-splitOn(const std::string &text, char sep)
-{
-    std::vector<std::string> parts;
-    std::string::size_type start = 0;
-    while (start <= text.size()) {
-        const auto end = text.find(sep, start);
-        if (end == std::string::npos) {
-            parts.push_back(text.substr(start));
-            break;
-        }
-        parts.push_back(text.substr(start, end - start));
-        start = end + 1;
-    }
-    return parts;
-}
-
+/** The probability (or pool fill fraction) of fault site @p site. */
 double
 parseProb(const std::string &site, const std::string &value)
 {
-    char *end = nullptr;
-    const double p = std::strtod(value.c_str(), &end);
-    if (!end || *end != '\0' || value.empty())
-        throw ConfigError(strfmt("fault spec: bad value '%s' for site "
-                                 "'%s'", value.c_str(), site.c_str()));
-    if (p < 0.0 || p > 1.0)
-        throw ConfigError(strfmt("fault spec: %s value %g out of "
-                                 "[0, 1]", site.c_str(), p));
-    return p;
+    return parseNumber<double>("fault spec '" + site + "'", value, 0.0,
+                               1.0);
+}
+
+/** The cycle count of fault site @p site. */
+std::uint64_t
+parseCycles(const std::string &site, const std::string &value)
+{
+    return parseNumber<std::uint64_t>("fault spec '" + site + "' cycles",
+                                      value);
 }
 
 } // namespace
@@ -68,32 +53,16 @@ parseFaultSpec(const std::string &text)
             spec.resize_prob = parseProb(site, arg(1));
         } else if (site == "mem") {
             spec.mem_prob = parseProb(site, arg(1));
-            if (fields.size() > 2) {
-                char *end = nullptr;
-                const unsigned long long cycles =
-                    std::strtoull(fields[2].c_str(), &end, 10);
-                if (!end || *end != '\0' || fields[2].empty())
-                    throw ConfigError(strfmt(
-                        "fault spec: bad spike cycles '%s'",
-                        fields[2].c_str()));
-                spec.mem_spike_cycles = cycles;
-            }
+            if (fields.size() > 2)
+                spec.mem_spike_cycles = parseCycles(site, fields[2]);
         } else if (site == "trace") {
             if (fields.size() > 1)
                 throw ConfigError("fault spec: 'trace' takes no value");
             spec.trace_corruption = true;
         } else if (site == "shootdown") {
             spec.shootdown_prob = parseProb(site, arg(1));
-            if (fields.size() > 2) {
-                char *end = nullptr;
-                const unsigned long long cycles =
-                    std::strtoull(fields[2].c_str(), &end, 10);
-                if (!end || *end != '\0' || fields[2].empty())
-                    throw ConfigError(strfmt(
-                        "fault spec: bad ack-delay cycles '%s'",
-                        fields[2].c_str()));
-                spec.shootdown_delay_cycles = cycles;
-            }
+            if (fields.size() > 2)
+                spec.shootdown_delay_cycles = parseCycles(site, fields[2]);
         } else if (site == "all") {
             if (fields.size() > 1)
                 throw ConfigError("fault spec: 'all' takes no value");

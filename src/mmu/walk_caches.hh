@@ -7,12 +7,14 @@
  *    the VA prefix that selects the entry (Section 2.1).
  *  - NestedPwc (NPWC): same structure for the host levels of a nested
  *    radix walk, keyed by gPA prefixes.
- *  - NestedTlb (NTLB): caches the gPA -> hPA translation of guest
- *    page-table pages, letting a nested radix walk skip four host levels
- *    per guest level (Figure 2 dashed lines).
- *  - ShortcutTranslationCache (STC): the paper's new structure
- *    (Section 4.1) — caches the gPA -> hPA translation of guest Cuckoo
- *    Walk Table entries so gCWC refills need no host walk.
+ *  - FrameCache: a gPA page -> hPA frame cache, under the paper's two
+ *    names for its two uses:
+ *    - NestedTlb (NTLB) caches the translation of guest page-table
+ *      pages, letting a nested radix walk skip four host levels per
+ *      guest level (Figure 2 dashed lines).
+ *    - ShortcutTranslationCache (STC), the paper's new structure
+ *      (Section 4.1), caches the translation of guest Cuckoo Walk
+ *      Table entries so gCWC refills need no host walk.
  *
  * Like the CWCs, these structures refill off the walk's critical
  * path: the walker batches the backing page-table lines into a
@@ -129,13 +131,14 @@ class PageWalkCache
 };
 
 /**
- * Nested TLB: gPA page -> hPA frame for guest page-table pages
- * (24 entries, fully associative, 4-cycle RT in Table 2).
+ * Fully associative, LRU gPA page -> hPA frame cache. Table 2 sizes
+ * the NTLB at 24 entries and the STC at 10 (the default), both with a
+ * 4-cycle round trip.
  */
-class NestedTlb
+class FrameCache
 {
   public:
-    explicit NestedTlb(std::size_t entries = 24, Cycles latency_cycles = 4)
+    explicit FrameCache(std::size_t entries = 10, Cycles latency_cycles = 4)
         : cache(entries), latency_(latency_cycles)
     {}
 
@@ -169,59 +172,18 @@ class NestedTlb
     Cycles latency() const { return latency_; }
     const HitMiss &stats() const { return cache.stats(); }
     void resetStats() { cache.resetStats(); }
-
-  private:
-    AssocCache<std::uint64_t, Addr> cache;
-    Cycles latency_;
-};
-
-/**
- * Shortcut Translation Cache (Section 4.1): gPA page -> hPA frame for
- * guest CWT entries. 10 entries FA, 4-cycle RT (Table 2).
- */
-class ShortcutTranslationCache
-{
-  public:
-    explicit ShortcutTranslationCache(std::size_t entries = 10,
-                                      Cycles latency_cycles = 4)
-        : cache(entries), latency_(latency_cycles)
-    {}
-
-    Addr *
-    lookup(Addr gpa)
-    {
-        return cache.find(gpa >> 12);
-    }
-
-    void
-    fill(Addr gpa, Addr hpa_frame)
-    {
-        cache.insert(gpa >> 12, hpa_frame);
-    }
-
-    void flush() { cache.flush(); }
-
-    /** Drop shortcut entries for gPA pages in [base, base+bytes),
-     *  preserving survivors' LRU ranks. */
-    std::size_t
-    invalidateRange(Addr base, std::uint64_t bytes)
-    {
-        const std::uint64_t lo = base >> 12;
-        const std::uint64_t hi = (base + (bytes ? bytes - 1 : 0)) >> 12;
-        return cache.invalidateIf([lo, hi](std::uint64_t key, Addr) {
-            return key >= lo && key <= hi;
-        });
-    }
-
-    Cycles latency() const { return latency_; }
-    const HitMiss &stats() const { return cache.stats(); }
-    void resetStats() { cache.resetStats(); }
     std::size_t capacity() const { return cache.capacity(); }
 
   private:
     AssocCache<std::uint64_t, Addr> cache;
     Cycles latency_;
 };
+
+/** Nested TLB: guest page-table pages (Figure 2). */
+using NestedTlb = FrameCache;
+
+/** Shortcut Translation Cache: guest CWT entries (Section 4.1). */
+using ShortcutTranslationCache = FrameCache;
 
 } // namespace necpt
 

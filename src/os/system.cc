@@ -32,14 +32,13 @@ NestedSystem::NestedSystem(const SystemConfig &config)
       case PtKind::Radix:
         // Radix nodes come from the general page allocator, scattered
         // among data frames — as real kernels allocate them.
-        guest_radix = std::make_unique<RadixPageTable>(
-            *guest_node_alloc, cfg.radix_levels);
+        guest_pt = std::make_unique<RadixPageTable>(*guest_node_alloc,
+                                                    cfg.radix_levels);
         break;
       case PtKind::Ecpt: {
         EcptConfig ecfg = cfg.guest_ecpt;
         ecfg.has_pte_cwt = false; // the guest never keeps a PTE CWT
-        guest_ecpt =
-            std::make_unique<EcptPageTable>(*guest_pt_alloc, ecfg);
+        guest_pt = std::make_unique<EcptPageTable>(*guest_pt_alloc, ecfg);
         break;
       }
       case PtKind::Flat:
@@ -50,8 +49,8 @@ NestedSystem::NestedSystem(const SystemConfig &config)
         std::uint64_t slots = 2;
         while (slots < (cfg.guest_phys_bytes >> 12))
             slots <<= 1;
-        guest_hpt = std::make_unique<HashedPageTable>(*guest_pt_alloc,
-                                                      slots, 0x6857);
+        guest_pt = std::make_unique<HashedPageTable>(*guest_pt_alloc,
+                                                     slots, 0x6857);
         break;
       }
     }
@@ -61,23 +60,23 @@ NestedSystem::NestedSystem(const SystemConfig &config)
             *host_pool, host_pt_registry);
         switch (cfg.host_kind) {
           case PtKind::Radix:
-            host_radix = std::make_unique<RadixPageTable>(
-                *host_node_alloc, cfg.radix_levels);
+            host_pt = std::make_unique<RadixPageTable>(*host_node_alloc,
+                                                       cfg.radix_levels);
             break;
           case PtKind::Ecpt:
-            host_ecpt =
+            host_pt =
                 std::make_unique<EcptPageTable>(*host_pool, cfg.host_ecpt);
             break;
           case PtKind::Flat:
-            host_flat = std::make_unique<FlatPageTable>(
+            host_pt = std::make_unique<FlatPageTable>(
                 *host_pool, cfg.guest_phys_bytes);
             break;
           case PtKind::Hpt: {
             std::uint64_t slots = 2;
             while (slots < (cfg.guest_phys_bytes >> 12) * 2)
                 slots <<= 1;
-            host_hpt = std::make_unique<HashedPageTable>(*host_pool,
-                                                         slots, 0x7857);
+            host_pt = std::make_unique<HashedPageTable>(*host_pool, slots,
+                                                        0x7857);
             break;
           }
         }
@@ -90,20 +89,18 @@ NestedSystem::NestedSystem(const SystemConfig &config)
         host_pool->setFaultPlan(cfg.fault_plan);
         if (guest_pool)
             guest_pool->setFaultPlan(cfg.fault_plan);
-        if (guest_ecpt)
-            guest_ecpt->setFaultPlan(cfg.fault_plan);
-        if (host_ecpt)
-            host_ecpt->setFaultPlan(cfg.fault_plan);
+        guest_pt->setFaultPlan(cfg.fault_plan);
+        if (host_pt)
+            host_pt->setFaultPlan(cfg.fault_plan);
     }
 }
 
 void
 NestedSystem::auditInvariants() const
 {
-    if (guest_ecpt)
-        guest_ecpt->auditCwtConsistency("guest");
-    if (host_ecpt)
-        host_ecpt->auditCwtConsistency("host");
+    guest_pt->auditInvariants("guest");
+    if (host_pt)
+        host_pt->auditInvariants("host");
     for (const PhysMemPool *pool : {host_pool.get(), guest_pool.get()}) {
         if (pool && pool->usedBytes() > pool->capacityBytes())
             throw InvariantViolation(strfmt(
@@ -157,36 +154,6 @@ NestedSystem::blockCovered(std::uint64_t block, double coverage,
     return static_cast<double>(draw >> 11) * 0x1.0p-53 < coverage;
 }
 
-void
-NestedSystem::guestMap(Addr gva, Addr gpa, PageSize size)
-{
-    if (guest_radix) {
-        guest_radix->map(gva, gpa, size);
-    } else if (guest_hpt) {
-        NECPT_ASSERT(size == PageSize::Page4K); // HPT limitation
-        const bool ok = guest_hpt->map(gva, gpa);
-        NECPT_ASSERT(ok);
-    } else {
-        guest_ecpt->map(gva, gpa, size);
-    }
-}
-
-void
-NestedSystem::hostMap(Addr gpa, Addr hpa, PageSize size)
-{
-    if (host_radix) {
-        host_radix->map(gpa, hpa, size);
-    } else if (host_ecpt) {
-        host_ecpt->map(gpa, hpa, size);
-    } else if (host_flat) {
-        host_flat->map(gpa, hpa, size);
-    } else if (host_hpt) {
-        NECPT_ASSERT(size == PageSize::Page4K); // HPT limitation
-        const bool ok = host_hpt->map(gpa, hpa);
-        NECPT_ASSERT(ok);
-    }
-}
-
 Translation
 NestedSystem::guestFaultIn(Addr gva, const Vma &vma)
 {
@@ -197,7 +164,7 @@ NestedSystem::guestFaultIn(Addr gva, const Vma &vma)
     if (vma.use_1g) {
         const Addr page = pageBase(gva, PageSize::Page1G);
         const Addr frame = frames.allocFrame(PageSize::Page1G);
-        guestMap(page, frame, PageSize::Page1G);
+        guest_pt->map(page, frame, PageSize::Page1G);
         return {frame, PageSize::Page1G, true};
     }
 
@@ -220,7 +187,7 @@ NestedSystem::guestFaultIn(Addr gva, const Vma &vma)
 
     const PageSize size = use_thp ? PageSize::Page2M : PageSize::Page4K;
     const Addr frame = frames.allocFrame(size);
-    guestMap(pageBase(gva, size), frame, size);
+    guest_pt->map(pageBase(gva, size), frame, size);
     return {frame, size, true};
 }
 
@@ -233,8 +200,8 @@ NestedSystem::hostFaultIn(Addr gpa)
     // Page-table regions are always backed by 4KB pages (Section 4.3).
     if (isPtRegion(gpa)) {
         const Addr page = pageBase(gpa, PageSize::Page4K);
-        hostMap(page, host_pool->allocFrame(PageSize::Page4K),
-                PageSize::Page4K);
+        host_pt->map(page, host_pool->allocFrame(PageSize::Page4K),
+                     PageSize::Page4K);
         noteHost4k(gpa);
         return;
     }
@@ -264,12 +231,12 @@ NestedSystem::hostFaultIn(Addr gpa)
 
     if (use_thp) {
         const Addr page = pageBase(gpa, PageSize::Page2M);
-        hostMap(page, host_pool->allocFrame(PageSize::Page2M),
-                PageSize::Page2M);
+        host_pt->map(page, host_pool->allocFrame(PageSize::Page2M),
+                     PageSize::Page2M);
     } else {
         const Addr page = pageBase(gpa, PageSize::Page4K);
-        hostMap(page, host_pool->allocFrame(PageSize::Page4K),
-                PageSize::Page4K);
+        host_pt->map(page, host_pool->allocFrame(PageSize::Page4K),
+                     PageSize::Page4K);
         noteHost4k(gpa);
     }
 }
@@ -287,48 +254,6 @@ NestedSystem::noteHost4k(Addr gpa)
     last_4k_block = block;
 }
 
-void
-NestedSystem::guestUnmap(Addr page, PageSize size)
-{
-    if (guest_radix) {
-        guest_radix->unmap(page, size);
-    } else if (guest_hpt) {
-        NECPT_ASSERT(size == PageSize::Page4K);
-        guest_hpt->unmap(page);
-    } else {
-        guest_ecpt->unmap(page, size);
-    }
-}
-
-void
-NestedSystem::hostUnmap(Addr page, PageSize size)
-{
-    if (host_radix) {
-        host_radix->unmap(page, size);
-    } else if (host_ecpt) {
-        host_ecpt->unmap(page, size);
-    } else if (host_flat) {
-        host_flat->unmap(page, size);
-    } else if (host_hpt) {
-        NECPT_ASSERT(size == PageSize::Page4K);
-        host_hpt->unmap(page);
-    }
-}
-
-Translation
-NestedSystem::hostPeek(Addr gpa) const
-{
-    if (host_radix)
-        return host_radix->lookup(gpa);
-    if (host_ecpt)
-        return host_ecpt->lookup(gpa);
-    if (host_flat)
-        return host_flat->lookup(gpa);
-    if (host_hpt)
-        return host_hpt->lookup(gpa);
-    return {};
-}
-
 NestedSystem::UnmapInfo
 NestedSystem::guestUnmapPage(Addr gva)
 {
@@ -336,7 +261,7 @@ NestedSystem::guestUnmapPage(Addr gva)
     if (!g.valid)
         return {};
     const Addr page = pageBase(gva, g.size);
-    guestUnmap(page, g.size);
+    guest_pt->unmap(page, g.size);
     PhysMemPool &frames = cfg.virtualized ? *guest_pool : *host_pool;
     frames.freeFrame(g.pa, g.size);
     return {true, page, g};
@@ -356,14 +281,14 @@ NestedSystem::balloonOut(Addr gva)
     Addr gpa = info.old_guest.pa;
     const Addr end = gpa + pageBytes(info.old_guest.size);
     while (gpa < end) {
-        const Translation h = hostPeek(gpa);
+        const Translation h = host_pt->lookup(gpa);
         if (!h.valid) {
             gpa = pageBase(gpa, PageSize::Page4K)
                 + pageBytes(PageSize::Page4K);
             continue;
         }
         const Addr hpage = pageBase(gpa, h.size);
-        hostUnmap(hpage, h.size);
+        host_pt->unmap(hpage, h.size);
         host_pool->freeFrame(h.pa, h.size);
         gpa = hpage + pageBytes(h.size);
     }
@@ -381,23 +306,23 @@ NestedSystem::migratePage(Addr gva)
         // freeing so the allocator cannot hand the same frame back.
         const Addr page = pageBase(gva, g.size);
         const Addr fresh = host_pool->allocFrame(g.size);
-        guestUnmap(page, g.size);
+        guest_pt->unmap(page, g.size);
         host_pool->freeFrame(g.pa, g.size);
-        guestMap(page, fresh, g.size);
+        guest_pt->map(page, fresh, g.size);
         return true;
     }
     // Virtualized: the hypervisor re-backs the guest-physical page —
     // gPA stays, hPA changes, and every cached {gVA, hPA} pair goes
     // stale (the HATRIC motivation case).
     const Addr gpa = g.apply(gva);
-    const Translation h = hostPeek(gpa);
+    const Translation h = host_pt->lookup(gpa);
     if (!h.valid)
         return false;
     const Addr hpage = pageBase(gpa, h.size);
     const Addr fresh = host_pool->allocFrame(h.size);
-    hostUnmap(hpage, h.size);
+    host_pt->unmap(hpage, h.size);
     host_pool->freeFrame(h.pa, h.size);
-    hostMap(hpage, fresh, h.size);
+    host_pt->map(hpage, fresh, h.size);
     return true;
 }
 
@@ -414,15 +339,15 @@ NestedSystem::thpDemote(Addr gva)
     guest_block_thp[page >> 26] = false;
     // Copy-based split: the huge frame is released and each 4KB piece
     // re-lands in its own frame (keeps pool accounting size-exact).
-    guestUnmap(page, PageSize::Page2M);
+    guest_pt->unmap(page, PageSize::Page2M);
     frames.freeFrame(g.pa, PageSize::Page2M);
     const int pieces = static_cast<int>(pageBytes(PageSize::Page2M)
                                         / pageBytes(PageSize::Page4K));
     for (int i = 0; i < pieces; ++i) {
         const Addr va = page
             + static_cast<Addr>(i) * pageBytes(PageSize::Page4K);
-        guestMap(va, frames.allocFrame(PageSize::Page4K),
-                 PageSize::Page4K);
+        guest_pt->map(va, frames.allocFrame(PageSize::Page4K),
+                      PageSize::Page4K);
     }
     return pieces;
 }
@@ -448,10 +373,10 @@ NestedSystem::thpPromote(Addr gva)
         const Addr va = region
             + static_cast<Addr>(i) * pageBytes(PageSize::Page4K);
         const Translation t = guestTranslate(va);
-        guestUnmap(va, PageSize::Page4K);
+        guest_pt->unmap(va, PageSize::Page4K);
         frames.freeFrame(t.pa, PageSize::Page4K);
     }
-    guestMap(region, huge, PageSize::Page2M);
+    guest_pt->map(region, huge, PageSize::Page2M);
     return pieces;
 }
 
@@ -461,12 +386,7 @@ NestedSystem::writeProtectPage(Addr gva)
     const Translation g = guestTranslate(gva);
     if (!g.valid)
         return false;
-    if (guest_ecpt)
-        return guest_ecpt->writeProtect(pageBase(gva, g.size), g.size);
-    // Radix/HPT organizations store no flag word in this model: the
-    // downgrade is the invalidation itself (the caller shoots the
-    // cached translation down).
-    return true;
+    return guest_pt->writeProtect(pageBase(gva, g.size), g.size);
 }
 
 bool
@@ -491,7 +411,7 @@ NestedSystem::makeResident(Addr gva)
     }
     if (cfg.virtualized) {
         const Addr gpa = g.apply(gva);
-        if (!hostPeek(gpa).valid)
+        if (!host_pt->lookup(gpa).valid)
             hostFaultIn(gpa);
     }
     return g;
@@ -517,20 +437,15 @@ NestedSystem::prefaultAll()
 void
 NestedSystem::quiesce()
 {
-    if (guest_ecpt)
-        guest_ecpt->quiesce();
-    if (host_ecpt)
-        host_ecpt->quiesce();
+    guest_pt->quiesce();
+    if (host_pt)
+        host_pt->quiesce();
 }
 
 Translation
 NestedSystem::guestTranslate(Addr gva) const
 {
-    if (guest_radix)
-        return guest_radix->lookup(gva);
-    if (guest_hpt)
-        return guest_hpt->lookup(gva);
-    return guest_ecpt->lookup(gva);
+    return guest_pt->lookup(gva);
 }
 
 Translation
@@ -540,19 +455,10 @@ NestedSystem::hostTranslate(Addr gpa)
         // Identity: gPA is final.
         return {pageBase(gpa, PageSize::Page4K), PageSize::Page4K, true};
     }
-    auto host_lookup = [this](Addr addr) -> Translation {
-        if (host_radix)
-            return host_radix->lookup(addr);
-        if (host_ecpt)
-            return host_ecpt->lookup(addr);
-        if (host_flat)
-            return host_flat->lookup(addr);
-        return host_hpt->lookup(addr);
-    };
-    Translation h = host_lookup(gpa);
+    Translation h = host_pt->lookup(gpa);
     if (!h.valid) {
         hostFaultIn(gpa);
-        h = host_lookup(gpa);
+        h = host_pt->lookup(gpa);
         NECPT_ASSERT(h.valid);
     }
     return h;
@@ -579,55 +485,25 @@ NestedSystem::fullTranslate(Addr gva)
 std::uint64_t
 NestedSystem::guestStructureBytes() const
 {
-    if (guest_radix)
-        return guest_radix->structureBytes();
-    if (guest_hpt)
-        return guest_hpt->structureBytes();
-    return guest_ecpt->structureBytes();
+    return guest_pt->structureBytes();
 }
 
 std::uint64_t
 NestedSystem::hostStructureBytes() const
 {
-    if (host_radix)
-        return host_radix->structureBytes();
-    if (host_ecpt)
-        return host_ecpt->structureBytes();
-    if (host_flat)
-        return host_flat->structureBytes();
-    if (host_hpt)
-        return host_hpt->structureBytes();
-    return 0;
+    return host_pt ? host_pt->structureBytes() : 0;
 }
 
 std::uint64_t
 NestedSystem::guestPteBytes() const
 {
-    if (guest_radix)
-        return guest_radix->mappingCount() * pte_bytes;
-    if (guest_hpt)
-        return guest_hpt->occupancy() * pte_bytes;
-    std::uint64_t count = 0;
-    for (auto size : all_page_sizes)
-        count += guest_ecpt->mappingCount(size);
-    return count * pte_bytes;
+    return guest_pt->mappingCount() * pte_bytes;
 }
 
 std::uint64_t
 NestedSystem::hostPteBytes() const
 {
-    if (host_radix)
-        return host_radix->mappingCount() * pte_bytes;
-    if (host_flat)
-        return host_flat->mappingCount() * pte_bytes;
-    if (host_hpt)
-        return host_hpt->occupancy() * pte_bytes;
-    if (!host_ecpt)
-        return 0;
-    std::uint64_t count = 0;
-    for (auto size : all_page_sizes)
-        count += host_ecpt->mappingCount(size);
-    return count * pte_bytes;
+    return host_pt ? host_pt->mappingCount() * pte_bytes : 0;
 }
 
 } // namespace necpt

@@ -6,11 +6,16 @@
  *
  * A NestedSystem owns:
  *  - a guest-physical pool and a host-physical pool,
- *  - the guest page table (radix or ECPT) built in guest-physical space,
- *  - the host page table (radix, ECPT, or flat) in host-physical space,
+ *  - the guest page table (radix, ECPT, or HPT) built in guest-physical
+ *    space,
+ *  - the host page table (radix, ECPT, flat, or HPT) in host-physical
+ *    space,
  *  - the registry of guest-physical ranges holding page tables (which
  *    the hypervisor always backs with 4KB pages — the Section 4.3
  *    contract that lets Step 1 probe only the PTE-hECPT).
+ *
+ * Both tables are held as PageTables (pt/page_table.hh); the
+ * constructor is the one place that picks an organization.
  *
  * In native (non-virtualized) configurations the guest page table is
  * built directly in host-physical space and guest translations are
@@ -35,15 +40,6 @@
 
 namespace necpt
 {
-
-/** Page-table organization selector. */
-enum class PtKind : std::uint8_t
-{
-    Radix,
-    Ecpt,
-    Flat, //!< host-side only (flat nested baseline, Section 9.6)
-    Hpt,  //!< classic single hashed page table (Section 2.2; 4KB only)
-};
 
 /** Full system configuration. */
 struct SystemConfig
@@ -209,17 +205,25 @@ class NestedSystem
     /// @}
 
     /// @name Structure access for walkers
+    /// Each returns the guest or host table as the organization a
+    /// walker models, or nullptr when the configuration built another.
     /// @{
     bool virtualized() const { return cfg.virtualized; }
-    RadixPageTable *guestRadix() { return guest_radix.get(); }
-    EcptPageTable *guestEcpt() { return guest_ecpt.get(); }
-    RadixPageTable *hostRadix() { return host_radix.get(); }
-    EcptPageTable *hostEcpt() { return host_ecpt.get(); }
-    FlatPageTable *hostFlat() { return host_flat.get(); }
-    HashedPageTable *guestHpt() { return guest_hpt.get(); }
-    HashedPageTable *hostHpt() { return host_hpt.get(); }
-    const EcptPageTable *guestEcpt() const { return guest_ecpt.get(); }
-    const EcptPageTable *hostEcpt() const { return host_ecpt.get(); }
+    RadixPageTable *guestRadix() { return guestAs<RadixPageTable>(); }
+    EcptPageTable *guestEcpt() { return guestAs<EcptPageTable>(); }
+    HashedPageTable *guestHpt() { return guestAs<HashedPageTable>(); }
+    RadixPageTable *hostRadix() { return hostAs<RadixPageTable>(); }
+    EcptPageTable *hostEcpt() { return hostAs<EcptPageTable>(); }
+    FlatPageTable *hostFlat() { return hostAs<FlatPageTable>(); }
+    HashedPageTable *hostHpt() { return hostAs<HashedPageTable>(); }
+    const EcptPageTable *guestEcpt() const
+    {
+        return guestAs<const EcptPageTable>();
+    }
+    const EcptPageTable *hostEcpt() const
+    {
+        return hostAs<const EcptPageTable>();
+    }
 
     /** Is @p gpa inside a guest page-table structure? (Section 4.3) */
     bool isPtRegion(Addr gpa) const { return pt_registry.contains(gpa); }
@@ -284,20 +288,27 @@ class NestedSystem
      *  guest and one host lookup, plus the faults it takes. */
     Translation makeResident(Addr gva);
 
-    void guestMap(Addr gva, Addr gpa, PageSize size);
-    void hostMap(Addr gpa, Addr hpa, PageSize size);
-
-    /** Remove the guest mapping of @p page (base-aligned) at @p size. */
-    void guestUnmap(Addr page, PageSize size);
-
-    /** Remove the host mapping of @p page (base-aligned) at @p size. */
-    void hostUnmap(Addr page, PageSize size);
-
-    /** Host mapping of @p gpa without faulting it in. */
-    Translation hostPeek(Addr gpa) const;
-
     /** Unmap the guest page containing @p gva and free its frame. */
     UnmapInfo guestUnmapPage(Addr gva);
+
+    /** The guest table as organization @p T, or nullptr. */
+    template <class T>
+    T *
+    guestAs() const
+    {
+        return cfg.guest_kind == T::kind ? static_cast<T *>(guest_pt.get())
+                                         : nullptr;
+    }
+
+    /** The host table as organization @p T, or nullptr (always when
+     *  native: there is no host table). */
+    template <class T>
+    T *
+    hostAs() const
+    {
+        return cfg.host_kind == T::kind ? static_cast<T *>(host_pt.get())
+                                        : nullptr;
+    }
 
     SystemConfig cfg;
 
@@ -309,13 +320,8 @@ class NestedSystem
     std::unique_ptr<ScatteredPtAllocator> guest_node_alloc;
     std::unique_ptr<ScatteredPtAllocator> host_node_alloc;
 
-    std::unique_ptr<RadixPageTable> guest_radix;
-    std::unique_ptr<EcptPageTable> guest_ecpt;
-    std::unique_ptr<HashedPageTable> guest_hpt;
-    std::unique_ptr<RadixPageTable> host_radix;
-    std::unique_ptr<EcptPageTable> host_ecpt;
-    std::unique_ptr<FlatPageTable> host_flat;
-    std::unique_ptr<HashedPageTable> host_hpt;
+    std::unique_ptr<PageTable> guest_pt;
+    std::unique_ptr<PageTable> host_pt; //!< null when native
 
     std::vector<Vma> vmas;
     Addr mmap_cursor;

@@ -218,7 +218,7 @@ EcptPageTable::registerMetrics(MetricsRegistry &reg,
 }
 
 void
-EcptPageTable::auditCwtConsistency(const std::string &who) const
+EcptPageTable::auditInvariants(const std::string &who) const
 {
     for (int s = 0; s < num_page_sizes; ++s) {
         const auto size = all_page_sizes[s];

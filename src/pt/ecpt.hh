@@ -23,7 +23,7 @@
 #include "common/metrics.hh"
 #include "pt/cuckoo.hh"
 #include "pt/cwt.hh"
-#include "pt/pte.hh"
+#include "pt/page_table.hh"
 
 namespace necpt
 {
@@ -75,28 +75,28 @@ struct EcptConfig
 /**
  * Elastic cuckoo page table + cuckoo walk tables for one address space.
  */
-class EcptPageTable
+class EcptPageTable final : public PageTable
 {
   public:
-    EcptPageTable(RegionAllocator &allocator, const EcptConfig &config);
+    static constexpr PtKind kind = PtKind::Ecpt;
 
     // The cuckoo tables hold non-owning references to the per-size move
-    // notifiers below; relocating this object would dangle them.
-    EcptPageTable(const EcptPageTable &) = delete;
-    EcptPageTable &operator=(const EcptPageTable &) = delete;
+    // notifiers below; relocating this object would dangle them (the
+    // PageTable base deletes copy and move).
+    EcptPageTable(RegionAllocator &allocator, const EcptConfig &config);
 
     /** Install va -> pa for a page of @p size, maintaining the CWTs. */
-    void map(Addr va, Addr pa, PageSize size);
+    void map(Addr va, Addr pa, PageSize size) override;
 
     /** Remove the mapping of the page containing @p va. */
-    void unmap(Addr va, PageSize size);
+    void unmap(Addr va, PageSize size) override;
 
     /** Permission downgrade: clear the writable bit of the PTE mapping
      *  @p va in place. @return true when such a mapping existed. */
-    bool writeProtect(Addr va, PageSize size);
+    bool writeProtect(Addr va, PageSize size) override;
 
     /** Functional lookup across all page sizes. */
-    Translation lookup(Addr va) const;
+    Translation lookup(Addr va) const override;
 
     /** Lookup restricted to one page size; also reports the way. */
     struct SizedResult
@@ -153,7 +153,7 @@ class EcptPageTable
 
     /** Arm (or disarm, with nullptr) fault injection in every
      *  underlying cuckoo table. */
-    void setFaultPlan(FaultPlan *plan);
+    void setFaultPlan(FaultPlan *plan) override;
 
     /** Attach the event tracer to every underlying cuckoo table. */
     void setTracer(TraceBuffer *tracer);
@@ -175,14 +175,14 @@ class EcptPageTable
      * both generations. Throws InvariantViolation naming @p who and
      * the first offending block.
      */
-    void auditCwtConsistency(const std::string &who) const;
+    void auditInvariants(const std::string &who) const override;
 
     /**
      * Complete all in-flight elastic resizes (tables and CWTs) — what
      * the OS's background migration finishes during idle periods.
      */
     void
-    quiesce()
+    quiesce() override
     {
         for (int s = 0; s < num_page_sizes; ++s) {
             tables[s]->finishResize();
@@ -192,7 +192,7 @@ class EcptPageTable
     }
 
     /** Bytes of all tables + CWTs (Section 9.5 accounting). */
-    std::uint64_t structureBytes() const;
+    std::uint64_t structureBytes() const override;
 
     /** Bytes of CWTs alone. */
     std::uint64_t cwtBytes() const;
@@ -201,6 +201,16 @@ class EcptPageTable
     std::uint64_t mappingCount(PageSize size) const
     {
         return mapped[static_cast<int>(size)];
+    }
+
+    /** Total mapped pages of every size. */
+    std::uint64_t
+    mappingCount() const override
+    {
+        std::uint64_t count = 0;
+        for (const std::uint64_t n : mapped)
+            count += n;
+        return count;
     }
 
     const EcptConfig &config() const { return cfg; }

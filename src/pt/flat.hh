@@ -15,7 +15,7 @@
 #include <cstdint>
 #include <unordered_map>
 
-#include "pt/pte.hh"
+#include "pt/page_table.hh"
 
 namespace necpt
 {
@@ -23,9 +23,11 @@ namespace necpt
 /**
  * A flat, direct-indexed translation array.
  */
-class FlatPageTable
+class FlatPageTable final : public PageTable
 {
   public:
+    static constexpr PtKind kind = PtKind::Flat;
+
     /**
      * @param allocator space for the array itself
      * @param covered_bytes size of the (guest-physical) space covered
@@ -33,13 +35,13 @@ class FlatPageTable
     FlatPageTable(RegionAllocator &allocator, std::uint64_t covered_bytes);
 
     /** Install gpa -> hpa for a page of @p size. */
-    void map(Addr gpa, Addr hpa, PageSize size);
+    void map(Addr gpa, Addr hpa, PageSize size) override;
 
     /** Remove the mapping containing @p gpa. */
-    void unmap(Addr gpa, PageSize size);
+    void unmap(Addr gpa, PageSize size) override;
 
     /** Functional lookup. */
-    Translation lookup(Addr gpa) const;
+    Translation lookup(Addr gpa) const override;
 
     /** Physical address of the entry a hardware walk would fetch. */
     Addr
@@ -49,9 +51,9 @@ class FlatPageTable
     }
 
     /** Bytes reserved for the array (Section 9.5 accounting). */
-    std::uint64_t structureBytes() const { return bytes; }
+    std::uint64_t structureBytes() const override { return bytes; }
 
-    std::uint64_t mappingCount() const { return entries.size(); }
+    std::uint64_t mappingCount() const override { return entries.size(); }
 
   private:
     Addr base;

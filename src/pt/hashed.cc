@@ -35,8 +35,17 @@ HashedPageTable::map(Addr va, Addr pa)
 }
 
 void
-HashedPageTable::unmap(Addr va)
+HashedPageTable::map(Addr va, Addr pa, PageSize size)
 {
+    NECPT_ASSERT(size == PageSize::Page4K);
+    const bool ok = map(va, pa);
+    NECPT_ASSERT(ok);
+}
+
+void
+HashedPageTable::unmap(Addr va, PageSize size)
+{
+    NECPT_ASSERT(size == PageSize::Page4K);
     const auto vpn = pageNumber(va, PageSize::Page4K);
     auto idx = slotOf(vpn);
     for (std::uint64_t i = 0; i < num_slots; ++i) {

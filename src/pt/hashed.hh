@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "common/hash.hh"
-#include "pt/pte.hh"
+#include "pt/page_table.hh"
 
 namespace necpt
 {
@@ -24,9 +24,11 @@ namespace necpt
 /**
  * Open-addressing (linear probing) hashed page table.
  */
-class HashedPageTable
+class HashedPageTable final : public PageTable
 {
   public:
+    static constexpr PtKind kind = PtKind::Hpt;
+
     /**
      * @param allocator backing space for the slot array
      * @param slots number of slots (power of two)
@@ -38,22 +40,32 @@ class HashedPageTable
     /** Insert va -> pa (4KB pages only). Grows never; may fail if full. */
     bool map(Addr va, Addr pa);
 
-    /** Remove the mapping for @p va (tombstone). */
-    void unmap(Addr va);
+    /** PageTable::map: @p size must be 4KB and the table must have
+     *  room (one shared table expresses one page size, Section 2.2). */
+    void map(Addr va, Addr pa, PageSize size) override;
+
+    /** Remove the 4KB mapping for @p va (tombstone). */
+    void unmap(Addr va, PageSize size) override;
+
+    Translation lookup(Addr va) const override { return lookup(va, nullptr); }
 
     /**
      * Functional lookup.
      * @param probe_addrs when non-null, receives the physical address of
      *        every slot touched while walking the collision chain.
      */
-    Translation lookup(Addr va,
-                       std::vector<Addr> *probe_addrs = nullptr) const;
+    Translation lookup(Addr va, std::vector<Addr> *probe_addrs) const;
 
     /** Mean probes per successful lookup observed so far. */
     double avgProbes() const;
 
-    std::uint64_t structureBytes() const { return num_slots * slot_bytes; }
+    std::uint64_t
+    structureBytes() const override
+    {
+        return num_slots * slot_bytes;
+    }
     std::uint64_t occupancy() const { return used; }
+    std::uint64_t mappingCount() const override { return used; }
     double loadFactor() const
     {
         return static_cast<double>(used) / static_cast<double>(num_slots);

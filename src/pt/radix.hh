@@ -18,7 +18,7 @@
 #include <memory>
 #include <vector>
 
-#include "pt/pte.hh"
+#include "pt/page_table.hh"
 
 namespace necpt
 {
@@ -34,34 +34,33 @@ struct RadixStep
 /**
  * Software-managed radix page table.
  */
-class RadixPageTable
+class RadixPageTable final : public PageTable
 {
   public:
+    static constexpr PtKind kind = PtKind::Radix;
+
     /**
      * @param allocator source of 4KB node frames (guest- or host-phys)
      * @param levels tree depth: 4 (x86-64) or 5 (Sunny-Cove LA57,
      *        the Section-1 motivation for why radix nesting worsens)
      */
     explicit RadixPageTable(RegionAllocator &allocator, int levels = 4);
-    ~RadixPageTable();
+    ~RadixPageTable() override;
 
     /** The tree's top level (4 or 5). */
     int topLevel() const { return top_level; }
-
-    RadixPageTable(const RadixPageTable &) = delete;
-    RadixPageTable &operator=(const RadixPageTable &) = delete;
 
     /**
      * Install the mapping va -> pa for a page of @p size.
      * Intermediate nodes are created on demand.
      */
-    void map(Addr va, Addr pa, PageSize size);
+    void map(Addr va, Addr pa, PageSize size) override;
 
     /** Remove the mapping for the page containing @p va. */
-    void unmap(Addr va, PageSize size);
+    void unmap(Addr va, PageSize size) override;
 
     /** Functional lookup (no timing). */
-    Translation lookup(Addr va) const;
+    Translation lookup(Addr va) const override;
 
     /**
      * Functional lookup that also reports every entry address a hardware
@@ -76,10 +75,10 @@ class RadixPageTable
     std::uint64_t nodeCount() const { return nodes; }
 
     /** Total bytes of table structure (4KB per node), for Section 9.5. */
-    std::uint64_t structureBytes() const { return nodes * 4096ULL; }
+    std::uint64_t structureBytes() const override { return nodes * 4096ULL; }
 
     /** Number of leaf mappings installed. */
-    std::uint64_t mappingCount() const { return mappings; }
+    std::uint64_t mappingCount() const override { return mappings; }
 
   private:
     struct Node;

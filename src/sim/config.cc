@@ -16,7 +16,6 @@ baseConfig(const std::string &name, WalkerKind walker, bool thp)
     ExperimentConfig cfg;
     cfg.name = name + (thp ? " THP" : "");
     cfg.walker = walker;
-    cfg.thp = thp;
     cfg.system.guest_thp = thp;
     cfg.system.host_thp = thp;
     return cfg;
@@ -124,7 +123,6 @@ makeNestedEcptConfig(const NestedEcptFeatures &features, bool thp,
     ExperimentConfig cfg;
     cfg.name = name + (thp ? " THP" : "");
     cfg.walker = WalkerKind::NestedEcpt;
-    cfg.thp = thp;
     cfg.features = features;
     cfg.system.guest_thp = thp;
     cfg.system.host_thp = thp;

@@ -39,7 +39,6 @@ struct ExperimentConfig
 {
     std::string name;
     WalkerKind walker = WalkerKind::NestedRadix;
-    bool thp = false;
     NestedEcptFeatures features = NestedEcptFeatures::advanced();
     SystemConfig system;
     MemHierarchyConfig memory;

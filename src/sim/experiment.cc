@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
+#include <limits>
 #include <thread>
 
+#include "common/parse.hh"
 #include "workloads/workload.hh"
 
 namespace necpt
@@ -14,11 +15,16 @@ namespace necpt
 namespace
 {
 
-std::uint64_t
-envU64(const char *name, std::uint64_t fallback)
+/** Environment knob @p name as a T in [@p lo, @p hi]; @p fallback
+ *  when it is unset. */
+template <typename T>
+T
+envNumber(const char *name, T fallback,
+          T lo = std::numeric_limits<T>::lowest(),
+          T hi = std::numeric_limits<T>::max())
 {
     const char *value = std::getenv(name);
-    return value ? std::strtoull(value, nullptr, 10) : fallback;
+    return value ? parseNumber<T>(name, value, lo, hi) : fallback;
 }
 
 } // namespace
@@ -27,14 +33,15 @@ SimParams
 paramsFromEnv()
 {
     SimParams params;
-    const bool full = envU64("NECPT_FULL", 0) != 0;
-    params.warmup_accesses =
-        envU64("NECPT_WARMUP", full ? 800'000 : 200'000);
-    params.measure_accesses =
-        envU64("NECPT_MEASURE", full ? 4'000'000 : 1'000'000);
-    params.scale_denominator = envU64("NECPT_SCALE", full ? 8 : 16);
-    params.max_outstanding_walks = static_cast<int>(
-        std::max<std::uint64_t>(1, envU64("NECPT_MLP", 1)));
+    const bool full = envNumber<std::uint64_t>("NECPT_FULL", 0) != 0;
+    params.warmup_accesses = envNumber<std::uint64_t>(
+        "NECPT_WARMUP", full ? 800'000 : 200'000);
+    params.measure_accesses = envNumber<std::uint64_t>(
+        "NECPT_MEASURE", full ? 4'000'000 : 1'000'000);
+    params.scale_denominator =
+        envNumber<std::uint64_t>("NECPT_SCALE", full ? 8 : 16);
+    params.max_outstanding_walks = envNumber<int>(
+        "NECPT_MLP", 1, 1, SimParams::max_outstanding_walks_limit);
     return params;
 }
 
@@ -45,9 +52,7 @@ appsFromEnv()
     if (!value)
         return paperApplications();
     std::vector<std::string> apps;
-    std::stringstream stream(value);
-    std::string app;
-    while (std::getline(stream, app, ','))
+    for (const std::string &app : splitOn(value, ','))
         if (!app.empty())
             apps.push_back(app);
     return apps;
@@ -56,11 +61,8 @@ appsFromEnv()
 int
 jobsFromEnv()
 {
-    const auto hw = std::thread::hardware_concurrency();
-    const std::uint64_t fallback =
-        std::min<std::uint64_t>(4, hw ? hw : 1);
-    const auto jobs = envU64("NECPT_JOBS", fallback);
-    return static_cast<int>(std::max<std::uint64_t>(1, jobs));
+    const auto hw = static_cast<int>(std::thread::hardware_concurrency());
+    return envNumber<int>("NECPT_JOBS", std::min(4, hw ? hw : 1), 1);
 }
 
 SimParams

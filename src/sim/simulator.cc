@@ -23,6 +23,17 @@
 namespace necpt
 {
 
+namespace
+{
+
+/** Non-memory retire cost per instruction of the 4-issue core. */
+constexpr double base_cpi = 0.3;
+
+/** Fraction of a data access's latency the ROB leaves exposed. */
+constexpr double data_exposure = 0.3;
+
+} // namespace
+
 Simulator::Simulator(const ExperimentConfig &config,
                      const SimParams &params_in)
     : cfg(config), params(params_in)
@@ -31,14 +42,25 @@ Simulator::Simulator(const ExperimentConfig &config,
         throw ConfigError(strfmt("cores must be in [1, 8], got %d",
                                  params.cores));
     if (params.max_outstanding_walks < 1
-        || params.max_outstanding_walks > 64)
+        || params.max_outstanding_walks
+               > SimParams::max_outstanding_walks_limit)
         throw ConfigError(
-            strfmt("max_outstanding_walks must be in [1, 64], got %d",
+            strfmt("max_outstanding_walks must be in [1, %d], got %d",
+                   SimParams::max_outstanding_walks_limit,
                    params.max_outstanding_walks));
     // The stats reset fires when a core reaches warmup_accesses, so an
     // empty measured window would report the warm-up as measured.
     if (params.measure_accesses == 0)
         throw ConfigError("measure accesses must be at least 1");
+    // Each core runs warm-up plus measure accesses in all; a sum that
+    // wraps would end the run early and mislabel its window.
+    if (params.warmup_accesses
+        > std::numeric_limits<std::uint64_t>::max()
+              - params.measure_accesses)
+        throw ConfigError(strfmt(
+            "warmup_accesses + measure_accesses overflows (%llu + %llu)",
+            (unsigned long long)params.warmup_accesses,
+            (unsigned long long)params.measure_accesses));
     // The serialized model never has a second same-page miss in
     // flight, so coalescing would silently do nothing.
     if (params.walk_coalescing && params.max_outstanding_walks == 1)
@@ -466,7 +488,7 @@ Simulator::runWith(const std::string &label,
             const MemAccess access = cs.workload->next();
             sim.sys->ensureResident(access.vaddr);
 
-            cs.cycle += params.base_cpi * access.inst_gap;
+            cs.cycle += base_cpi * access.inst_gap;
             cs.instructions += access.inst_gap + 1;
             ++cs.accesses;
 
@@ -501,7 +523,7 @@ Simulator::runWith(const std::string &label,
                     hpa, static_cast<Cycles>(cs.cycle), Requester::Core,
                     core);
                 cs.cycle += static_cast<double>(data.latency)
-                    * params.data_exposure;
+                    * data_exposure;
 
                 if (cs.accesses < total)
                     sched.at(cs.cycle, core, StepEv{this, core},
@@ -623,7 +645,7 @@ Simulator::runWith(const std::string &label,
             owner.watermark = std::max(
                 owner.watermark,
                 end + static_cast<double>(data.latency)
-                          * sim.params.data_exposure);
+                          * data_exposure);
             // Fan the translation out to every coalesced waiter, in
             // append order: data fetch at the primary's completion
             // (post-replay, so a waiter can never retire a translation
@@ -645,7 +667,7 @@ Simulator::runWith(const std::string &label,
                         owner.watermark = std::max(
                             owner.watermark,
                             end + static_cast<double>(wd.latency)
-                                      * sim.params.data_exposure);
+                                      * data_exposure);
                         sim.walkers[core]->recordCoalescedWalk(
                             static_cast<Cycles>(
                                 std::max(0.0, end - w.issue_cycle)));
@@ -699,8 +721,10 @@ Simulator::runWith(const std::string &label,
         Loop::evk(SimEventKind::EvPump));
     if (params.critical_path)
         loop.sched.setEdgeSink(params.critical_path);
-    if (params.prefault)
-        sys->prefaultAll();
+    // Fault the whole dataset in before warm-up, like the real
+    // applications do at initialization (Section 8 measures steady
+    // state after the region of interest is reached).
+    sys->prefaultAll();
 
     loop.total = params.warmup_accesses + params.measure_accesses;
     loop.overlap = params.max_outstanding_walks > 1;

@@ -64,14 +64,6 @@ struct SimParams
     std::uint64_t scale_denominator = 16; //!< Table-4 footprint divisor
     std::uint64_t seed = 0xD15EA5E;
     int cores = 1;               //!< simulated cores (multi-programmed)
-    double base_cpi = 0.3;       //!< non-memory retire cost (4-issue)
-    double data_exposure = 0.3;  //!< fraction of data latency exposed
-    /**
-     * Fault the whole dataset in before warm-up, like the real
-     * applications do at initialization (Section 8 measures steady
-     * state after the region of interest is reached).
-     */
-    bool prefault = true;
 
     /**
      * Per-core cap on concurrently in-flight page walks (memory-level
@@ -84,6 +76,8 @@ struct SimParams
      * (each models its own probe traffic).
      */
     int max_outstanding_walks = 1;
+    /** The largest max_outstanding_walks the Simulator accepts. */
+    static constexpr int max_outstanding_walks_limit = 64;
 
     /**
      * MSHR-style same-page walk coalescing (off by default). With

@@ -25,12 +25,12 @@
 #include "common/error.hh"
 #include "common/log.hh"
 #include "common/metrics.hh"
+#include "common/parse.hh"
 #include "common/trace_events.hh"
 #include "sim/critical_path.hh"
 #include "sim/experiment.hh"
 #include "sim/report.hh"
 #include "sim/timeseries.hh"
-#include "tools/cli.hh"
 #include "workloads/trace.hh"
 
 using namespace necpt;
@@ -164,7 +164,8 @@ run(int argc, char **argv)
         else if (arg == "--timeseries-out") timeseries_out_path = value();
         else if (arg == "--critical-path") critical_path_k = 5;
         else if (arg.rfind("--critical-path=", 0) == 0)
-            critical_path_k = i32(arg.substr(16));
+            critical_path_k = parseNumber<int>("--critical-path",
+                                               arg.substr(16), 1);
         else if (arg == "--no-attribution") params.attribution = false;
         else if (arg == "--quiet") setLogLevel(LogLevel::Quiet);
         else if (arg == "--help" || arg == "-h") {

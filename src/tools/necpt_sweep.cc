@@ -36,10 +36,10 @@
 
 #include "common/error.hh"
 #include "common/log.hh"
+#include "common/parse.hh"
 #include "common/trace_events.hh"
 #include "exec/fault_campaign.hh"
 #include "exec/registry.hh"
-#include "tools/cli.hh"
 
 using namespace necpt;
 
@@ -114,11 +114,12 @@ run(int argc, char **argv)
         auto u64 = [&](const std::string &text) {
             return parseNumber<std::uint64_t>(arg, text);
         };
-        auto i32 = [&](const std::string &text) {
-            return parseNumber<int>(arg, text);
+        // Counts below their minimum are errors, not defaults.
+        auto atLeast = [&](int lo, const std::string &text) {
+            return parseNumber<int>(arg, text, lo);
         };
         if (arg == "--list") list = true;
-        else if (arg == "--jobs") options.jobs = i32(value());
+        else if (arg == "--jobs") options.jobs = atLeast(1, value());
         else if (arg == "--timeout")
             options.timeout_ms = u64(value()) * 1000;
         else if (arg == "--seed") {
@@ -143,8 +144,9 @@ run(int argc, char **argv)
         else if (arg == "--timeseries-out") timeseries_path = value();
         else if (arg == "--faults") fault_spec_str = value();
         else if (arg == "--fault-seeds")
-            fault_seeds = i32(value());
-        else if (arg == "--retries") options.retries = i32(value());
+            fault_seeds = atLeast(1, value());
+        else if (arg == "--retries")
+            options.retries = atLeast(0, value());
         else if (arg == "--backoff-ms")
             options.backoff_ms = u64(value());
         else if (arg == "--help" || arg == "-h") {

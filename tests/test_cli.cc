@@ -22,6 +22,7 @@ struct CliCase
     int exit_code;
     const char *stderr_has; //!< required substring of the output
     const char *tool = NECPT_RUN_PATH; //!< binary under test
+    const char *env = "";              //!< VAR=value assignments, if any
 
     /** Print as the case name; the default byte dump would put this
      *  build's string addresses into the listed test name. */
@@ -31,11 +32,13 @@ struct CliCase
     }
 };
 
-/** Run @p tool with @p args; @return (exit status, merged output). */
+/** Run @p tool with @p args under the extra environment @p env;
+ *  @return (exit status, merged output). */
 std::pair<int, std::string>
-runCli(const std::string &tool, const std::string &args)
+runCli(const std::string &tool, const std::string &args,
+       const std::string &env)
 {
-    const std::string cmd = "\"" + tool + "\" " + args + " 2>&1";
+    const std::string cmd = env + " \"" + tool + "\" " + args + " 2>&1";
     std::FILE *pipe = popen(cmd.c_str(), "r");
     if (!pipe)
         return {-1, "popen failed"};
@@ -62,7 +65,7 @@ class Cli : public ::testing::TestWithParam<CliCase>
 TEST_P(Cli, RejectsBadInputCleanly)
 {
     const CliCase &c = GetParam();
-    const auto [code, out] = runCli(c.tool, c.args);
+    const auto [code, out] = runCli(c.tool, c.args, c.env);
     EXPECT_EQ(code, c.exit_code) << out;
     EXPECT_NE(out.find(c.stderr_has), std::string::npos) << out;
     EXPECT_EQ(out.find("panic"), std::string::npos) << out;
@@ -106,6 +109,27 @@ INSTANTIATE_TEST_SUITE_P(
                 1,
                 "config error: --seed value '18446744073709551616' is "
                 "out of range"},
+        CliCase{"WarmupPlusMeasureWraps",
+                "--config \"Nested ECPTs\" --app GUPS "
+                "--measure 18446744073709551611 --warmup 20",
+                1,
+                "config error: warmup_accesses + measure_accesses "
+                "overflows"},
+        CliCase{"MeasureEnvNegative",
+                "--config \"Nested ECPTs\" --app GUPS", 1,
+                "config error: NECPT_MEASURE expects a number, got '-5'",
+                NECPT_RUN_PATH, "NECPT_WARMUP=20 NECPT_MEASURE=-5"},
+        CliCase{"MlpEnvZero", "--config \"Nested ECPTs\" --app GUPS", 1,
+                "config error: NECPT_MLP must be in [1, 64], got '0'",
+                NECPT_RUN_PATH, "NECPT_MLP=0"},
+        CliCase{"ChurnPeriodNegative",
+                "--config \"Nested ECPTs\" --app GUPS --churn migrate:-5",
+                1,
+                "config error: churn spec 'migrate:-5' expects a number, "
+                "got '-5'"},
+        CliCase{"CriticalPathNegative",
+                "--config \"Nested ECPTs\" --app GUPS --critical-path=-1",
+                1, "config error: --critical-path must be at least 1"},
         CliCase{"UnknownApp",
                 "--config \"Nested ECPTs\" --app NoSuchApp",
                 1, "config error: unknown workload 'NoSuchApp'"},
@@ -117,10 +141,35 @@ INSTANTIATE_TEST_SUITE_P(
 
 INSTANTIATE_TEST_SUITE_P(
     NecptSweep, Cli,
-    ::testing::Values(CliCase{
-        "JobsNotANumber", "smoke --jobs abc --no-json", 1,
-        "config error: --jobs expects a number, got 'abc'",
-        NECPT_SWEEP_PATH}),
+    ::testing::Values(
+        CliCase{"JobsNotANumber", "smoke --jobs abc --no-json", 1,
+                "config error: --jobs expects a number, got 'abc'",
+                NECPT_SWEEP_PATH},
+        CliCase{"JobsZero", "smoke --jobs 0 --no-json", 1,
+                "config error: --jobs must be at least 1, got '0'",
+                NECPT_SWEEP_PATH},
+        CliCase{"JobsNegative", "smoke --jobs -2 --no-json", 1,
+                "config error: --jobs must be at least 1, got '-2'",
+                NECPT_SWEEP_PATH},
+        CliCase{"JobsEnvZero", "smoke --no-json", 1,
+                "config error: NECPT_JOBS must be at least 1, got '0'",
+                NECPT_SWEEP_PATH, "NECPT_JOBS=0"},
+        CliCase{"RetriesNegative", "smoke --retries -1 --no-json", 1,
+                "config error: --retries must be at least 0, got '-1'",
+                NECPT_SWEEP_PATH},
+        CliCase{"FaultSeedsZero",
+                "smoke --faults all --fault-seeds 0 --no-json", 1,
+                "config error: --fault-seeds must be at least 1, got '0'",
+                NECPT_SWEEP_PATH},
+        CliCase{"FaultCyclesNegative",
+                "smoke --faults mem:0.5:-3 --no-json", 1,
+                "config error: fault spec 'mem' cycles expects a number, "
+                "got '-3'",
+                NECPT_SWEEP_PATH},
+        CliCase{"FaultProbNaN", "smoke --faults kicks:nan --no-json", 1,
+                "config error: fault spec 'kicks' must be in [0, 1], "
+                "got 'nan'",
+                NECPT_SWEEP_PATH}),
     caseName);
 
 } // namespace

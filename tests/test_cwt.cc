@@ -213,7 +213,7 @@ TEST(Cwt, SmallerCountSurvivesEraseAndRecreate)
         EXPECT_TRUE(smaller4k(other)) << "round " << round;
         pt.unmap(other, PageSize::Page4K);
         EXPECT_FALSE(smaller4k(other)) << "round " << round;
-        pt.auditCwtConsistency("test");
+        pt.auditInvariants("test");
     }
 }
 

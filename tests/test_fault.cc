@@ -417,11 +417,11 @@ TEST(EcptFaults, InFlightResizeUnderInsertionPressureStaysConsistent)
     // The audit must pass *while* resizes are still in flight: no
     // homeless entries, no key in both generations, and every CWT
     // descriptor naming the way that really holds its block.
-    EXPECT_NO_THROW(pt.auditCwtConsistency("pressure-test"));
+    EXPECT_NO_THROW(pt.auditInvariants("pressure-test"));
 
     // And again after quiescing (all migrations completed).
     pt.quiesce();
-    EXPECT_NO_THROW(pt.auditCwtConsistency("pressure-test-quiesced"));
+    EXPECT_NO_THROW(pt.auditInvariants("pressure-test-quiesced"));
 
     // Spot-check translations survived the churn.
     for (std::uint64_t i = 0; i < 4000; i += 97) {
@@ -439,12 +439,12 @@ TEST(EcptFaults, AuditCatchesAStaleCwtWay)
     for (std::uint64_t i = 0; i < 64; ++i)
         pt.map(0x1000'0000ULL + (i << 21), 0x2000'0000ULL + (i << 21),
                PageSize::Page2M);
-    EXPECT_NO_THROW(pt.auditCwtConsistency("clean"));
+    EXPECT_NO_THROW(pt.auditInvariants("clean"));
 
     // Manufacture staleness: clear a descriptor behind the table's
     // back, as a missed CWT update would.
     pt.cwtOf(PageSize::Page2M)->clearPresent(0x1000'0000ULL);
-    EXPECT_THROW(pt.auditCwtConsistency("stale"), InvariantViolation);
+    EXPECT_THROW(pt.auditInvariants("stale"), InvariantViolation);
 }
 
 // --------------------------------------------------------- trace site

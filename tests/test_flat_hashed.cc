@@ -93,7 +93,7 @@ TEST(Hashed, TombstoneKeepsChainsIntact)
     HashedPageTable hpt(alloc, 64);
     for (Addr va = 0; va < 20 * 4096; va += 4096)
         hpt.map(va, va);
-    hpt.unmap(0);
+    hpt.unmap(0, PageSize::Page4K);
     // Everything else still resolves despite the tombstone.
     for (Addr va = 4096; va < 20 * 4096; va += 4096)
         EXPECT_TRUE(hpt.lookup(va).valid) << va;
