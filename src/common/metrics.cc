@@ -4,36 +4,10 @@
 #include <sstream>
 
 #include "common/error.hh"
+#include "common/json.hh"
 
 namespace necpt
 {
-
-namespace
-{
-
-/** Shortest round-trippable-enough double, locale-independent. */
-std::string
-fmtDouble(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.12g", v);
-    return buf;
-}
-
-std::string
-jsonEscape(const std::string &in)
-{
-    std::string out;
-    out.reserve(in.size());
-    for (char c : in) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(c);
-    }
-    return out;
-}
-
-} // namespace
 
 MetricsRegistry::Entry &
 MetricsRegistry::claim(const std::string &name)
@@ -169,13 +143,13 @@ MetricsRegistry::toJson() const
             os << "\"kind\":\"counter\",\"value\":" << e.counter();
             break;
         case Kind::Value:
-            os << "\"kind\":\"value\",\"value\":" << fmtDouble(e.value());
+            os << "\"kind\":\"value\",\"value\":" << jsonNumber(e.value());
             break;
         case Kind::Histogram: {
             const Histogram &h = *e.hist;
             os << "\"kind\":\"histogram\",\"bin_width\":" << h.binWidth()
                << ",\"total\":" << h.total() << ",\"max\":" << h.max()
-               << ",\"mean\":" << fmtDouble(h.mean()) << ",\"bins\":[";
+               << ",\"mean\":" << jsonNumber(h.mean()) << ",\"bins\":[";
             for (std::size_t b = 0; b < h.numBins(); ++b) {
                 if (b)
                     os << ",";
@@ -187,14 +161,14 @@ MetricsRegistry::toJson() const
         case Kind::Rates: {
             const RateMonitor &m = *e.rates;
             os << "\"kind\":\"rates\",\"interval\":" << m.intervalCycles()
-               << ",\"last\":" << fmtDouble(m.lastRate())
+               << ",\"last\":" << jsonNumber(m.lastRate())
                << ",\"history\":[";
             bool h1 = true;
             for (double r : m.history()) {
                 if (!h1)
                     os << ",";
                 h1 = false;
-                os << fmtDouble(r);
+                os << jsonNumber(r);
             }
             os << "]";
             break;

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <sstream>
 
+#include "common/json.hh"
 #include "common/log.hh"
 
 namespace necpt
@@ -28,25 +29,14 @@ namespace
 {
 
 void
-escapeInto(std::ostringstream &os, const char *s)
-{
-    for (; *s; ++s) {
-        if (*s == '"' || *s == '\\')
-            os << '\\';
-        os << *s;
-    }
-}
-
-void
 writeEvent(std::ostringstream &os, const TraceEvent &e, bool &first)
 {
     if (!first)
         os << ",\n";
     first = false;
-    os << "{\"name\":\"";
-    escapeInto(os, e.name);
-    os << "\",\"cat\":\"" << traceCatName(e.cat) << "\",\"ph\":\""
-       << e.ph << "\",\"pid\":" << e.pid << ",\"tid\":" << e.tid
+    os << "{\"name\":\"" << jsonEscape(e.name) << "\",\"cat\":\""
+       << traceCatName(e.cat) << "\",\"ph\":\"" << e.ph
+       << "\",\"pid\":" << e.pid << ",\"tid\":" << e.tid
        << ",\"ts\":" << e.ts;
     if (e.ph == 'X')
         os << ",\"dur\":" << e.dur;
@@ -59,13 +49,9 @@ writeEvent(std::ostringstream &os, const TraceEvent &e, bool &first)
         for (std::uint8_t i = 0; i < e.nargs; ++i) {
             if (i)
                 os << ",";
-            os << "\"";
-            escapeInto(os, e.args[i].key);
-            os << "\":";
+            os << "\"" << jsonEscape(e.args[i].key) << "\":";
             if (e.args[i].text) {
-                os << "\"";
-                escapeInto(os, e.args[i].text);
-                os << "\"";
+                os << "\"" << jsonEscape(e.args[i].text) << "\"";
             } else {
                 os << e.args[i].value;
             }
@@ -84,9 +70,8 @@ writeProcessName(std::ostringstream &os, std::uint32_t pid,
         os << ",\n";
     first = false;
     os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << pid
-       << ",\"tid\":0,\"args\":{\"name\":\"";
-    escapeInto(os, name.c_str());
-    os << "\"}}";
+       << ",\"tid\":0,\"args\":{\"name\":\"" << jsonEscape(name)
+       << "\"}}";
 }
 
 } // namespace

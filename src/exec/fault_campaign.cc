@@ -137,17 +137,25 @@ printFaultCampaignSummary(const ResultSink &sink,
             ++by_kind[r.error_kind.empty() ? "?" : r.error_kind];
     }
 
-    std::printf("\nFault campaign: %s under %d fault seeds\n",
-                faultSpecToString(copts.spec).c_str(),
-                copts.fault_seeds);
-    std::printf("  jobs %zu | ok %zu | surfaced faults %zu | "
-                "attempts %zu (%zu jobs retried)\n",
-                sink.size(), sink.okCount(), sink.failedCount(),
-                attempts, retried);
+    Table table{strfmt("Fault campaign: %s under %d fault seeds",
+                       faultSpecToString(copts.spec).c_str(),
+                       copts.fault_seeds),
+                {"records"},
+                {{"count", 0}},
+                {},
+                {"every fault surfaced as a typed record; the process "
+                 "never aborted."}};
+    auto add = [&table](const std::string &label, std::size_t n) {
+        table.rows.push_back({{label}, {static_cast<double>(n)}});
+    };
+    add("jobs", sink.size());
+    add("ok", sink.okCount());
+    add("surfaced faults", sink.failedCount());
     for (const auto &[kind, n] : by_kind)
-        std::printf("  %-20s %zu\n", kind.c_str(), n);
-    std::printf("  every fault surfaced as a typed record; the process "
-                "never aborted.\n");
+        add("  " + kind, n);
+    add("attempts", attempts);
+    add("jobs retried", retried);
+    printTables({table});
 }
 
 } // namespace necpt

@@ -48,8 +48,9 @@ std::vector<JobSpec> makeFaultCampaignJobs(
     const FaultCampaignOptions &copts);
 
 /**
- * Print the campaign verdict: records per status and error kind,
- * retry pressure (total attempts vs jobs), and the survival line.
+ * Print the campaign verdict as a table: records per status and error
+ * kind, retry pressure (total attempts vs jobs), and the survival
+ * line.
  */
 void printFaultCampaignSummary(const ResultSink &sink,
                                const FaultCampaignOptions &copts);

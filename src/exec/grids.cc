@@ -1,21 +1,26 @@
 /**
  * @file
  * The registered sweep grids: every paper figure, table and section
- * experiment that runs a simulation, plus the engine's own design
- * points. Each grid's print_summary prints its tables from the
- * structured records, and prints "(failed)" wherever a run it needs
- * failed or timed out.
+ * experiment, plus the engine's own design points. Each grid's
+ * summary turns the finished records into tables (exec/table.hh); a
+ * row that needs a run which failed or timed out holds that run's
+ * status, and the renderer marks the row failed or timed out.
+ *
+ * Most figures and sections run every configuration on every app and
+ * read their cells by job key. Every other grid is a list of sections,
+ * a table plus the points (jobs) that fill its rows, so its job list
+ * and its summary derive from one list.
  */
 
 #include "exec/registry.hh"
 
 #include <algorithm>
-#include <cstdio>
-#include <functional>
 
 #include "coherence/churn.hh"
 #include "common/error.hh"
 #include "common/stats.hh"
+#include "pt/ecpt.hh"
+#include "sim/cacti_lite.hh"
 #include "sim/config.hh"
 #include "walk/nested_radix.hh"
 #include "workloads/workload.hh"
@@ -26,76 +31,31 @@ namespace necpt
 namespace
 {
 
-// ------------------------------------------------------------ tables
+using Jobs = std::vector<JobSpec>;
+using Names = std::vector<std::string>;
+using Configs = std::vector<ExperimentConfig>;
+using Cells = std::vector<Cell>;
+using CellsFn = std::function<Cells(const Outputs &)>;
 
-void
-printHeader(const std::string &title)
+// ---------------------------------------------------------- helpers
+
+/** Key of the (config, app) job of a config x app grid. */
+std::string
+jobKey(const std::string &grid, const std::string &config,
+       const std::string &app)
 {
-    std::printf("\n=== %s ===\n", title.c_str());
+    return grid + "/" + config + "/" + app;
 }
 
-using CellRatio =
-    std::function<double(const SimResult &cell, const SimResult &base)>;
-
-/**
- * The per-app columns plus GeoMean, then one row per configuration of
- * ratio(cell, Nested Radix cell). A configuration whose own or
- * baseline runs failed prints "(failed)".
- */
-void
-printRatioRows(const ResultGrid &grid,
-               const std::vector<ExperimentConfig> &configs,
-               const std::vector<std::string> &apps,
-               const CellRatio &ratio)
+/** Keys of every (config, app) job of @p configs x @p apps. */
+Names
+jobKeys(const std::string &grid, const Names &configs, const Names &apps)
 {
-    std::printf("%-24s", "Configuration");
-    for (const std::string &app : apps)
-        std::printf("%9s", app.c_str());
-    std::printf("%9s\n", "GeoMean");
-    for (const ExperimentConfig &cfg : configs) {
-        std::printf("%-24s", cfg.name.c_str());
-        if (!grid.complete(cfg.name, apps)
-            || !grid.complete("Nested Radix", apps)) {
-            std::printf(" (failed)\n");
-            continue;
-        }
-        std::vector<double> row;
-        for (const auto &app : apps)
-            row.push_back(ratio(grid.at(cfg.name, app),
-                                grid.at("Nested Radix", app)));
-        row.push_back(geoMean(row));
-        for (const double v : row)
-            std::printf("%9.3f", v);
-        std::printf("\n");
-    }
-}
-
-// ------------------------------------------------------------- fig9
-
-/** The Figure-9 configuration set: Table-1 rows plus the Advanced
- *  feature ladder (each step adds one technique to the previous). */
-std::vector<ExperimentConfig>
-fig9Configs()
-{
-    std::vector<ExperimentConfig> configs;
-    for (const ConfigId id : table1Configs())
-        configs.push_back(makeConfig(id));
-    for (const bool thp : {false, true}) {
-        NestedEcptFeatures f = NestedEcptFeatures::plain();
-        configs.push_back(
-            makeNestedEcptConfig(f, thp, "Plain Nested ECPTs"));
-        f.stc = true;
-        configs.push_back(makeNestedEcptConfig(f, thp, "Plain+STC"));
-        f.step1_pte_hcwt = true;
-        configs.push_back(
-            makeNestedEcptConfig(f, thp, "Plain+STC+Step1"));
-        f.step3_adaptive_pte = true;
-        configs.push_back(
-            makeNestedEcptConfig(f, thp, "Plain+STC+Step1+Step3"));
-        // f.pt_4kb = true would equal the full Advanced design, which
-        // is already in the Table-1 set.
-    }
-    return configs;
+    Names keys;
+    for (const std::string &config : configs)
+        for (const std::string &app : apps)
+            keys.push_back(jobKey(grid, config, app));
+    return keys;
 }
 
 /** A job that runs one simulation. Every configuration runs the
@@ -124,71 +84,299 @@ simJob(const std::string &key, const ExperimentConfig &config,
     return spec;
 }
 
-void
-fig9Summary(const ResultSink &sink, const SimParams &)
+/** The mean of @p value over @p outputs, summed as value / n. */
+double
+meanOf(const Outputs &outputs,
+       const std::function<double(const JobOutput &)> &value)
 {
-    const auto apps = appsFromEnv();
-    const ResultGrid grid = sink.toGrid();
-    if (!grid.complete("Nested Radix", apps)) {
-        std::printf("\n(baseline 'Nested Radix' runs failed; "
-                    "no speedups to report)\n");
-        return;
-    }
-
-    // Per-application speedups (Figure 9's bars).
-    printHeader("Speedup over Nested Radix (higher is better)");
-    std::vector<ExperimentConfig> configs;
-    for (const ExperimentConfig &cfg : fig9Configs())
-        if (cfg.name != "Nested Radix")
-            configs.push_back(cfg);
-    printRatioRows(grid, configs, apps,
-                   [](const SimResult &cell, const SimResult &base) {
-                       return static_cast<double>(base.cycles)
-                           / static_cast<double>(cell.cycles);
-                   });
-
-    // Technique-contribution summary (the stacked segments of Fig. 9).
-    printHeader("Advanced-technique contributions (geomean speedup)");
-    for (const bool thp : {false, true}) {
-        const std::string suffix = thp ? " THP" : "";
-        bool complete = true;
-        for (const char *config :
-             {"Plain Nested ECPTs", "Plain+STC", "Plain+STC+Step1",
-              "Plain+STC+Step1+Step3", "Nested ECPTs"})
-            complete &= grid.complete(config + suffix, apps);
-        if (!complete) {
-            std::printf("%-6s (failed)\n", thp ? "THP" : "4KB");
-            continue;
-        }
-        auto gm = [&](const std::string &config) {
-            std::vector<double> v;
-            for (const auto &app : apps)
-                v.push_back(speedupOver(grid, "Nested Radix",
-                                        config + suffix, app));
-            return geoMean(v);
-        };
-        const double plain = gm("Plain Nested ECPTs");
-        const double stc = gm("Plain+STC");
-        const double step1 = gm("Plain+STC+Step1");
-        const double step3 = gm("Plain+STC+Step1+Step3");
-        const double advanced = gm("Nested ECPTs");
-        std::printf("%-6s plain %.3f | +STC %+0.1f%% | +Step1 %+0.1f%% "
-                    "| +Step3 %+0.1f%% | +4KB %+0.1f%% => advanced "
-                    "%.3f\n",
-                    thp ? "THP" : "4KB", plain,
-                    (stc / plain - 1) * 100, (step1 / stc - 1) * 100,
-                    (step3 / step1 - 1) * 100,
-                    (advanced / step3 - 1) * 100, advanced);
-    }
-
-    std::printf("\nPaper: Nested ECPTs 1.19x (4KB), 1.24x (THP); "
-                "Plain ~1.03-1.05x; Hybrid 1.12x/1.13x.\n");
+    double sum = 0;
+    for (const JobOutput *out : outputs)
+        sum += value(*out) / outputs.size();
+    return sum;
 }
 
-// ------------------------------------------------------------ fig10
+/** Cells of one output: its metric, or else its label, per name. */
+CellsFn
+fields(const Names &names)
+{
+    return [names](const Outputs &o) {
+        Cells cells;
+        for (const std::string &name : names) {
+            const auto it = o[0]->metrics.find(name);
+            cells.push_back(it != o[0]->metrics.end()
+                                ? Cell(it->second)
+                                : Cell(o[0]->labels.at(name)));
+        }
+        return cells;
+    };
+}
+
+/** One column per app, printed with @p precision digits. */
+std::vector<Column>
+appColumns(const Names &apps, int precision = 3)
+{
+    std::vector<Column> columns;
+    for (const std::string &app : apps)
+        columns.push_back({app, precision});
+    return columns;
+}
+
+double
+metricOr(const JobOutput &out, const char *name, double fallback)
+{
+    const auto it = out.metrics.find(name);
+    return it == out.metrics.end() ? fallback : it->second;
+}
+
+// ------------------------------------------------- config x app grids
+
+/** The job list of a config x app grid. */
+std::function<Jobs(const SimParams &)>
+configGrid(const std::string &grid, Configs (*configs)(),
+           Names (*apps)() = appsFromEnv)
+{
+    return [=](const SimParams &params) {
+        return configAppJobs(grid, configs(), apps(), params);
+    };
+}
+
+/** Speedup of @p cell over @p base: the cycle ratio base / cell. */
+double
+speedup(const SimResult &cell, const SimResult &base)
+{
+    return static_cast<double>(base.cycles)
+        / static_cast<double>(cell.cycles);
+}
+
+/** One row of a ratio table: @p config's runs over @p base's. */
+struct RatioRow
+{
+    std::string label, config, base;
+};
+
+/** Rows of @p configs over the Nested Radix runs. */
+std::vector<RatioRow>
+overNestedRadix(const Configs &configs)
+{
+    std::vector<RatioRow> rows;
+    for (const ExperimentConfig &cfg : configs)
+        rows.push_back({cfg.name, cfg.name, "Nested Radix"});
+    return rows;
+}
+
+/** A config x app ratio table: per row, ratio(config run, base run)
+ *  on every app, then their GeoMean. Figures 9, 10 and 13 and
+ *  Section 9.6 are all this shape. */
+Table
+ratioTable(const ResultSink &sink, const std::string &grid,
+           const std::string &title, const std::vector<RatioRow> &rows,
+           const Names &apps,
+           const std::function<double(const SimResult &cell,
+                                      const SimResult &base)> &ratio,
+           const std::string &label_header = "Configuration")
+{
+    Table table{title, {label_header}, appColumns(apps)};
+    table.columns.push_back({"GeoMean"});
+    for (const RatioRow &row : rows)
+        table.rows.push_back(rowOf(
+            sink, {row.label}, jobKeys(grid, {row.config, row.base}, apps),
+            [&](const Outputs &o) {
+                std::vector<double> v;
+                for (std::size_t i = 0; i < apps.size(); ++i)
+                    v.push_back(ratio(o[i]->sim, o[apps.size() + i]->sim));
+                v.push_back(geoMean(v));
+                return Cells(v.begin(), v.end());
+            }));
+    return table;
+}
+
+// ---------------------------------------------------- section grids
+
+/**
+ * One job and the summary row it fills: a simulation of @p config on
+ * @p app at @p params or, when @p fill is set, a job that runs no
+ * simulation and fills its output. Points with equal labels fill one
+ * row, their outputs in job order.
+ */
+struct Point
+{
+    std::string key;
+    Names labels;
+    ExperimentConfig config = {};
+    SimParams params = {};
+    std::string app = "GUPS";
+    std::function<void(JobOutput &)> fill = {};
+};
+
+using Points = std::vector<Point>;
+
+/** A table and the points whose outputs fill its rows via cells. */
+struct Section
+{
+    Table table;
+    CellsFn cells;
+    Points points = {};
+};
+
+using Sections = std::vector<Section>;
+
+/** @p id on @p cores cores sharing the L3 and DRAM. */
+Point
+sharedPoint(std::string key, Names labels, ConfigId id,
+            const SimParams &params, int cores)
+{
+    Point p{std::move(key), std::move(labels), makeConfig(id), params};
+    configureSharedResources(p.config, cores);
+    p.params.cores = cores;
+    return p;
+}
+
+/** A point whose job runs no simulation; its output names the row
+ *  (sim.app) before @p fill adds the rest. */
+Point
+staticPoint(std::string key, Names labels,
+            std::function<void(JobOutput &)> fill)
+{
+    Point p{std::move(key), std::move(labels)};
+    p.fill = std::move(fill);
+    return p;
+}
+
+/** The job list of a section grid: every point, in order. */
+std::function<Jobs(const SimParams &)>
+sectionJobs(Sections (*grid)(const SimParams &))
+{
+    return [grid](const SimParams &params) {
+        Jobs jobs;
+        for (const Section &section : grid(params))
+            for (const Point &p : section.points) {
+                if (!p.fill) {
+                    jobs.push_back(simJob(p.key, p.config, p.params, p.app));
+                    continue;
+                }
+                JobSpec spec;
+                spec.key = p.key;
+                spec.fn = [row = p.labels.front(),
+                           fill = p.fill](const JobContext &) {
+                    JobOutput out;
+                    out.sim.app = row;
+                    fill(out);
+                    return out;
+                };
+                jobs.push_back(std::move(spec));
+            }
+        return jobs;
+    };
+}
+
+/** The summary of a section grid: each table, one row per distinct
+ *  labels of its points, in order of first appearance. */
+std::function<std::vector<Table>(const ResultSink &, const SimParams &)>
+sectionSummary(Sections (*grid)(const SimParams &))
+{
+    return [grid](const ResultSink &sink, const SimParams &params) {
+        std::vector<Table> tables;
+        for (Section &section : grid(params)) {
+            std::vector<std::pair<Names, Names>> rows; // labels, keys
+            for (const Point &p : section.points) {
+                auto it = std::find_if(rows.begin(), rows.end(),
+                                       [&](const auto &row) {
+                                           return row.first == p.labels;
+                                       });
+                if (it == rows.end())
+                    it = rows.insert(it, {p.labels, {}});
+                it->second.push_back(p.key);
+            }
+            for (const auto &[labels, keys] : rows)
+                section.table.rows.push_back(
+                    rowOf(sink, labels, keys, section.cells));
+            tables.push_back(std::move(section.table));
+        }
+        return tables;
+    };
+}
+
+/** The two designs the multicore, smoke, mlp and shootdown grids run
+ *  head to head. */
+const ConfigId head_to_head[] = {ConfigId::NestedRadix,
+                                 ConfigId::NestedEcpt};
+
+// ---------------------------------------------- figures and sections
+
+/** The Figure-9 configuration set: Table-1 rows plus the Advanced
+ *  feature ladder (each step adds one technique to the previous). */
+Configs
+fig9Configs()
+{
+    Configs configs;
+    for (const ConfigId id : table1Configs())
+        configs.push_back(makeConfig(id));
+    for (const bool thp : {false, true}) {
+        NestedEcptFeatures f = NestedEcptFeatures::plain();
+        configs.push_back(
+            makeNestedEcptConfig(f, thp, "Plain Nested ECPTs"));
+        f.stc = true;
+        configs.push_back(makeNestedEcptConfig(f, thp, "Plain+STC"));
+        f.step1_pte_hcwt = true;
+        configs.push_back(
+            makeNestedEcptConfig(f, thp, "Plain+STC+Step1"));
+        f.step3_adaptive_pte = true;
+        configs.push_back(
+            makeNestedEcptConfig(f, thp, "Plain+STC+Step1+Step3"));
+        // f.pt_4kb = true would equal the full Advanced design, which
+        // is already in the Table-1 set.
+    }
+    return configs;
+}
+
+std::vector<Table>
+fig9Summary(const ResultSink &sink, const SimParams &)
+{
+    // Per-application speedups (Figure 9's bars).
+    Configs configs = fig9Configs();
+    std::erase_if(configs, [](const ExperimentConfig &cfg) {
+        return cfg.name == "Nested Radix";
+    });
+    const Table speedups = ratioTable(
+        sink, "fig9", "Speedup over Nested Radix (higher is better)",
+        overNestedRadix(configs), appsFromEnv(), speedup);
+
+    // Technique contributions (the stacked segments of Fig. 9): each
+    // ladder step's geomean speedup, from the table above, and the
+    // percent it adds.
+    Table steps{"Advanced-technique contributions (geomean speedup)",
+                {"Pages"},
+                {{"plain"}, {"+STC", 1, "%"}, {"+Step1", 1, "%"},
+                 {"+Step3", 1, "%"}, {"+4KB", 1, "%"}, {"advanced"}},
+                {},
+                {"Paper: Nested ECPTs 1.19x (4KB), 1.24x (THP); Plain "
+                 "~1.03-1.05x; Hybrid 1.12x/1.13x."}};
+    for (const std::string suffix : {"", " THP"}) {
+        Row row{{suffix.empty() ? "4KB" : "THP"}, {}};
+        std::vector<double> gm;
+        for (const std::string step :
+             {"Plain Nested ECPTs", "Plain+STC", "Plain+STC+Step1",
+              "Plain+STC+Step1+Step3", "Nested ECPTs"})
+            for (const Row &r : speedups.rows)
+                if (r.labels[0] == step + suffix) {
+                    if (!std::holds_alternative<double>(r.cells.back()))
+                        row.cells = {r.cells.back()};
+                    else
+                        gm.push_back(std::get<double>(r.cells.back()));
+                }
+        if (row.cells.empty()) {
+            row.cells.emplace_back(gm[0]);
+            for (std::size_t i = 1; i < gm.size(); ++i)
+                row.cells.emplace_back((gm[i] / gm[i - 1] - 1) * 100);
+            row.cells.emplace_back(gm.back());
+        }
+        steps.rows.push_back(row);
+    }
+    return {speedups, steps};
+}
 
 /** The THP pair Figure 11 and Section 9.5 compare. */
-std::vector<ExperimentConfig>
+Configs
 thpPairConfigs()
 {
     return {makeConfig(ConfigId::NestedRadixThp),
@@ -196,7 +384,7 @@ thpPairConfigs()
 }
 
 /** The four nested designs Figures 10 and 13 compare. */
-std::vector<ExperimentConfig>
+Configs
 nestedConfigs()
 {
     return {makeConfig(ConfigId::NestedRadix),
@@ -205,110 +393,102 @@ nestedConfigs()
             makeConfig(ConfigId::NestedEcptThp)};
 }
 
-void
+std::vector<Table>
 fig10Summary(const ResultSink &sink, const SimParams &)
 {
     // Conservation makes the attribution total equal mmu_busy_cycles
     // exactly, so the figure reads the attr.* rollup — any missed
     // charge shifts these columns.
-    printRatioRows(sink.toGrid(), nestedConfigs(), appsFromEnv(),
-                   [](const SimResult &cell, const SimResult &base) {
-                       return cell.metrics.at("attr.total.cycles")
-                           / base.metrics.at("attr.total.cycles");
-                   });
-    std::printf("\nPaper: Nested ECPTs ~0.75 (4KB) and ~0.69 (THP) of "
-                "Nested Radix busy cycles.\n");
+    Table table = ratioTable(
+        sink, "fig10", "", overNestedRadix(nestedConfigs()),
+        appsFromEnv(), [](const SimResult &cell, const SimResult &base) {
+            return cell.metrics.at("attr.total.cycles")
+                / base.metrics.at("attr.total.cycles");
+        });
+    table.notes = {"Paper: Nested ECPTs ~0.75 (4KB) and ~0.69 (THP) of "
+                   "Nested Radix busy cycles."};
+    return {table};
 }
 
-// ------------------------------------------------------------ fig11
-
-void
+std::vector<Table>
 fig11Summary(const ResultSink &sink, const SimParams &)
 {
-    const ResultGrid grid = sink.toGrid();
-    if (!grid.has("Nested Radix THP", "MUMmer")
-        || !grid.has("Nested ECPTs THP", "MUMmer")) {
-        std::printf("MUMmer (failed)\n");
-        return;
+    const Names keys = jobKeys(
+        "fig11", {"Nested Radix THP", "Nested ECPTs THP"}, {"MUMmer"});
+    Table bins{"", {"MMU cycles"},
+               {{"NestedRadix THP", 4}, {"NestedECPT THP", 4}}};
+    const JobStatus status = sink.firstFailure(keys);
+    if (status != JobStatus::Ok) {
+        bins.rows.push_back({{"MUMmer"}, {status}});
+        return {bins};
     }
-    const SimResult &radix = grid.at("Nested Radix THP", "MUMmer");
-    const SimResult &ecpt = grid.at("Nested ECPTs THP", "MUMmer");
-
-    std::printf("%-14s %14s %14s\n", "MMU cycles", "NestedRadix THP",
-                "NestedECPT THP");
-    const auto &h = radix.walk_latency;
-    for (std::size_t bin = 0; bin + 1 < h.numBins(); ++bin) {
-        const auto lo = bin * h.binWidth();
-        std::printf("[%4llu,%4llu)   %13.4f %14.4f\n",
-                    (unsigned long long)lo,
-                    (unsigned long long)(lo + h.binWidth()),
-                    radix.walk_latency.probability(bin),
-                    ecpt.walk_latency.probability(bin));
+    const Histogram &radix = sink.find(keys[0])->out.sim.walk_latency;
+    const Histogram &ecpt = sink.find(keys[1])->out.sim.walk_latency;
+    const std::size_t last = radix.numBins() - 1;
+    for (std::size_t bin = 0; bin < last; ++bin) {
+        const auto lo = bin * radix.binWidth();
+        bins.rows.push_back(
+            {{strfmt("[%4llu,%4llu)", (unsigned long long)lo,
+                     (unsigned long long)(lo + radix.binWidth()))},
+             {radix.probability(bin), ecpt.probability(bin)}});
     }
-    std::printf("%-14s %14.4f %14.4f\n", "overflow",
-                radix.walk_latency.probability(h.numBins() - 1),
-                ecpt.walk_latency.probability(h.numBins() - 1));
+    bins.rows.push_back(
+        {{"overflow"}, {radix.probability(last), ecpt.probability(last)}});
 
-    std::printf("\nSummary: mean %llu vs %llu cycles; "
-                "p95 %llu vs %llu; max %llu vs %llu\n",
-                (unsigned long long)radix.walk_latency.mean(),
-                (unsigned long long)ecpt.walk_latency.mean(),
-                (unsigned long long)radix.walk_latency.percentile(95),
-                (unsigned long long)ecpt.walk_latency.percentile(95),
-                (unsigned long long)radix.walk_latency.max(),
-                (unsigned long long)ecpt.walk_latency.max());
-    std::printf("Paper: radix THP exhibits a long tail of several "
-                "hundred cycles; ECPT walks finish within ~4 DRAM "
-                "accesses.\n");
+    // The mean is cut to whole cycles.
+    Table summary{
+        "",
+        {"Summary (cycles)"},
+        {{"NestedRadix THP", 0}, {"NestedECPT THP", 0}},
+        {{{"mean"},
+          {double(std::uint64_t(radix.mean())),
+           double(std::uint64_t(ecpt.mean()))}},
+         {{"p95"}, {double(radix.percentile(95)), double(ecpt.percentile(95))}},
+         {{"max"}, {double(radix.max()), double(ecpt.max())}}},
+        {"Paper: radix THP exhibits a long tail of several hundred "
+         "cycles; ECPT walks finish within ~4 DRAM accesses."}};
+    return {bins, summary};
 }
 
-// ------------------------------------------------------------ fig12
-
-void
-fig12Summary(const ResultSink &sink, const SimParams &)
+Sections
+fig12Grid(const SimParams &params)
 {
-    const ResultGrid grid = sink.toGrid();
-    std::printf("%-10s %14s %14s %s\n", "App", "PTE hit rate",
-                "PMD hit rate", "PTE caching");
-    for (const auto &app : appsFromEnv()) {
-        if (!grid.has("Nested ECPTs THP", app)) {
-            std::printf("%-10s (failed)\n", app.c_str());
-            continue;
-        }
-        // Read through the unified metric names (SimResult::metrics
-        // aliases the legacy scalar fields byte-for-byte).
-        const auto &m = grid.at("Nested ECPTs THP", app).metrics;
-        const double pte_rate = m.at("adaptive.pte.rate");
-        const double pmd_rate = m.at("adaptive.pmd.rate");
-        if (m.at("cwc.hcwc_step3.pte.accesses") < 16) {
-            // All of this app's measured data was huge-page backed:
-            // Step 3 never reached the PTE level.
-            std::printf("%-10s %14s %14.3f %s\n", app.c_str(), "n/a",
-                        pmd_rate,
-                        "unused (no 4KB-backed data touched)");
-            continue;
-        }
-        const bool would_disable = pte_rate >= 0 && pte_rate < 0.5;
-        std::printf("%-10s %14.3f %14.3f %s\n", app.c_str(), pte_rate,
-                    pmd_rate,
-                    would_disable ? "disabled (rate < 0.5)"
-                                  : "enabled");
-    }
-    std::printf("\nThresholds: disable PTE caching below 0.5; while "
-                "disabled, re-enable when PMD rate > 0.85.\n");
-    std::printf("Paper: PTE rates high everywhere except GUPS and "
-                "SysBench (whose PMD rates are also lower).\n");
+    Sections sections = {
+        {{"",
+          {"App"},
+          {{"PTE hit rate"}, {"PMD hit rate"}, {"PTE caching"}},
+          {},
+          {"Thresholds: disable PTE caching below 0.5; while disabled, "
+           "re-enable when PMD rate > 0.85.",
+           "Paper: PTE rates high everywhere except GUPS and SysBench "
+           "(whose PMD rates are also lower)."}},
+         [](const Outputs &o) -> Cells {
+             // Read through the unified metric names (SimResult::metrics
+             // aliases the legacy scalar fields byte-for-byte).
+             const auto &m = o[0]->metrics;
+             const double pte_rate = m.at("adaptive.pte.rate");
+             const double pmd_rate = m.at("adaptive.pmd.rate");
+             // All of this app's measured data was huge-page backed:
+             // Step 3 never reached the PTE level.
+             if (m.at("cwc.hcwc_step3.pte.accesses") < 16)
+                 return {"n/a", pmd_rate,
+                         "unused (no 4KB-backed data touched)"};
+             const bool would_disable = pte_rate >= 0 && pte_rate < 0.5;
+             return {pte_rate, pmd_rate,
+                     would_disable ? "disabled (rate < 0.5)" : "enabled"};
+         }}};
+    for (const std::string &app : appsFromEnv())
+        sections[0].points.push_back(
+            {jobKey("fig12", "Nested ECPTs THP", app), {app},
+             makeConfig(ConfigId::NestedEcptThp), params, app});
+    return sections;
 }
 
-// ------------------------------------------------------------ fig13
-
-void
+std::vector<Table>
 fig13Summary(const ResultSink &sink, const SimParams &)
 {
     const auto apps = appsFromEnv();
     const auto configs = nestedConfigs();
-    const ResultGrid grid = sink.toGrid();
-
     const struct
     {
         const char *title;
@@ -319,50 +499,45 @@ fig13Summary(const ResultSink &sink, const SimParams &)
         {"(b) L2 misses PKI (normalized)", &SimResult::l2_mpki},
         {"(c) L3 misses PKI (normalized)", &SimResult::l3_mpki},
     };
-    for (const auto &panel : panels) {
-        printHeader(panel.title);
-        printRatioRows(grid, configs, apps,
-                       [&panel](const SimResult &cell,
-                                const SimResult &base_run) {
-                           const double base = base_run.*panel.field;
-                           return cell.*panel.field
-                               / (base > 0 ? base : 1);
-                       });
-    }
+    std::vector<Table> tables;
+    for (const auto &panel : panels)
+        tables.push_back(ratioTable(
+            sink, "fig13", panel.title, overNestedRadix(configs), apps,
+            [&panel](const SimResult &cell, const SimResult &base_run) {
+                const double base = base_run.*panel.field;
+                return cell.*panel.field / (base > 0 ? base : 1);
+            }));
 
-    printHeader("MSHR occupancy during parallel walk phases "
-                "(Section 9.3; sequential-walk designs issue no "
-                "parallel phases, so their batch occupancy is zero "
-                "by construction)");
-    for (const ExperimentConfig &cfg : configs) {
-        if (!grid.complete(cfg.name, apps)) {
-            std::printf("%-22s (failed)\n", cfg.name.c_str());
-            continue;
-        }
-        double avg = 0;
-        std::uint64_t peak = 0;
-        for (const auto &app : apps) {
-            avg += grid.at(cfg.name, app).avg_mshrs;
-            peak = std::max(peak, grid.at(cfg.name, app).max_mshrs);
-        }
-        std::printf("%-22s avg %.1f MSHRs in use, max %llu\n",
-                    cfg.name.c_str(), avg / apps.size(),
-                    (unsigned long long)peak);
-    }
+    Table mshrs{"MSHR occupancy during parallel walk phases (Section "
+                "9.3; sequential-walk designs issue no parallel phases, "
+                "so their batch occupancy is zero by construction)",
+                {"Configuration"},
+                {{"avg MSHRs in use", 1}, {"max", 0}}};
+    for (const ExperimentConfig &cfg : configs)
+        mshrs.rows.push_back(rowOf(
+            sink, {cfg.name}, jobKeys("fig13", {cfg.name}, apps),
+            [](const Outputs &o) {
+                double avg = 0;
+                std::uint64_t peak = 0;
+                for (const JobOutput *out : o) {
+                    avg += out->sim.avg_mshrs;
+                    peak = std::max(peak, out->sim.max_mshrs);
+                }
+                return Cells{avg / o.size(), double(peak)};
+            }));
+    tables.push_back(mshrs);
+    return tables;
 }
-
-// ------------------------------------------------------------ fig14
 
 /** Figure 14's Nested ECPTs THP runs. Each job checks attribution
  *  conservation: the per-step probe averages come from the same walk
  *  phases the ledger charges, so a missed or double-counted phase
  *  fails the run instead of silently skewing the breakdown. */
-std::vector<JobSpec>
+Jobs
 fig14Jobs(const SimParams &params)
 {
-    std::vector<JobSpec> jobs = configAppJobs(
-        "fig14", {makeConfig(ConfigId::NestedEcptThp)}, appsFromEnv(),
-        params);
+    Jobs jobs = configAppJobs("fig14", {makeConfig(ConfigId::NestedEcptThp)},
+                              appsFromEnv(), params);
     for (JobSpec &spec : jobs)
         spec.fn = [run = spec.fn](const JobContext &ctx) {
             JobOutput out = run(ctx);
@@ -376,175 +551,154 @@ fig14Jobs(const SimParams &params)
     return jobs;
 }
 
-void
+std::vector<Table>
 fig14Summary(const ResultSink &sink, const SimParams &)
 {
+    // Every figure reads the unified metric names (SimResult::metrics
+    // aliases the legacy scalar fields byte-for-byte); averages are
+    // means over all apps.
     const auto apps = appsFromEnv();
-    const ResultGrid grid = sink.toGrid();
-    const std::string config = "Nested ECPTs THP";
-    // Host then guest walk-kind fractions, read through the unified
-    // metric names (SimResult::metrics aliases the legacy scalar
-    // fields byte-for-byte).
-    std::vector<std::string> kinds;
+    const Names keys = jobKeys("fig14", {"Nested ECPTs THP"}, apps);
+    auto means = [&](const std::string &label, const Names &metrics) {
+        return rowOf(sink, {label}, keys, [&](const Outputs &o) {
+            Cells cells;
+            for (const std::string &metric : metrics)
+                cells.emplace_back(meanOf(o, [&](const JobOutput &out) {
+                    return out.metrics.at(metric);
+                }));
+            return cells;
+        });
+    };
+
+    // Host then guest walk-kind fractions.
+    Table kinds{"", {"App"}, {}};
+    Names fractions;
     for (const char *side : {"host", "guest"})
-        for (const char *kind : {"direct", "size", "partial", "complete"})
-            kinds.push_back(std::string("walk.kind.") + side + "." + kind
-                            + ".frac");
-    auto printKinds = [](const std::string &label,
-                         const std::vector<double> &v) {
-        std::printf("%-10s | %8.3f %8.3f %8.3f %8.3f "
-                    "| %8.3f %8.3f %8.3f %8.3f\n",
-                    label.c_str(), v[0], v[1], v[2], v[3], v[4], v[5],
-                    v[6], v[7]);
-    };
-
-    std::printf("%-10s | %-35s | %-35s\n", "", "host walks",
-                "guest walks");
-    std::printf("%-10s | %8s %8s %8s %8s | %8s %8s %8s %8s\n", "App",
-                "direct", "size", "partial", "complete", "direct",
-                "size", "partial", "complete");
-    for (const auto &app : apps) {
-        if (!grid.has(config, app)) {
-            std::printf("%-10s | (failed)\n", app.c_str());
-            continue;
+        for (const char *kind : {"direct", "size", "partial", "complete"}) {
+            kinds.columns.push_back({std::string(side) + " " + kind});
+            fractions.push_back(std::string("walk.kind.") + side + "."
+                                + kind + ".frac");
         }
-        std::vector<double> v;
-        for (const std::string &kind : kinds)
-            v.push_back(grid.at(config, app).metrics.at(kind));
-        printKinds(app, v);
-    }
-    if (!grid.complete(config, apps)) {
-        std::printf("%-10s | (failed)\n", "Average");
-        return;
-    }
-    // Every figure below is a mean over all apps.
-    auto mean = [&](const std::string &metric) {
-        double sum = 0;
-        for (const auto &app : apps)
-            sum += grid.at(config, app).metrics.at(metric) / apps.size();
-        return sum;
+    for (std::size_t i = 0; i < apps.size(); ++i)
+        kinds.rows.push_back(
+            rowOf(sink, {apps[i]}, {keys[i]}, fields(fractions)));
+    kinds.rows.push_back(means("Average", fractions));
+
+    Table steps{"Average parallel accesses per nested-ECPT step (Section "
+                "9.4; paper: 2.8 / 2.8 / 1.6 with THP)",
+                {""},
+                {{"Step 1", 1}, {"Step 2", 1}, {"Step 3", 1}},
+                {means("simulated",
+                       {"walk.step1.avg_probes", "walk.step2.avg_probes",
+                        "walk.step3.avg_probes"})}};
+
+    const struct
+    {
+        const char *header, *metric;
+        double paper;
+    } caches[] = {
+        {"STC", "stc.hitrate", 0.99},
+        {"gCWC PUD", "cwc.gcwc.pud.hitrate", 0.99},
+        {"gCWC PMD", "cwc.gcwc.pmd.hitrate", 0.86},
+        {"hCWC PUD", "cwc.hcwc_step3.pud.hitrate", 0.99},
+        {"hCWC PMD", "cwc.hcwc_step3.pmd.hitrate", 0.80},
+        {"hCWC PTE-step1", "cwc.hcwc_step1.pte.hitrate", 0.99},
+        {"hCWC PTE-step3", "cwc.hcwc_step3.pte.hitrate", 0.67},
     };
-    std::vector<double> avg;
-    for (const std::string &kind : kinds)
-        avg.push_back(mean(kind));
-    printKinds("Average", avg);
-
-    printHeader("Average parallel accesses per nested-ECPT step "
-                "(Section 9.4; paper: 2.8 / 2.8 / 1.6 with THP)");
-    std::printf("Step 1: %.1f   Step 2: %.1f   Step 3: %.1f\n",
-                mean("walk.step1.avg_probes"),
-                mean("walk.step2.avg_probes"),
-                mean("walk.step3.avg_probes"));
-
-    printHeader("MMU cache hit rates (Section 9.4)");
-    std::printf("STC %.2f (paper 0.99) | gCWC PUD %.2f (0.99) PMD %.2f "
-                "(0.86) | hCWC PUD %.2f (0.99) PMD %.2f (0.80) "
-                "PTE-step1 %.2f (0.99) PTE-step3 %.2f (0.67)\n",
-                mean("stc.hitrate"), mean("cwc.gcwc.pud.hitrate"),
-                mean("cwc.gcwc.pmd.hitrate"),
-                mean("cwc.hcwc_step3.pud.hitrate"),
-                mean("cwc.hcwc_step3.pmd.hitrate"),
-                mean("cwc.hcwc_step1.pte.hitrate"),
-                mean("cwc.hcwc_step3.pte.hitrate"));
+    Table rates{"MMU cache hit rates (Section 9.4)", {""}, {}};
+    Row paper{{"paper"}, {}};
+    Names metrics;
+    for (const auto &cache : caches) {
+        rates.columns.push_back({cache.header, 2});
+        metrics.push_back(cache.metric);
+        paper.cells.emplace_back(cache.paper);
+    }
+    rates.rows = {means("simulated", metrics), paper};
+    return {kinds, steps, rates};
 }
 
-// ------------------------------------------------------------ sec94
-
 /** Nested ECPTs THP with 4, 8, 10 and 16 STC entries. */
-std::vector<ExperimentConfig>
-sec94Configs()
+Sections
+sec94Grid(const SimParams &params)
 {
-    std::vector<ExperimentConfig> configs;
+    const auto apps = appsFromEnv();
+    Sections sections = {
+        {{"", {"STC entries"}, appColumns(apps), {},
+          {"Paper: ~0.99 at 10 entries, ~0.90 at 8, ~0.50 at 4."}},
+         [](const Outputs &o) {
+             auto rate = [](const JobOutput &out) {
+                 return out.sim.stc_hit_rate;
+             };
+             Cells cells;
+             for (const JobOutput *out : o)
+                 cells.emplace_back(rate(*out));
+             cells.emplace_back(meanOf(o, rate));
+             return cells;
+         }}};
+    sections[0].table.columns.push_back({"Mean"});
     for (const std::size_t entries : {4, 8, 10, 16}) {
         NestedEcptFeatures features = NestedEcptFeatures::advanced();
         features.stc_entries = entries;
-        configs.push_back(makeNestedEcptConfig(
-            features, true,
-            "Nested ECPTs STC" + std::to_string(entries)));
+        const ExperimentConfig cfg = makeNestedEcptConfig(
+            features, true, "Nested ECPTs STC" + std::to_string(entries));
+        for (const std::string &app : apps)
+            sections[0].points.push_back(
+                {jobKey("sec94", cfg.name, app), {std::to_string(entries)},
+                 cfg, params, app});
     }
-    return configs;
+    return sections;
 }
 
-void
-sec94Summary(const ResultSink &sink, const SimParams &)
-{
-    const auto apps = appsFromEnv();
-    const ResultGrid grid = sink.toGrid();
-    std::printf("%-12s", "STC entries");
-    for (const auto &app : apps)
-        std::printf("%9s", app.c_str());
-    std::printf("%9s\n", "Mean");
-
-    for (const ExperimentConfig &cfg : sec94Configs()) {
-        const std::size_t entries = cfg.features.stc_entries;
-        if (!grid.complete(cfg.name, apps)) {
-            std::printf("%-12zu (failed)\n", entries);
-            continue;
-        }
-        std::printf("%-12zu", entries);
-        double mean = 0;
-        for (const auto &app : apps) {
-            const double rate = grid.at(cfg.name, app).stc_hit_rate;
-            std::printf("%9.3f", rate);
-            mean += rate / apps.size();
-        }
-        std::printf("%9.3f\n", mean);
-    }
-    std::printf("\nPaper: ~0.99 at 10 entries, ~0.90 at 8, ~0.50 at 4."
-                "\n");
-}
-
-// ------------------------------------------------------------ sec95
-
-void
+std::vector<Table>
 sec95Summary(const ResultSink &sink, const SimParams &)
 {
     const auto apps = appsFromEnv();
-    const ResultGrid grid = sink.toGrid();
+    auto mb = [](std::uint64_t bytes) {
+        return static_cast<double>(bytes) * (1.0 / (1 << 20));
+    };
+    const std::function<double(const SimResult &)> sizes[] = {
+        [&](const SimResult &r) { return mb(r.pte_bytes_total); },
+        [&](const SimResult &r) { return mb(r.guest_structure_bytes); },
+        [&](const SimResult &r) { return mb(r.host_structure_bytes); },
+        [&](const SimResult &r) {
+            return mb(r.guest_structure_bytes + r.host_structure_bytes);
+        }};
+    std::vector<Table> tables;
     for (const ExperimentConfig &cfg : thpPairConfigs()) {
-        printHeader(cfg.name);
-        std::printf("%-10s %12s %12s %12s %12s\n", "App", "PTE bytes",
-                    "guest structs", "host structs", "total");
-        double mb = 1.0 / (1 << 20);
-        double avg_pte = 0, avg_total = 0, avg_guest = 0, avg_host = 0;
-        for (const auto &app : apps) {
-            if (!grid.has(cfg.name, app)) {
-                std::printf("%-10s (failed)\n", app.c_str());
-                continue;
-            }
-            const SimResult &r = grid.at(cfg.name, app);
-            const double total = static_cast<double>(
-                r.guest_structure_bytes + r.host_structure_bytes);
-            std::printf("%-10s %10.1fMB %10.1fMB %10.1fMB %10.1fMB\n",
-                        app.c_str(), r.pte_bytes_total * mb,
-                        r.guest_structure_bytes * mb,
-                        r.host_structure_bytes * mb, total * mb);
-            avg_pte += r.pte_bytes_total * mb / apps.size();
-            avg_guest += r.guest_structure_bytes * mb / apps.size();
-            avg_host += r.host_structure_bytes * mb / apps.size();
-            avg_total += total * mb / apps.size();
+        const Names keys = jobKeys("sec95", {cfg.name}, apps);
+        Table table{cfg.name,
+                    {"App"},
+                    {{"PTE bytes", 1, "MB"}, {"guest structs", 1, "MB"},
+                     {"host structs", 1, "MB"}, {"total", 1, "MB"}}};
+        // Each app's sizes (a mean over one run), then their average.
+        for (std::size_t i = 0; i <= apps.size(); ++i) {
+            const bool average = i == apps.size();
+            table.rows.push_back(rowOf(
+                sink, {average ? "Average" : apps[i]},
+                average ? keys : Names{keys[i]}, [&](const Outputs &o) {
+                    Cells cells;
+                    for (const auto &size : sizes)
+                        cells.emplace_back(meanOf(o, [&](const JobOutput &out) {
+                            return size(out.sim);
+                        }));
+                    return cells;
+                }));
         }
-        if (!grid.complete(cfg.name, apps)) {
-            std::printf("%-10s (failed)\n", "Average");
-            continue;
-        }
-        std::printf("%-10s %10.1fMB %10.1fMB %10.1fMB %10.1fMB\n",
-                    "Average", avg_pte, avg_guest, avg_host, avg_total);
+        tables.push_back(table);
     }
-    std::printf("\nPaper (full-scale): 60MB PTEs; 84MB Nested Radix "
-                "(28 guest + 56 host) vs 97MB Nested ECPTs (36 guest + "
-                "61 host).\n");
+    tables.back().notes = {
+        "Paper (full-scale): 60MB PTEs; 84MB Nested Radix (28 guest + 56 "
+        "host) vs 97MB Nested ECPTs (36 guest + 61 host)."};
+    return tables;
 }
-
-// ------------------------------------------------------------ sec96
 
 /** Nested ECPTs and the Section-9.6 baselines, 4KB and THP, plus the
  *  Section-2.2 classic nested HPTs (4KB only: single HPTs cannot
  *  express multiple page sizes). */
-std::vector<ExperimentConfig>
+Configs
 sec96Configs()
 {
-    std::vector<ExperimentConfig> configs;
+    Configs configs;
     for (const ConfigId id :
          {ConfigId::NestedEcpt, ConfigId::NestedEcptThp,
           ConfigId::AgilePagingIdeal, ConfigId::AgilePagingIdealThp,
@@ -555,185 +709,147 @@ sec96Configs()
     return configs;
 }
 
-/** One "vs <baseline>" line: Nested ECPTs' geomean and per-app
- *  speedups over @p baseline, or "(failed)". */
-void
-printSpeedupLine(const ResultGrid &grid, const std::string &label,
-                 const std::string &baseline, const std::string &ecpt,
-                 const std::vector<std::string> &apps)
-{
-    if (!grid.complete(baseline, apps) || !grid.complete(ecpt, apps)) {
-        std::printf("  vs %-22s (failed)\n", label.c_str());
-        return;
-    }
-    std::vector<double> speedups;
-    for (const auto &app : apps)
-        speedups.push_back(speedupOver(grid, baseline, ecpt, app));
-    std::printf("  vs %-22s geomean %.3fx  (per-app:", label.c_str(),
-                geoMean(speedups));
-    for (std::size_t i = 0; i < apps.size(); ++i)
-        std::printf(" %.2f", speedups[i]);
-    std::printf(")\n");
-}
-
-void
+std::vector<Table>
 sec96Summary(const ResultSink &sink, const SimParams &)
 {
     const auto apps = appsFromEnv();
-    const ResultGrid grid = sink.toGrid();
-    for (const bool thp : {false, true}) {
-        const std::string suffix = thp ? " THP" : "";
-        printHeader(std::string("Nested ECPTs speedup over baselines") +
-                    (thp ? " (THP)" : " (4KB)"));
+    std::vector<Table> tables;
+    for (const std::string suffix : {"", " THP"}) {
+        std::vector<RatioRow> rows;
         for (const std::string baseline :
              {"Agile Paging (ideal)", "POM-TLB", "Flat Nested",
               "Shadow Paging"})
-            printSpeedupLine(grid, baseline, baseline + suffix,
-                             "Nested ECPTs" + suffix, apps);
+            rows.push_back(
+                {baseline, "Nested ECPTs" + suffix, baseline + suffix});
+        tables.push_back(ratioTable(
+            sink, "sec96",
+            "Nested ECPTs speedup over baselines ("
+                + (suffix.empty() ? std::string("4KB") : "THP") + ")",
+            rows, apps, speedup, "Baseline"));
     }
-    printHeader("Nested ECPTs speedup over classic nested HPTs (4KB)");
-    printSpeedupLine(grid, "Nested HPT", "Nested HPT", "Nested ECPTs",
-                     apps);
-
-    std::printf("\nPaper: +16%% vs ideal Agile Paging, +14%% vs "
-                "POM-TLB, +12%%/+15%% vs flat nested tables. Shadow "
-                "paging (steady state, VM exits only on first touch) "
-                "and classic nested HPTs (Section 2.2 / Figure 3) are "
-                "this repo's additional reference points.\n");
+    tables.push_back(ratioTable(
+        sink, "sec96", "Nested ECPTs speedup over classic nested HPTs (4KB)",
+        {{"Nested HPT", "Nested ECPTs", "Nested HPT"}}, apps, speedup,
+        "Baseline"));
+    tables.back().notes = {
+        "Paper: +16% vs ideal Agile Paging, +14% vs POM-TLB, +12%/+15% "
+        "vs flat nested tables. Shadow paging (steady state, VM exits "
+        "only on first touch) and classic nested HPTs (Section 2.2 / "
+        "Figure 3) are this repo's additional reference points."};
+    return tables;
 }
 
-// -------------------------------------------------- ablation_5level
+// -------------------------------------------------------- ablations
 
-std::vector<std::string>
-ablation5Apps()
+/** Nested Radix at 4 and 5 levels against Nested ECPTs, whose walk
+ *  does not depend on tree depth (Section 1: a fifth level pushes a
+ *  nested translation to 35 sequential references), then the
+ *  references of one cold nested radix walk per depth. */
+Sections
+ablation5Grid(const SimParams &base)
 {
     auto apps = appsFromEnv();
     if (apps.size() > 4)
         apps = {"GUPS", "BFS", "MUMmer", "SysBench"};
-    return apps;
-}
-
-/** Nested Radix at 4 and 5 levels against Nested ECPTs, whose walk
- *  does not depend on tree depth (Section 1: a fifth level pushes a
- *  nested translation to 35 sequential references). Two more jobs
- *  count the references of one cold nested radix walk per depth. */
-std::vector<JobSpec>
-ablation5Jobs(const SimParams &params)
-{
     ExperimentConfig radix5 = makeConfig(ConfigId::NestedRadix);
     radix5.name = "Nested Radix 5-level";
     radix5.system.radix_levels = 5;
-    std::vector<JobSpec> jobs = configAppJobs(
-        "ablation_5level",
-        {makeConfig(ConfigId::NestedRadix), radix5,
-         makeConfig(ConfigId::NestedEcpt)},
-        ablation5Apps(), scaledParams(params, 2, 1));
+    Sections sections = {
+        {{"",
+          {"App"},
+          {{"radix4 cyc/walk", 0}, {"radix5 cyc/walk", 0},
+           {"ecpt cyc/walk", 0}, {"ECPT vs radix5", 3, "x"}}},
+         [](const Outputs &o) {
+             Cells cells;
+             for (const JobOutput *out : o)
+                 cells.emplace_back(double(out->sim.mmu_busy_cycles)
+                                    / out->sim.walks);
+             cells.emplace_back(double(o[1]->sim.cycles) / o[2]->sim.cycles);
+             return cells;
+         }},
+        {{"Cold nested walk references",
+          {"Radix depth", "paper worst case"},
+          {{"references", 0}},
+          {},
+          {"Expected shape: the fifth level lengthens the cold 2D "
+           "traversal while the nested-ECPT walk stays at three parallel "
+           "phases; at steady state small hot L5 working sets are "
+           "PWC-absorbed."}},
+         fields({"references"})}};
+    for (const ExperimentConfig &cfg :
+         {makeConfig(ConfigId::NestedRadix), radix5,
+          makeConfig(ConfigId::NestedEcpt)})
+        for (const std::string &app : apps)
+            sections[0].points.push_back(
+                {jobKey("ablation_5level", cfg.name, app), {app}, cfg,
+                 scaledParams(base, 2, 1), app});
 
     // The fifth level's cost is clearest on a *cold* walk (warm PWCs
     // absorb the single hot L5 entry at any footprint this repo can
     // simulate): count cold 2D traversal references directly.
-    for (const int levels : {4, 5}) {
-        JobSpec spec;
-        spec.key = "ablation_5level/cold/" + std::to_string(levels);
-        spec.fn = [levels](const JobContext &) {
-            SystemConfig scfg;
-            scfg.guest_kind = PtKind::Radix;
-            scfg.host_kind = PtKind::Radix;
-            scfg.radix_levels = levels;
-            scfg.guest_phys_bytes = 2ULL << 30;
-            scfg.host_phys_bytes = 3ULL << 30;
-            NestedSystem sys(scfg);
-            MemoryHierarchy mem(MemHierarchyConfig{}, 1);
-            NestedRadixWalker walker(sys, mem, 0);
-            const Addr base = sys.mmapRegion(1ULL << 20);
-            sys.ensureResident(base);
-            JobOutput out;
-            out.sim.config = "Cold nested radix walk";
-            out.sim.app = std::to_string(levels) + "-level";
-            out.metrics["references"] =
-                walker.translate(base, 0).mem_accesses;
-            return out;
-        };
-        jobs.push_back(std::move(spec));
-    }
-    return jobs;
+    for (const auto &[levels, paper] : {std::pair{4, 24}, std::pair{5, 35}})
+        sections[1].points.push_back(staticPoint(
+            "ablation_5level/cold/" + std::to_string(levels),
+            {std::to_string(levels) + "-level", std::to_string(paper)},
+            [levels = levels](JobOutput &out) {
+                SystemConfig scfg;
+                scfg.guest_kind = PtKind::Radix;
+                scfg.host_kind = PtKind::Radix;
+                scfg.radix_levels = levels;
+                scfg.guest_phys_bytes = 2ULL << 30;
+                scfg.host_phys_bytes = 3ULL << 30;
+                NestedSystem sys(scfg);
+                MemoryHierarchy mem(MemHierarchyConfig{}, 1);
+                NestedRadixWalker walker(sys, mem, 0);
+                const Addr base_va = sys.mmapRegion(1ULL << 20);
+                sys.ensureResident(base_va);
+                out.sim.config = "Cold nested radix walk";
+                out.metrics["references"] =
+                    walker.translate(base_va, 0).mem_accesses;
+            }));
+    return sections;
 }
 
-void
-ablation5Summary(const ResultSink &sink, const SimParams &)
+/** The design choices DESIGN.md calls out, one section of Nested
+ *  ECPTs variants each: (a) cuckoo ways d (the paper fixes 3), (b) the
+ *  elastic resize threshold, (c) the MMU issue width (parallelism
+ *  actually matters). Every variant keeps the config name "Nested
+ *  ECPTs", so jobs and rows are keyed by its label. */
+Sections
+designGrid(const SimParams &base)
 {
-    const ResultGrid grid = sink.toGrid();
-    std::printf("%-10s %16s %16s %16s %18s\n", "App",
-                "radix4 cyc/walk", "radix5 cyc/walk", "ecpt cyc/walk",
-                "ECPT vs radix5");
-    for (const auto &app : ablation5Apps()) {
-        if (!grid.has("Nested Radix", app)
-            || !grid.has("Nested Radix 5-level", app)
-            || !grid.has("Nested ECPTs", app)) {
-            std::printf("%-10s (failed)\n", app.c_str());
-            continue;
-        }
-        const SimResult &r4 = grid.at("Nested Radix", app);
-        const SimResult &r5 = grid.at("Nested Radix 5-level", app);
-        const SimResult &re = grid.at("Nested ECPTs", app);
-        std::printf("%-10s %16.0f %16.0f %16.0f %17.3fx\n",
-                    app.c_str(),
-                    static_cast<double>(r4.mmu_busy_cycles) / r4.walks,
-                    static_cast<double>(r5.mmu_busy_cycles) / r5.walks,
-                    static_cast<double>(re.mmu_busy_cycles) / re.walks,
-                    static_cast<double>(r5.cycles) / re.cycles);
-    }
-
-    const JobRecord *cold4 = sink.find("ablation_5level/cold/4");
-    const JobRecord *cold5 = sink.find("ablation_5level/cold/5");
-    if (!cold4 || !cold5 || cold4->status != JobStatus::Ok
-        || cold5->status != JobStatus::Ok)
-        std::printf("\nCold nested walk references: (failed)\n");
-    else
-        std::printf("\nCold nested walk references: 4-level %d "
-                    "(paper worst case 24), 5-level %d (paper worst "
-                    "case 35)\n",
-                    static_cast<int>(cold4->out.metrics.at("references")),
-                    static_cast<int>(cold5->out.metrics.at("references")));
-    std::printf("\nExpected shape: the fifth level lengthens the cold "
-                "2D traversal while the nested-ECPT walk stays at "
-                "three parallel phases; at steady state small hot L5 "
-                "working sets are PWC-absorbed.\n");
-}
-
-// -------------------------------------------------- ablation_design
-
-/** One design point: its row label and the Nested ECPTs variant it
- *  runs. Every point keeps the config name "Nested ECPTs", so jobs
- *  and rows are keyed by the label. */
-struct DesignPoint
-{
-    std::string label;
-    ExperimentConfig config;
-};
-
-struct DesignSection
-{
-    const char *title;
-    std::vector<DesignPoint> points;
-};
-
-/** The design choices DESIGN.md calls out: (a) cuckoo ways d (the
- *  paper fixes 3), (b) the elastic resize threshold, (c) the MMU
- *  issue width (parallelism actually matters). */
-std::vector<DesignSection>
-designSections()
-{
-    std::vector<DesignSection> sections = {
-        {"(a) cuckoo ways d (paper: 3)", {}},
-        {"(b) elastic resize threshold (paper-style: 0.6)", {}},
-        {"(c) MMU issue width (parallel probes per wave)", {}},
+    auto apps = appsFromEnv();
+    if (apps.size() > 3)
+        apps = {"GUPS", "BFS", "MUMmer"};
+    Sections sections;
+    for (const char *title : {"(a) cuckoo ways d (paper: 3)",
+                              "(b) elastic resize threshold (paper-style: 0.6)",
+                              "(c) MMU issue width (parallel probes per wave)"})
+        sections.push_back(
+            {{title, {"busy/walk"}, appColumns(apps, 0)},
+             [](const Outputs &o) {
+                 Cells busy;
+                 for (const JobOutput *out : o)
+                     busy.emplace_back(double(out->sim.mmu_busy_cycles)
+                                       / double(out->sim.walks));
+                 return busy;
+             }});
+    sections.back().table.notes = {
+        "Width 1 serializes the probe groups — the walk degenerates "
+        "toward radix-like sequential behavior, which is exactly the "
+        "paper's case for judicious parallelism."};
+    auto add = [&](std::size_t section, const std::string &label,
+                   const ExperimentConfig &cfg) {
+        for (const std::string &app : apps)
+            sections[section].points.push_back(
+                {jobKey("ablation_design", label, app), {label}, cfg,
+                 scaledParams(base, 4, 2), app});
     };
     for (const int ways : {2, 3, 4}) {
         ExperimentConfig cfg = makeConfig(ConfigId::NestedEcpt);
         cfg.system.guest_ecpt.ways = ways;
         cfg.system.host_ecpt.ways = ways;
-        sections[0].points.push_back({"d = " + std::to_string(ways), cfg});
+        add(0, "d = " + std::to_string(ways), cfg);
     }
     for (const double thr : {0.4, 0.6, 0.8}) {
         ExperimentConfig cfg = makeConfig(ConfigId::NestedEcpt);
@@ -744,553 +860,453 @@ designSections()
         cfg.system.host_ecpt.initial_slots = {4096, 4096, 2048};
         cfg.system.guest_ecpt.resize_threshold = thr;
         cfg.system.host_ecpt.resize_threshold = thr;
-        sections[1].points.push_back(
-            {"threshold = " + std::to_string(thr).substr(0, 3), cfg});
+        add(1, "threshold = " + std::to_string(thr).substr(0, 3), cfg);
     }
     for (const int width : {1, 2, 4, 8}) {
         ExperimentConfig cfg = makeConfig(ConfigId::NestedEcpt);
         cfg.memory.mmu_issue_width = width;
-        sections[2].points.push_back(
-            {"width = " + std::to_string(width), cfg});
+        add(2, "width = " + std::to_string(width), cfg);
     }
     return sections;
 }
 
-std::vector<std::string>
-designApps()
-{
-    auto apps = appsFromEnv();
-    if (apps.size() > 3)
-        apps = {"GUPS", "BFS", "MUMmer"};
-    return apps;
-}
+// ------------------------------------------------------ tables 1-4
 
-std::vector<JobSpec>
-designJobs(const SimParams &base)
+/** Table 1: the modeled configurations, then the Section 9.6
+ *  baselines. */
+Sections
+table1Grid(const SimParams &)
 {
-    const SimParams params = scaledParams(base, 4, 2);
-    std::vector<JobSpec> jobs;
-    for (const DesignSection &section : designSections())
-        for (const DesignPoint &point : section.points)
-            for (const std::string &app : designApps())
-                jobs.push_back(simJob("ablation_design/" + point.label
-                                          + "/" + app,
-                                      point.config, params, app));
-    return jobs;
-}
-
-void
-designSummary(const ResultSink &sink, const SimParams &)
-{
-    const auto apps = designApps();
-    std::printf("Apps:");
-    for (const auto &a : apps)
-        std::printf(" %s", a.c_str());
-    std::printf("\n");
-
-    for (const DesignSection &section : designSections()) {
-        printHeader(section.title);
-        for (const DesignPoint &point : section.points) {
-            std::vector<double> busy;
-            for (const auto &app : apps) {
-                const JobRecord *r = sink.find(
-                    "ablation_design/" + point.label + "/" + app);
-                if (!r || r->status != JobStatus::Ok)
-                    break;
-                busy.push_back(
-                    static_cast<double>(r->out.sim.mmu_busy_cycles)
-                    / static_cast<double>(r->out.sim.walks));
-            }
-            if (busy.size() != apps.size()) {
-                std::printf("  %-28s (failed)\n", point.label.c_str());
-                continue;
-            }
-            std::printf("  %-28s busy/walk", point.label.c_str());
-            for (double b : busy)
-                std::printf(" %7.0f", b);
-            std::printf("\n");
-        }
+    // Indexed by PtKind.
+    static const char *const kinds[] = {"radix", "ECPT", "flat", "HPT"};
+    static_assert(static_cast<int>(PtKind::Hpt) == 3);
+    Sections sections;
+    for (const auto &[title, ids] :
+         {std::pair{"", table1Configs()},
+          std::pair{"Section 9.6 baselines",
+                    std::vector<ConfigId>{
+                        ConfigId::PlainNestedEcptThp,
+                        ConfigId::AgilePagingIdealThp, ConfigId::PomTlbThp,
+                        ConfigId::FlatNestedThp, ConfigId::ShadowPagingThp,
+                        ConfigId::NestedHpt}}}) {
+        sections.push_back(
+            {{title,
+              {"Configuration"},
+              {{"Nested"}, {"Guest"}, {"Host"}, {"Pages"}}},
+             fields({"nested", "guest", "host", "pages"})});
+        for (const ConfigId id : ids)
+            sections.back().points.push_back(staticPoint(
+                "table1/" + configName(id), {configName(id)},
+                [id](JobOutput &out) {
+                    const SystemConfig sys = makeConfig(id).system;
+                    const int host = static_cast<int>(sys.host_kind);
+                    out.labels = {
+                        {"nested", sys.virtualized ? "yes" : "no"},
+                        {"guest", kinds[static_cast<int>(sys.guest_kind)]},
+                        {"host", sys.virtualized ? kinds[host] : "-"},
+                        {"pages",
+                         sys.guest_thp ? "4KB + 2MB (THP)" : "4KB only"}};
+                }));
     }
-    std::printf("\nWidth 1 serializes the probe groups — the walk "
-                "degenerates toward radix-like sequential behavior, "
-                "which is exactly the paper's case for judicious "
-                "parallelism.\n");
+    return sections;
 }
 
-// ----------------------------------------------------------- table4
-
-std::vector<JobSpec>
-table4Jobs(const SimParams &params)
+/** Table 2, read back from the simulator's default configurations. */
+Sections
+table2Grid(const SimParams &)
 {
-    std::vector<JobSpec> jobs;
+    const MemHierarchyConfig mem;
+    const TlbConfig tlb;
+    const EcptConfig ecpt;
+    Sections sections;
+    auto section = [&](const char *title) {
+        sections.push_back(
+            {{title, {"Parameter"}, {{"Value"}}}, fields({"value"})});
+    };
+    auto add = [&](const std::string &name, const std::string &value) {
+        sections.back().points.push_back(
+            staticPoint("table2/" + name, {name}, [value](JobOutput &out) {
+                out.labels["value"] = value;
+            }));
+    };
+    auto cache = [&](const char *name, const CacheConfig &c, int shift,
+                     const char *unit) {
+        add(name, strfmt("%llu%s, %d-way, %llu cyc RT, %d MSHRs",
+                         (unsigned long long)(c.size_bytes >> shift), unit,
+                         c.assoc, (unsigned long long)c.latency, c.mshrs));
+    };
+    section("Processor / memory hierarchy");
+    cache("L1 cache", mem.l1, 10, "KB");
+    cache("L2 cache", mem.l2, 10, "KB");
+    cache("L3 cache", mem.l3, 20, "MB slice");
+    add("Main memory (per-core share)",
+        strfmt("%d channels x %d banks, tRP-tCAS-tRCD-tRAS %d-%d-%d-%d, "
+               "1GHz DDR",
+               mem.dram.channels, mem.dram.banks_per_channel, mem.dram.t_rp,
+               mem.dram.t_cas, mem.dram.t_rcd, mem.dram.t_ras));
+    add("MMU issue width",
+        strfmt("%d parallel requests per wave", mem.mmu_issue_width));
+
+    section("Per-core MMU (TLBs)");
+    const char *sizes[] = {"4KB", "2MB", "1GB"};
+    for (const auto &[level, geometry] :
+         {std::pair{"L1", &tlb.l1}, std::pair{"L2", &tlb.l2}})
+        for (int s = 0; s < num_page_sizes; ++s) {
+            const auto &g = (*geometry)[s];
+            add(strfmt("%s DTLB (%s pages)", level, sizes[s]),
+                strfmt("%zu entries, %zu-way", g.entries,
+                       g.ways ? g.ways : g.entries));
+        }
+
+    section("Radix page table parameters");
+    add("Nested TLB", "24 entries, FA, 4 cyc RT");
+    add("Page Walk Cache (PWC)", "3 levels x 32 entries, FA, 4 cyc RT");
+    add("Nested PWC (NPWC)", "levels x 16 entries, FA, 4 cyc RT");
+
+    section("Elastic Cuckoo Page Table parameters");
+    const char *levels[] = {"PTE", "PMD", "PUD"};
+    for (int l = 0; l < 3; ++l)
+        add(strfmt("Initial %s g/hECPT", levels[l]),
+            strfmt("%llu entries x %d ways",
+                   (unsigned long long)ecpt.initial_slots[l], ecpt.ways));
+    for (int l = 0; l < 3; ++l)
+        add(strfmt("Initial %s %s", levels[l], l ? "g/hCWT" : "hCWT"),
+            strfmt("%llu entries x %d ways",
+                   (unsigned long long)ecpt.cwt_initial_slots[l],
+                   ecpt.cwt_ways));
+    add("gCWC", "16 PMD + 2 PUD entries, FA, 4 cyc RT");
+    add("hCWC (Step 1)", "4 PTE entries, FA, 4 cyc RT");
+    add("hCWC (Step 3)", "16 PTE + 4 PMD + 2 PUD, FA, 4 cyc RT");
+    add("Shortcut Trans. Cache (STC)", "10 entries, FA, 4 cyc RT");
+    add("Hash functions", "CRC, 2-cycle latency");
+    return sections;
+}
+
+/** Table 3: size, area and power of the MMU caches (CactiLite at
+ *  22nm, standing in for Cacti 6.5) against the paper's, then each
+ *  Nested ECPTs structure. */
+Sections
+table3Grid(const SimParams &)
+{
+    Sections sections = {
+        {{"",
+          {"Configuration"},
+          {{"Size", 0, " B"}, {"Area", 3, " mm^2"},
+           {"Paper area", 2, " mm^2"}, {"Power", 2, " mW"},
+           {"Paper power", 1, " mW"}}},
+         fields({"bytes", "area_mm2", "paper_mm2", "power_mw", "paper_mw"})},
+        {{"Per-structure breakdown (Nested ECPTs)",
+          {"Structure"},
+          {{"Size", 0, " B"}, {"Ports", 0}, {"Area", 4, " mm^2"},
+           {"Power", 2, " mW"}}},
+         fields({"bytes", "ports", "area_mm2", "power_mw"})}};
+    auto add = [&](std::size_t section, const std::string &name,
+                   const std::vector<SramStructure> &structures,
+                   const std::map<std::string, double> &extra) {
+        const std::string prefix = section ? "table3/Nested ECPTs/" : "table3/";
+        sections[section].points.push_back(staticPoint(
+            prefix + name, {name}, [=](JobOutput &out) {
+                const AreaPower ap = CactiLite::estimate(structures);
+                out.metrics = extra;
+                out.metrics["bytes"] = double(totalBytes(structures));
+                out.metrics["area_mm2"] = ap.area_mm2;
+                out.metrics["power_mw"] = ap.power_mw;
+            }));
+    };
+    add(0, "Nested Radix", nestedRadixMmuStructures(),
+        {{"paper_mm2", 0.01}, {"paper_mw", 2.9}});
+    add(0, "Nested ECPTs", nestedEcptMmuStructures(),
+        {{"paper_mm2", 0.03}, {"paper_mw", 5.2}});
+    add(0, "Nested Hybrid", nestedHybridMmuStructures(),
+        {{"paper_mm2", 0.02}, {"paper_mw", 2.8}});
+    for (const SramStructure &s : nestedEcptMmuStructures())
+        add(1, s.name, {s}, {{"ports", s.ports}});
+    return sections;
+}
+
+Sections
+table4Grid(const SimParams &params)
+{
+    Sections sections = {
+        {{"",
+          {"Name"},
+          {{"Domain"}, {"Suite"}, {"Paper footpr.", 1, " GB"},
+           {"Simulated", 2, " GB"}},
+          {},
+          {strfmt("(scale denominator: %llu; NECPT_SCALE overrides)",
+                  (unsigned long long)params.scale_denominator)}},
+         fields({"domain", "suite", "paper_gb", "simulated_gb"})}};
     for (const std::string &app : paperApplications()) {
-        JobSpec spec;
-        spec.key = "table4/" + app;
         const std::uint64_t scale = params.scale_denominator;
-        spec.fn = [app, scale](const JobContext &) {
-            auto wl = makeWorkload(app, scale);
-            const auto info = wl->info();
-            JobOutput out;
-            out.sim.config = "Table 4";
-            out.sim.app = info.name;
-            out.labels["domain"] = info.domain;
-            out.labels["suite"] = info.suite;
-            out.metrics["paper_gb"] =
-                static_cast<double>(info.paper_footprint_bytes)
-                / (1ULL << 30);
-            out.metrics["simulated_gb"] =
-                static_cast<double>(info.footprint_bytes) / (1ULL << 30);
-            return out;
-        };
-        jobs.push_back(std::move(spec));
+        sections[0].points.push_back(staticPoint(
+            "table4/" + app, {app}, [app, scale](JobOutput &out) {
+                const auto info = makeWorkload(app, scale)->info();
+                out.sim.config = "Table 4";
+                out.sim.app = info.name;
+                out.labels["domain"] = info.domain;
+                out.labels["suite"] = info.suite;
+                out.metrics["paper_gb"] =
+                    static_cast<double>(info.paper_footprint_bytes)
+                    / (1ULL << 30);
+                out.metrics["simulated_gb"] =
+                    static_cast<double>(info.footprint_bytes)
+                    / (1ULL << 30);
+            }));
     }
-    return jobs;
+    return sections;
 }
 
-void
-table4Summary(const ResultSink &sink, const SimParams &params)
-{
-    std::printf("%-10s %-16s %-10s %12s %14s\n", "Name", "Domain",
-                "Suite", "Paper footpr.", "Simulated");
-    for (const std::string &app : paperApplications()) {
-        const JobRecord *r = sink.find("table4/" + app);
-        if (!r || r->status != JobStatus::Ok) {
-            std::printf("%-10s (failed: %s)\n", app.c_str(),
-                        r ? r->error.c_str() : "missing");
-            continue;
-        }
-        std::printf("%-10s %-16s %-10s %10.1f GB %11.2f GB\n",
-                    r->out.sim.app.c_str(),
-                    r->out.labels.at("domain").c_str(),
-                    r->out.labels.at("suite").c_str(),
-                    r->out.metrics.at("paper_gb"),
-                    r->out.metrics.at("simulated_gb"));
-    }
-    std::printf("\n(scale denominator: %llu; NECPT_SCALE overrides)\n",
-                (unsigned long long)params.scale_denominator);
-}
+// ---------------------------------------------- engine design points
 
-// -------------------------------------------------------- multicore
-
-const std::vector<int> &
-multicoreCoreCounts()
-{
-    static const std::vector<int> counts = {1, 2, 4};
-    return counts;
-}
-
-std::vector<std::string>
-multicoreApps()
+Sections
+multicoreGrid(const SimParams &base)
 {
     auto apps = appsFromEnv();
     if (apps.size() > 2)
         apps = {"GUPS", "BFS"};
-    return apps;
-}
-
-std::vector<JobSpec>
-multicoreJobs(const SimParams &base)
-{
-    const SimParams shortened = scaledParams(base, 4, 2);
-    std::vector<JobSpec> jobs;
-    for (const int cores : multicoreCoreCounts()) {
-        for (const std::string &app : multicoreApps()) {
-            for (const ConfigId id :
-                 {ConfigId::NestedRadix, ConfigId::NestedEcpt}) {
-                ExperimentConfig config = makeConfig(id);
-                configureSharedResources(config, cores);
-                SimParams params = shortened;
-                params.cores = cores;
-                jobs.push_back(simJob(
-                    "multicore/" + std::to_string(cores) + "c/" + app
-                        + "/" + config.name,
-                    config, params, app));
+    Sections sections = {
+        {{"",
+          {"cores", "app"},
+          {{"radix cyc/core", 0}, {"ecpt cyc/core", 0}, {"speedup", 3, "x"}},
+          {},
+          {"Reading: per-core time grows with core count (shared L3/DRAM "
+           "contention). Multiprogrammed copies multiply translation-"
+           "bandwidth demand, and the parallel probe groups are the more "
+           "bandwidth-sensitive design — the very effect that motivates "
+           "the paper's 'judiciously limiting the number of parallel "
+           "memory accesses' (Abstract). The paper's own runs are one "
+           "multithreaded instance (shared footprint), which stresses "
+           "bandwidth far less than N independent copies."}},
+         [](const Outputs &o) {
+             const double r = o[0]->sim.cycles, e = o[1]->sim.cycles;
+             return Cells{r, e, r / e};
+         }}};
+    for (const int cores : {1, 2, 4}) {
+        for (const std::string &app : apps) {
+            for (const ConfigId id : head_to_head) {
+                sections[0].points.push_back(sharedPoint(
+                    "multicore/" + std::to_string(cores) + "c/" + app + "/"
+                        + configName(id),
+                    {std::to_string(cores), app}, id,
+                    scaledParams(base, 4, 2), cores));
+                sections[0].points.back().app = app;
             }
         }
     }
-    return jobs;
+    return sections;
 }
-
-void
-multicoreSummary(const ResultSink &sink, const SimParams &)
-{
-    std::printf("%-6s %-10s %18s %18s %10s\n", "cores", "app",
-                "radix cyc/core", "ecpt cyc/core", "speedup");
-    for (const int cores : multicoreCoreCounts()) {
-        for (const std::string &app : multicoreApps()) {
-            const std::string stem =
-                "multicore/" + std::to_string(cores) + "c/" + app + "/";
-            const JobRecord *r = sink.find(stem + "Nested Radix");
-            const JobRecord *e = sink.find(stem + "Nested ECPTs");
-            if (!r || !e || r->status != JobStatus::Ok
-                || e->status != JobStatus::Ok) {
-                std::printf("%-6d %-10s (failed)\n", cores,
-                            app.c_str());
-                continue;
-            }
-            std::printf(
-                "%-6d %-10s %18llu %18llu %9.3fx\n", cores,
-                app.c_str(),
-                static_cast<unsigned long long>(r->out.sim.cycles),
-                static_cast<unsigned long long>(e->out.sim.cycles),
-                static_cast<double>(r->out.sim.cycles)
-                    / e->out.sim.cycles);
-        }
-    }
-    std::printf("\nReading: per-core time grows with core count "
-                "(shared L3/DRAM contention). Multiprogrammed copies "
-                "multiply translation-bandwidth demand, and the "
-                "parallel probe groups are the more bandwidth-"
-                "sensitive design — the very effect that motivates the "
-                "paper's 'judiciously limiting the number of parallel "
-                "memory accesses' (Abstract). The paper's own runs are "
-                "one multithreaded instance (shared footprint), which "
-                "stresses bandwidth far less than N independent "
-                "copies.\n");
-}
-
-// ------------------------------------------------------------ smoke
 
 /** The two headline designs on one short workload: the cheapest grid
  *  that still exercises every injection site (pools, cuckoo tables,
  *  CWTs, DRAM), sized for CI fault campaigns. */
-std::vector<JobSpec>
-smokeJobs(const SimParams &base)
+Sections
+smokeGrid(const SimParams &base)
 {
-    const SimParams shortened = scaledParams(base, 16, 8);
-    std::vector<JobSpec> jobs;
-    for (const ConfigId id :
-         {ConfigId::NestedRadix, ConfigId::NestedEcpt}) {
-        const ExperimentConfig config = makeConfig(id);
-        jobs.push_back(simJob("smoke/" + config.name + "/GUPS", config,
-                              shortened, "GUPS"));
-    }
-    return jobs;
+    Sections sections = {{{"", {"config"}, {{"cycles", 0}, {"mmu busy", 0}}},
+                          [](const Outputs &o) {
+                              return Cells{double(o[0]->sim.cycles),
+                                           double(o[0]->sim.mmu_busy_cycles)};
+                          }}};
+    for (const ConfigId id : head_to_head)
+        sections[0].points.push_back({"smoke/" + configName(id) + "/GUPS",
+                                      {configName(id)}, makeConfig(id),
+                                      scaledParams(base, 16, 8)});
+    return sections;
 }
 
-void
-smokeSummary(const ResultSink &sink, const SimParams &)
-{
-    std::printf("%-16s %14s %14s\n", "config", "cycles", "mmu busy");
-    for (const JobRecord &r : sink.records()) {
-        if (r.status != JobStatus::Ok) {
-            std::printf("%-16s (%s: %s)\n", r.key.c_str(),
-                        jobStatusName(r.status), r.error.c_str());
-            continue;
-        }
-        std::printf("%-16s %14llu %14llu\n", r.out.sim.config.c_str(),
-                    static_cast<unsigned long long>(r.out.sim.cycles),
-                    static_cast<unsigned long long>(
-                        r.out.sim.mmu_busy_cycles));
-    }
-}
-
-// -------------------------------------------------------------- mlp
-
-const std::vector<int> &
-mlpDepths()
-{
-    static const std::vector<int> depths = {1, 2, 4};
-    return depths;
-}
+const int mlp_depths[] = {1, 2, 4};
 
 /** Walk memory-level parallelism: the 8-core contention regime with
  *  the per-core in-flight walk cap swept across serialized (1) and
  *  overlapped (2, 4) translation machinery. */
-std::vector<JobSpec>
-mlpJobs(const SimParams &base)
+Sections
+mlpGrid(const SimParams &base)
 {
-    const SimParams shortened = scaledParams(base, 8, 4);
-    std::vector<JobSpec> jobs;
-    for (const int depth : mlpDepths()) {
-        for (const ConfigId id :
-             {ConfigId::NestedRadix, ConfigId::NestedEcpt}) {
-            ExperimentConfig config = makeConfig(id);
-            configureSharedResources(config, 8);
-            SimParams params = shortened;
-            params.cores = 8;
-            params.max_outstanding_walks = depth;
-            jobs.push_back(simJob("mlp/" + std::to_string(depth)
-                                      + "w/" + config.name,
-                                  config, params, "GUPS"));
+    Sections sections = {
+        {{"",
+          {"walks", "config"},
+          {{"cycles", 0}, {"inflight", 3}, {"peak", 0}},
+          {},
+          {"Reading: with the cap at 1 each L2-TLB miss serializes the "
+           "core for the whole walk; raising it lets independent misses "
+           "overlap, so cycles drop while the walkers' probe batches "
+           "contend for the same MSHRs and DRAM banks — the trade-off "
+           "behind the paper's 'judiciously limiting the number of "
+           "parallel memory accesses' (Abstract)."}},
+         [](const Outputs &o) {
+             const SimResult &r = o[0]->sim;
+             return Cells{double(r.cycles), r.walk_inflight_avg,
+                          double(r.walk_inflight_max)};
+         }}};
+    for (const int depth : mlp_depths) {
+        for (const ConfigId id : head_to_head) {
+            const std::string name = configName(id);
+            sections[0].points.push_back(sharedPoint(
+                "mlp/" + std::to_string(depth) + "w/" + name,
+                {std::to_string(depth), name}, id,
+                scaledParams(base, 8, 4), 8));
+            sections[0].points.back().params.max_outstanding_walks = depth;
         }
     }
-    return jobs;
+    return sections;
 }
-
-void
-mlpSummary(const ResultSink &sink, const SimParams &)
-{
-    std::printf("%-6s %-16s %14s %12s %10s\n", "walks", "config",
-                "cycles", "inflight", "peak");
-    for (const int depth : mlpDepths()) {
-        for (const char *config : {"Nested Radix", "Nested ECPTs"}) {
-            const JobRecord *r = sink.find(
-                "mlp/" + std::to_string(depth) + "w/" + config);
-            if (!r || r->status != JobStatus::Ok) {
-                std::printf("%-6d %-16s (failed)\n", depth, config);
-                continue;
-            }
-            std::printf("%-6d %-16s %14llu %12.3f %10llu\n", depth,
-                        config,
-                        static_cast<unsigned long long>(
-                            r->out.sim.cycles),
-                        r->out.sim.walk_inflight_avg,
-                        static_cast<unsigned long long>(
-                            r->out.sim.walk_inflight_max));
-        }
-    }
-    std::printf("\nReading: with the cap at 1 each L2-TLB miss "
-                "serializes the core for the whole walk; raising it "
-                "lets independent misses overlap, so cycles drop while "
-                "the walkers' probe batches contend for the same MSHRs "
-                "and DRAM banks — the trade-off behind the paper's "
-                "'judiciously limiting the number of parallel memory "
-                "accesses' (Abstract).\n");
-}
-
-// -------------------------------------------------------- coalesce
 
 /** Walk-MSHR design point: the mlp sweep crossed with same-page walk
  *  coalescing on/off. Off, concurrent same-page misses each walk;
  *  on, they merge at the walker and fan out at retire. */
-std::vector<JobSpec>
-coalesceJobs(const SimParams &base)
+Sections
+coalesceGrid(const SimParams &base)
 {
-    const SimParams shortened = scaledParams(base, 8, 4);
-    std::vector<JobSpec> jobs;
-    for (const int depth : mlpDepths()) {
+    Sections sections = {
+        {{"",
+          {"walks", "coalesce"},
+          {{"cycles", 0}, {"pt walks", 0}, {"merged", 0}, {"inflight", 3}},
+          {},
+          {"Reading: without coalescing, GUPS's read-modify-write pairs "
+           "re-miss the TLB while the first walk flies, so overlapped "
+           "walks do ~2x the walk work; the walk-MSHR merges those "
+           "duplicates ('pt walks' returns to the mlp=1 count) and the "
+           "merged requests ride the primary for free — the parallelism "
+           "the paper's walker assumes."}},
+         [](const Outputs &o) {
+             const SimResult &r = o[0]->sim;
+             const double merged = metricOr(*o[0], "walk.coalesced", 0);
+             return Cells{
+                 double(r.cycles),
+                 double(r.walks - static_cast<std::uint64_t>(merged)),
+                 merged, r.walk_inflight_avg};
+         }}};
+    for (const int depth : mlp_depths) {
         for (const bool coalesce : {false, true}) {
             // With one in-flight walk there is never a second
             // same-page miss to merge; skip the redundant point.
             if (coalesce && depth == 1)
                 continue;
-            ExperimentConfig config = makeConfig(ConfigId::NestedEcpt);
-            configureSharedResources(config, 8);
-            SimParams params = shortened;
-            params.cores = 8;
-            params.max_outstanding_walks = depth;
-            params.walk_coalescing = coalesce;
-            jobs.push_back(simJob(
-                "coalesce/" + std::to_string(depth) + "w/"
-                    + (coalesce ? "on" : "off"),
-                config, params, "GUPS"));
+            const std::string on = coalesce ? "on" : "off";
+            Point p = sharedPoint(
+                "coalesce/" + std::to_string(depth) + "w/" + on,
+                {std::to_string(depth), on}, ConfigId::NestedEcpt,
+                scaledParams(base, 8, 4), 8);
+            p.params.max_outstanding_walks = depth;
+            p.params.walk_coalescing = coalesce;
+            sections[0].points.push_back(std::move(p));
         }
     }
-    return jobs;
+    return sections;
 }
-
-void
-coalesceSummary(const ResultSink &sink, const SimParams &)
-{
-    std::printf("%-6s %-9s %14s %12s %12s %10s\n", "walks", "coalesce",
-                "cycles", "pt walks", "merged", "inflight");
-    for (const int depth : mlpDepths()) {
-        for (const bool coalesce : {false, true}) {
-            if (coalesce && depth == 1)
-                continue;
-            const JobRecord *r = sink.find(
-                "coalesce/" + std::to_string(depth) + "w/"
-                + (coalesce ? "on" : "off"));
-            if (!r || r->status != JobStatus::Ok) {
-                std::printf("%-6d %-9s (failed)\n", depth,
-                            coalesce ? "on" : "off");
-                continue;
-            }
-            const auto it = r->out.sim.metrics.find("walk.coalesced");
-            const double merged =
-                it != r->out.sim.metrics.end() ? it->second : 0.0;
-            std::printf("%-6d %-9s %14llu %12llu %12.0f %10.3f\n",
-                        depth, coalesce ? "on" : "off",
-                        static_cast<unsigned long long>(
-                            r->out.sim.cycles),
-                        static_cast<unsigned long long>(
-                            r->out.sim.walks -
-                            static_cast<std::uint64_t>(merged)),
-                        merged, r->out.sim.walk_inflight_avg);
-        }
-    }
-    std::printf("\nReading: without coalescing, GUPS's "
-                "read-modify-write pairs re-miss the TLB while the "
-                "first walk flies, so overlapped walks do ~2x the "
-                "walk work; the walk-MSHR merges those duplicates "
-                "('pt walks' returns to the mlp=1 count) and the "
-                "merged requests ride the primary for free — the "
-                "parallelism the paper's walker assumes.\n");
-}
-
-// ------------------------------------------------------------ churn
 
 /** One scenario per OS/hypervisor mutation stream, plus all of them
- *  together — each interleaved with the GUPS access kernel. */
-const std::vector<std::pair<const char *, const char *>> &
-churnScenarios()
+ *  together — each interleaved with the GUPS access kernel. The THP
+ *  compactor needs 2MB mappings to split, so its scenario (and the
+ *  combined one) runs the THP variants. */
+Sections
+churnGrid(const SimParams &base)
 {
-    static const std::vector<std::pair<const char *, const char *>>
-        scenarios = {
-            {"migrate", "migrate:20000:4"},
-            {"balloon", "balloon:50000:16"},
-            {"thp", "thp:80000:2"},
-            {"protect", "protect:40000:4"},
-            {"all", "all"},
-        };
-    return scenarios;
-}
-
-double
-metricOr(const JobRecord &r, const char *name, double fallback)
-{
-    const auto it = r.out.metrics.find(name);
-    return it == r.out.metrics.end() ? fallback : it->second;
-}
-
-std::vector<JobSpec>
-churnJobs(const SimParams &base)
-{
-    const SimParams shortened = scaledParams(base, 8, 4);
-    std::vector<JobSpec> jobs;
-    for (const auto &[label, spec] : churnScenarios()) {
-        // The THP compactor needs 2MB mappings to split, so its
-        // scenario (and the combined one) runs the THP variants.
-        const bool thp = std::string(label) == "thp"
-            || std::string(label) == "all";
+    Sections sections = {
+        {{"",
+          {"scenario", "config"},
+          {{"cycles", 0}, {"ops", 0}, {"rounds", 0}, {"dropped", 0},
+           {"replays", 0}},
+          {},
+          {"Reading: every scenario interleaves a mutation stream "
+           "(migration, ballooning, THP compaction, write-protection) "
+           "with the access kernel; each mutation batch triggers a "
+           "TLB-shootdown round that scrubs the per-core TLBs, the walk "
+           "caches, and the POM-TLB, and any walk that raced an "
+           "invalidation replays against the mutated tables."}},
+         [](const Outputs &o) {
+             return Cells{double(o[0]->sim.cycles),
+                          metricOr(*o[0], "churn.ops", 0),
+                          metricOr(*o[0], "shootdown.rounds", 0),
+                          metricOr(*o[0], "shootdown.entries.dropped", 0),
+                          metricOr(*o[0], "shootdown.walk_replays", 0)};
+         }}};
+    const struct
+    {
+        const char *label, *spec;
+        bool thp;
+    } scenarios[] = {
+        {"migrate", "migrate:20000:4", false},
+        {"balloon", "balloon:50000:16", false},
+        {"thp", "thp:80000:2", true},
+        {"protect", "protect:40000:4", false},
+        {"all", "all", true},
+    };
+    for (const auto &s : scenarios) {
         for (const ConfigId id :
-             {thp ? ConfigId::NestedRadixThp : ConfigId::NestedRadix,
-              thp ? ConfigId::NestedEcptThp : ConfigId::NestedEcpt}) {
-            ExperimentConfig config = makeConfig(id);
-            configureSharedResources(config, 4);
-            SimParams params = shortened;
-            params.cores = 4;
-            params.churn = parseChurnSpec(spec);
-            jobs.push_back(simJob("churn/" + std::string(label) + "/"
-                                      + config.name,
-                                  config, params, "GUPS"));
+             {s.thp ? ConfigId::NestedRadixThp : ConfigId::NestedRadix,
+              s.thp ? ConfigId::NestedEcptThp : ConfigId::NestedEcpt}) {
+            const std::string name = configName(id);
+            Point p = sharedPoint("churn/" + std::string(s.label) + "/" + name,
+                                  {s.label, name}, id,
+                                  scaledParams(base, 8, 4), 4);
+            p.params.churn = parseChurnSpec(s.spec);
+            sections[0].points.push_back(std::move(p));
         }
     }
-    return jobs;
-}
-
-void
-churnSummary(const ResultSink &sink, const SimParams &)
-{
-    std::printf("%-9s %-16s %14s %8s %8s %9s %9s\n", "scenario",
-                "config", "cycles", "ops", "rounds", "dropped",
-                "replays");
-    for (const auto &[label, spec] : churnScenarios()) {
-        const bool thp = std::string(label) == "thp"
-            || std::string(label) == "all";
-        for (const char *config :
-             {thp ? "Nested Radix THP" : "Nested Radix",
-              thp ? "Nested ECPTs THP" : "Nested ECPTs"}) {
-            const JobRecord *r = sink.find("churn/" + std::string(label)
-                                           + "/" + config);
-            if (!r || r->status != JobStatus::Ok) {
-                std::printf("%-9s %-16s (failed)\n", label, config);
-                continue;
-            }
-            std::printf(
-                "%-9s %-16s %14llu %8.0f %8.0f %9.0f %9.0f\n", label,
-                config,
-                static_cast<unsigned long long>(r->out.sim.cycles),
-                metricOr(*r, "churn.ops", 0),
-                metricOr(*r, "shootdown.rounds", 0),
-                metricOr(*r, "shootdown.entries.dropped", 0),
-                metricOr(*r, "shootdown.walk_replays", 0));
-        }
-    }
-    std::printf("\nReading: every scenario interleaves a mutation "
-                "stream (migration, ballooning, THP compaction, "
-                "write-protection) with the access kernel; each "
-                "mutation batch triggers a TLB-shootdown round that "
-                "scrubs the per-core TLBs, the walk caches, and the "
-                "POM-TLB, and any walk that raced an invalidation "
-                "replays against the mutated tables.\n");
-}
-
-// -------------------------------------------------------- shootdown
-
-const std::vector<const char *> &
-shootdownModes()
-{
-    static const std::vector<const char *> modes = {"sw", "hw"};
-    return modes;
+    return sections;
 }
 
 /** Software-IPI vs hardware-coherence head to head: the same churn
  *  stream under both protocols, 8 cores. */
-std::vector<JobSpec>
-shootdownJobs(const SimParams &base)
+Sections
+shootdownGrid(const SimParams &base)
 {
-    const SimParams shortened = scaledParams(base, 8, 4);
-    std::vector<JobSpec> jobs;
-    for (const char *mode : shootdownModes()) {
-        for (const ConfigId id :
-             {ConfigId::NestedRadix, ConfigId::NestedEcpt}) {
-            ExperimentConfig config = makeConfig(id);
-            configureSharedResources(config, 8);
-            SimParams params = shortened;
-            params.cores = 8;
+    Sections sections = {
+        {{"Software IPIs vs hardware translation coherence",
+          {"config"},
+          {{"sw cycles", 0}, {"hw cycles", 0}, {"hw gain", 3, "x"},
+           {"sw lat", 0}, {"hw lat", 0}},
+          {},
+          {"Reading: the sw protocol interrupts every core and stalls "
+           "the initiator until the last ack; the hw protocol rides the "
+           "coherence network to just the structures holding stale "
+           "entries, so its rounds are shorter and nobody stalls — the "
+           "gap is the shootdown tax the churn stream levies on each "
+           "design."}},
+         [](const Outputs &o) {
+             const double sw = o[0]->sim.cycles, hw = o[1]->sim.cycles;
+             return Cells{sw, hw, sw / hw,
+                          metricOr(*o[0], "shootdown.latency.mean", 0),
+                          metricOr(*o[1], "shootdown.latency.mean", 0)};
+         }}};
+    for (const std::string mode : {"sw", "hw"}) {
+        for (const ConfigId id : head_to_head) {
+            Point p = sharedPoint("shootdown/" + mode + "/" + configName(id),
+                                  {configName(id)}, id,
+                                  scaledParams(base, 8, 4), 8);
             // Denser than the churn grid's scenarios: the protocols
             // only separate when rounds are frequent enough for the
             // sw initiator stall to show up in end-to-end cycles.
-            params.churn = parseChurnSpec(
-                std::string("migrate:2000:8,balloon:6000:16,"
-                            "protect:4000:8,batch:8,mode:") + mode);
-            jobs.push_back(simJob("shootdown/" + std::string(mode) + "/"
-                                      + config.name,
-                                  config, params, "GUPS"));
+            p.params.churn = parseChurnSpec(
+                "migrate:2000:8,balloon:6000:16,protect:4000:8,batch:8,"
+                "mode:" + mode);
+            sections[0].points.push_back(std::move(p));
         }
     }
-    return jobs;
+    return sections;
 }
 
-void
-shootdownSummary(const ResultSink &sink, const SimParams &)
+/** A registry entry for a section grid. */
+SweepGrid
+sectionGrid(std::string name, std::string title, std::string paper_ref,
+            Sections (*grid)(const SimParams &))
 {
-    printHeader("Software IPIs vs hardware translation coherence");
-    std::printf("%-16s %14s %14s %8s %10s %10s\n", "config",
-                "sw cycles", "hw cycles", "hw gain", "sw lat",
-                "hw lat");
-    for (const char *config : {"Nested Radix", "Nested ECPTs"}) {
-        const JobRecord *sw =
-            sink.find("shootdown/sw/" + std::string(config));
-        const JobRecord *hw =
-            sink.find("shootdown/hw/" + std::string(config));
-        if (!sw || !hw || sw->status != JobStatus::Ok
-            || hw->status != JobStatus::Ok) {
-            std::printf("%-16s (failed)\n", config);
-            continue;
-        }
-        std::printf(
-            "%-16s %14llu %14llu %7.3fx %10.0f %10.0f\n", config,
-            static_cast<unsigned long long>(sw->out.sim.cycles),
-            static_cast<unsigned long long>(hw->out.sim.cycles),
-            static_cast<double>(sw->out.sim.cycles)
-                / hw->out.sim.cycles,
-            metricOr(*sw, "shootdown.latency.mean", 0),
-            metricOr(*hw, "shootdown.latency.mean", 0));
-    }
-    std::printf("\nReading: the sw protocol interrupts every core and "
-                "stalls the initiator until the last ack; the hw "
-                "protocol rides the coherence network to just the "
-                "structures holding stale entries, so its rounds are "
-                "shorter and nobody stalls — the gap is the shootdown "
-                "tax the churn stream levies on each design.\n");
+    return {std::move(name), std::move(title), std::move(paper_ref),
+            sectionJobs(grid), sectionSummary(grid)};
 }
 
 } // namespace
 
-std::vector<JobSpec>
-configAppJobs(const std::string &grid,
-              const std::vector<ExperimentConfig> &configs,
-              const std::vector<std::string> &apps,
-              const SimParams &params)
+Jobs
+configAppJobs(const std::string &grid, const Configs &configs,
+              const Names &apps, const SimParams &params)
 {
-    std::vector<JobSpec> jobs;
+    Jobs jobs;
     for (const ExperimentConfig &config : configs)
         for (const std::string &app : apps)
-            jobs.push_back(simJob(grid + "/" + config.name + "/" + app,
-                                  config, params, app));
+            jobs.push_back(simJob(jobKey(grid, config.name, app), config,
+                                  params, app));
     return jobs;
 }
 
@@ -1299,88 +1315,60 @@ sweepGrids()
 {
     static const std::vector<SweepGrid> grids = {
         {"fig9", "Speedup over the Nested Radix configuration",
-         "Figure 9",
-         [](const SimParams &p) {
-             return configAppJobs("fig9", fig9Configs(), appsFromEnv(),
-                                  p);
-         },
-         fig9Summary},
+         "Figure 9", configGrid("fig9", fig9Configs), fig9Summary},
         {"fig10",
          "MMU busy cycles in nested configurations (normalized to "
          "Nested Radix)",
-         "Figure 10",
-         [](const SimParams &p) {
-             return configAppJobs("fig10", nestedConfigs(),
-                                  appsFromEnv(), p);
-         },
-         fig10Summary},
+         "Figure 10", configGrid("fig10", nestedConfigs), fig10Summary},
         {"fig11", "Histogram of nested page-walk latency (MUMmer)",
          "Figure 11",
-         [](const SimParams &p) {
-             return configAppJobs("fig11", thpPairConfigs(), {"MUMmer"},
-                                  p);
-         },
+         configGrid("fig11", thpPairConfigs, [] { return Names{"MUMmer"}; }),
          fig11Summary},
-        {"fig12", "PTE/PMD hCWT hit rates in the Step-3 hCWC",
-         "Figure 12",
-         [](const SimParams &p) {
-             return configAppJobs("fig12",
-                                  {makeConfig(ConfigId::NestedEcptThp)},
-                                  appsFromEnv(), p);
-         },
-         fig12Summary},
+        sectionGrid("fig12", "PTE/PMD hCWT hit rates in the Step-3 hCWC",
+                    "Figure 12", fig12Grid),
         {"fig13", "MMU and cache subsystem characterization",
-         "Figure 13 / Section 9.3",
-         [](const SimParams &p) {
-             return configAppJobs("fig13", nestedConfigs(),
-                                  appsFromEnv(), p);
-         },
+         "Figure 13 / Section 9.3", configGrid("fig13", nestedConfigs),
          fig13Summary},
         {"fig14", "Breakdown of host and guest ECPT walk kinds",
          "Figure 14 / Section 9.4", fig14Jobs, fig14Summary},
-        {"sec94", "Shortcut Translation Cache capacity sweep",
-         "Section 9.4",
-         [](const SimParams &p) {
-             return configAppJobs("sec94", sec94Configs(),
-                                  appsFromEnv(), p);
-         },
-         sec94Summary},
+        sectionGrid("sec94", "Shortcut Translation Cache capacity sweep",
+                    "Section 9.4", sec94Grid),
         {"sec95", "Memory consumption of virtual-memory structures",
-         "Section 9.5",
-         [](const SimParams &p) {
-             return configAppJobs("sec95", thpPairConfigs(),
-                                  appsFromEnv(), p);
-         },
-         sec95Summary},
+         "Section 9.5", configGrid("sec95", thpPairConfigs), sec95Summary},
         {"sec96", "Comparison to other advanced designs", "Section 9.6",
-         [](const SimParams &p) {
-             return configAppJobs("sec96", sec96Configs(),
-                                  appsFromEnv(), p);
-         },
-         sec96Summary},
-        {"ablation_5level", "5-level radix ablation (Sunny Cove / LA57)",
-         "Section 1 motivation", ablation5Jobs, ablation5Summary},
-        {"ablation_design", "Design-choice ablations",
-         "DESIGN.md design-space notes", designJobs, designSummary},
-        {"table4", "Applications evaluated", "Table 4", table4Jobs,
-         table4Summary},
-        {"multicore", "Multi-core (multiprogrammed) scaling",
-         "Section 8 machine configuration", multicoreJobs,
-         multicoreSummary},
-        {"smoke", "Two-design short run (CI / fault campaigns)",
-         "Section 8 machine configuration", smokeJobs, smokeSummary},
-        {"mlp", "Walk memory-level parallelism (in-flight walk cap)",
-         "Section 3 parallelism argument", mlpJobs, mlpSummary},
-        {"coalesce",
-         "Same-page walk coalescing design point (mlp x on/off)",
-         "Section 3 parallelism argument", coalesceJobs,
-         coalesceSummary},
-        {"churn", "Translation churn scenarios (shootdown pressure)",
-         "Translation-coherence subsystem", churnJobs, churnSummary},
-        {"shootdown",
-         "Shootdown protocol head-to-head (sw IPIs vs hw coherence)",
-         "Translation-coherence subsystem", shootdownJobs,
-         shootdownSummary},
+         configGrid("sec96", sec96Configs), sec96Summary},
+        sectionGrid("ablation_5level",
+                    "5-level radix ablation (Sunny Cove / LA57)",
+                    "Section 1 motivation", ablation5Grid),
+        sectionGrid("ablation_design", "Design-choice ablations",
+                    "DESIGN.md design-space notes", designGrid),
+        sectionGrid("table1",
+                    "Modeled page table architecture configurations",
+                    "Table 1", table1Grid),
+        sectionGrid("table2",
+                    "Architectural parameters used in the evaluation",
+                    "Table 2", table2Grid),
+        sectionGrid("table3", "Area and power of the MMU hardware caches",
+                    "Table 3", table3Grid),
+        sectionGrid("table4", "Applications evaluated", "Table 4",
+                    table4Grid),
+        sectionGrid("multicore", "Multi-core (multiprogrammed) scaling",
+                    "Section 8 machine configuration", multicoreGrid),
+        sectionGrid("smoke", "Two-design short run (CI / fault campaigns)",
+                    "Section 8 machine configuration", smokeGrid),
+        sectionGrid("mlp",
+                    "Walk memory-level parallelism (in-flight walk cap)",
+                    "Section 3 parallelism argument", mlpGrid),
+        sectionGrid("coalesce",
+                    "Same-page walk coalescing design point (mlp x on/off)",
+                    "Section 3 parallelism argument", coalesceGrid),
+        sectionGrid("churn",
+                    "Translation churn scenarios (shootdown pressure)",
+                    "Translation-coherence subsystem", churnGrid),
+        sectionGrid(
+            "shootdown",
+            "Shootdown protocol head-to-head (sw IPIs vs hw coherence)",
+            "Translation-coherence subsystem", shootdownGrid),
     };
     return grids;
 }
@@ -1401,7 +1389,7 @@ runSweepGrid(const SweepGrid &grid, const SimParams &params,
     printBanner(grid.title, grid.paper_ref);
     const SweepEngine engine(options);
     ResultSink sink = engine.run(grid.make_jobs(params));
-    grid.print_summary(sink, params);
+    printTables(grid.summarize(sink, params));
     return sink;
 }
 

@@ -5,19 +5,21 @@
  * (`necpt_sweep`) enumerates and runs all of them.
  *
  * A grid contributes two things: a job list (pure — building it runs
- * no simulation) and a summary printer that prints the experiment's
- * human-readable stdout tables from the structured records.
+ * no simulation) and a summary that turns the structured records into
+ * the experiment's tables (exec/table.hh), which runSweepGrid prints.
  */
 
 #ifndef NECPT_EXEC_REGISTRY_HH
 #define NECPT_EXEC_REGISTRY_HH
 
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "exec/engine.hh"
 #include "exec/job.hh"
 #include "exec/result_sink.hh"
+#include "exec/table.hh"
 #include "sim/experiment.hh"
 
 namespace necpt
@@ -30,18 +32,19 @@ struct SweepGrid
     std::string paper_ref; //!< e.g. "Figure 9"
 
     /** Build the job list (no simulation happens here). */
-    std::vector<JobSpec> (*make_jobs)(const SimParams &params);
+    std::function<std::vector<JobSpec>(const SimParams &params)> make_jobs;
 
-    /** Print the summary tables from the finished records; a run
-     *  that failed prints "(failed)" where its numbers would go. */
-    void (*print_summary)(const ResultSink &sink,
-                          const SimParams &params);
+    /** The summary tables of the finished records; a row that needs
+     *  a run which did not succeed holds that run's status. */
+    std::function<std::vector<Table>(const ResultSink &sink,
+                                     const SimParams &params)>
+        summarize;
 };
 
 /**
  * One simulation job per (configuration, application) pair, keyed
  * "<grid>/<config>/<app>", all at @p params and its seed — the shape
- * of every figure grid, read back through ResultSink::toGrid().
+ * of every figure grid.
  */
 std::vector<JobSpec>
 configAppJobs(const std::string &grid,
@@ -56,8 +59,8 @@ const std::vector<SweepGrid> &sweepGrids();
 const SweepGrid *findSweepGrid(const std::string &name);
 
 /**
- * Run @p grid end to end: banner, engine fan-out, summary. Returns
- * the sink for optional export.
+ * Run @p grid end to end: banner, engine fan-out, then its summary
+ * tables on stdout. Returns the sink for optional export.
  */
 ResultSink runSweepGrid(const SweepGrid &grid, const SimParams &params,
                         const SweepOptions &options);

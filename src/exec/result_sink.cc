@@ -3,35 +3,12 @@
 #include <cstdio>
 #include <sstream>
 
+#include "common/json.hh"
 #include "common/rng.hh"
 #include "sim/report.hh"
 
 namespace necpt
 {
-
-namespace
-{
-
-std::string
-jsonEscape(const std::string &in)
-{
-    std::string out;
-    out.reserve(in.size());
-    for (char c : in) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-            out += buf;
-            continue;
-        }
-        out.push_back(c);
-    }
-    return out;
-}
-
-} // namespace
 
 const char *
 jobStatusName(JobStatus status)
@@ -87,6 +64,17 @@ ResultSink::find(const std::string &key) const
         if (r.key == key)
             return &r;
     return nullptr;
+}
+
+JobStatus
+ResultSink::firstFailure(const std::vector<std::string> &keys) const
+{
+    for (const std::string &key : keys) {
+        const JobRecord *r = find(key);
+        if (!r || r->status != JobStatus::Ok)
+            return r ? r->status : JobStatus::Failed;
+    }
+    return JobStatus::Ok;
 }
 
 std::vector<SimResult>
@@ -171,7 +159,7 @@ ResultSink::writeJson(const std::string &path,
                     if (!m1)
                         os << ",";
                     m1 = false;
-                    os << "\"" << jsonEscape(k) << "\":" << v;
+                    os << "\"" << jsonEscape(k) << "\":" << jsonNumber(v);
                 }
                 os << "}";
             }

@@ -97,6 +97,10 @@ class ResultSink
     /** Record for @p key, or nullptr. */
     const JobRecord *find(const std::string &key) const;
 
+    /** Status of the first job of @p keys that did not succeed (a key
+     *  with no record counts as failed), or Ok. */
+    JobStatus firstFailure(const std::vector<std::string> &keys) const;
+
     /** Successful SimResults, submission order (CSV/grid fodder). */
     std::vector<SimResult> okResults() const;
 

@@ -2,24 +2,25 @@
 
 #include <sstream>
 
+#include "common/json.hh"
+
 namespace necpt
 {
 
 namespace
 {
 
-/** Escape a string for CSV (quotes) and JSON (quotes/backslashes). */
+/** @p in as a quoted CSV field (RFC 4180: a quote is doubled). */
 std::string
-escape(const std::string &in)
+csvQuote(const std::string &in)
 {
-    std::string out;
-    out.reserve(in.size());
-    for (char c : in) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
+    std::string out = "\"";
+    for (const char c : in) {
+        if (c == '"')
+            out.push_back('"');
         out.push_back(c);
     }
-    return out;
+    return out + '"';
 }
 
 } // namespace
@@ -44,11 +45,11 @@ writeCsvRow(std::FILE *out, const SimResult &r)
 {
     std::fprintf(
         out,
-        "\"%s\",\"%s\",%llu,%llu,%llu,%llu,%llu,%llu,%llu,"
+        "%s,%s,%llu,%llu,%llu,%llu,%llu,%llu,%llu,"
         "%.4f,%.4f,%.4f,%.3f,%llu,%.4f,"
         "%.4f,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f,"
         "%.3f,%.3f,%.3f,%.4f,%llu,%llu,%llu\n",
-        escape(r.config).c_str(), escape(r.app).c_str(),
+        csvQuote(r.config).c_str(), csvQuote(r.app).c_str(),
         (unsigned long long)r.instructions, (unsigned long long)r.cycles,
         (unsigned long long)r.mmu_busy_cycles,
         (unsigned long long)r.l1_tlb_misses,
@@ -69,26 +70,27 @@ toJson(const SimResult &r)
 {
     std::ostringstream os;
     os << "{";
-    os << "\"config\":\"" << escape(r.config) << "\",";
-    os << "\"app\":\"" << escape(r.app) << "\",";
+    os << "\"config\":\"" << jsonEscape(r.config) << "\",";
+    os << "\"app\":\"" << jsonEscape(r.app) << "\",";
     os << "\"instructions\":" << r.instructions << ",";
     os << "\"cycles\":" << r.cycles << ",";
     os << "\"mmu_busy_cycles\":" << r.mmu_busy_cycles << ",";
     os << "\"l2_tlb_misses\":" << r.l2_tlb_misses << ",";
     os << "\"walks\":" << r.walks << ",";
     os << "\"mmu_requests\":" << r.mmu_requests << ",";
-    os << "\"l2_mpki\":" << r.l2_mpki << ",";
-    os << "\"l3_mpki\":" << r.l3_mpki << ",";
-    os << "\"mmu_rpki\":" << r.mmu_rpki << ",";
-    os << "\"step_avg\":[" << r.step_avg[0] << "," << r.step_avg[1]
-       << "," << r.step_avg[2] << "],";
-    os << "\"guest_kind\":[" << r.guest_kind_frac[0] << ","
-       << r.guest_kind_frac[1] << "," << r.guest_kind_frac[2] << ","
-       << r.guest_kind_frac[3] << "],";
-    os << "\"host_kind\":[" << r.host_kind_frac[0] << ","
-       << r.host_kind_frac[1] << "," << r.host_kind_frac[2] << ","
-       << r.host_kind_frac[3] << "],";
-    os << "\"stc_hit_rate\":" << r.stc_hit_rate << ",";
+    os << "\"l2_mpki\":" << jsonNumber(r.l2_mpki) << ",";
+    os << "\"l3_mpki\":" << jsonNumber(r.l3_mpki) << ",";
+    os << "\"mmu_rpki\":" << jsonNumber(r.mmu_rpki) << ",";
+    auto array = [&os](const char *name, const double *v, int n) {
+        os << "\"" << name << "\":[";
+        for (int i = 0; i < n; ++i)
+            os << (i ? "," : "") << jsonNumber(v[i]);
+        os << "],";
+    };
+    array("step_avg", r.step_avg, 3);
+    array("guest_kind", r.guest_kind_frac, 4);
+    array("host_kind", r.host_kind_frac, 4);
+    os << "\"stc_hit_rate\":" << jsonNumber(r.stc_hit_rate) << ",";
     os << "\"guest_structure_bytes\":" << r.guest_structure_bytes
        << ",";
     os << "\"host_structure_bytes\":" << r.host_structure_bytes << ",";

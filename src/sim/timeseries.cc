@@ -1,5 +1,6 @@
 #include "sim/timeseries.hh"
 
+#include "common/json.hh"
 #include "common/log.hh"
 
 #include <cstdio>
@@ -25,32 +26,6 @@ TimeSeriesBuffer::record(double cycle,
         row.push_back(kv.second);
     rows_.push_back(std::move(row));
 }
-
-namespace
-{
-
-void
-appendDouble(std::string &out, double v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.12g", v);
-    out += buf;
-}
-
-std::string
-jsonEscape(const std::string &in)
-{
-    std::string out;
-    out.reserve(in.size());
-    for (char c : in) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(c);
-    }
-    return out;
-}
-
-} // namespace
 
 std::string
 timeseriesToJson(const std::vector<TimeSeriesRun> &runs,
@@ -87,7 +62,7 @@ timeseriesToJson(const std::vector<TimeSeriesRun> &runs,
             for (std::size_t c = 0; c < rows[r].size(); ++c) {
                 if (c)
                     out += ',';
-                appendDouble(out, rows[r][c]);
+                out += jsonNumber(rows[r][c]);
             }
             out += ']';
         }

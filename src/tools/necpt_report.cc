@@ -231,14 +231,14 @@ function renderStats(root, doc) {
         for (let i = 0; i < m.bins.length; ++i) {
           if (m.bins[i] > 0 && seen + m.bins[i] >= target) {
             if (i === m.bins.length - 1) return m.max;
-            return Math.round(i * m.width +
-              (target - seen) / m.bins[i] * m.width);
+            return Math.round(i * m.bin_width +
+              (target - seen) / m.bins[i] * m.bin_width);
           }
           seen += m.bins[i];
         }
         return m.max;
       };
-      tr.appendChild(cell(m.count));
+      tr.appendChild(cell(m.total));
       tr.appendChild(cell(m.mean));
       tr.appendChild(cell(pct(50)));
       tr.appendChild(cell(pct(95)));

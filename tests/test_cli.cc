@@ -2,15 +2,20 @@
  * @file
  * Table-driven checks of the necpt-run and necpt_sweep command lines:
  * bad input must end in a clean, typed error and exit code 1, never an
- * abort.
+ * abort. Also drives necpt_report over a real stats document.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <ostream>
+#include <regex>
 #include <string>
 #include <sys/wait.h>
+
+#include "common/metrics.hh"
 
 namespace
 {
@@ -171,5 +176,48 @@ INSTANTIATE_TEST_SUITE_P(
                 "got 'nan'",
                 NECPT_SWEEP_PATH}),
     caseName);
+
+TEST(NecptReport, StatsViewReadsTheSchemaFieldNames)
+{
+    // A necpt-stats-v1 document holding every metric kind.
+    necpt::Histogram hist(10, 4);
+    hist.sample(5);
+    hist.sample(25);
+    necpt::RateMonitor rates(100);
+    rates.record(0, true);
+    rates.record(150, false);
+    necpt::MetricsRegistry reg;
+    reg.addCounter("walk.count", [] { return 3ULL; });
+    reg.addValue("stc.hitrate", [] { return 0.5; });
+    reg.addHistogram("walk.latency", &hist);
+    reg.addRates("adaptive.pte.window_rates", &rates);
+    const std::string stats = reg.toJson();
+    ASSERT_TRUE(reg.writeJson("test_cli_stats.json"));
+
+    const auto [code, out] = runCli(
+        NECPT_REPORT_PATH,
+        "--out test_cli_report.html --stats test_cli_stats.json", "");
+    std::remove("test_cli_stats.json");
+    ASSERT_EQ(code, 0) << out;
+    std::ifstream in("test_cli_report.html");
+    const std::string html((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    std::remove("test_cli_report.html");
+
+    // Every field the stats view reads off a metric must be a field
+    // the document carries: a misspelt one renders blank or NaN.
+    const std::size_t begin = html.find("function renderStats");
+    const std::size_t end = html.find("function sparkline");
+    ASSERT_LT(begin, end);
+    const std::string view = html.substr(begin, end - begin);
+    const std::regex field(R"(\bm\.([A-Za-z_]+))");
+    int fields = 0;
+    for (std::sregex_iterator it(view.begin(), view.end(), field), last;
+         it != last; ++it, ++fields)
+        EXPECT_NE(stats.find("\"" + (*it)[1].str() + "\":"),
+                  std::string::npos)
+            << "the stats view reads m." << (*it)[1].str();
+    EXPECT_GT(fields, 0);
+}
 
 } // namespace

@@ -8,9 +8,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -376,6 +378,35 @@ TEST(ResultSink, CsvContainsOnlySuccessfulRows)
     EXPECT_EQ(csv.find("csv/bad"), std::string::npos);
 }
 
+TEST(ResultSink, JsonKeepsEveryDigit)
+{
+    // Conservation makes attr.total.cycles equal mmu_busy_cycles; both
+    // must read back exactly, well past 6 significant digits.
+    JobSpec spec;
+    spec.key = "digits/one";
+    spec.fn = [](const JobContext &) {
+        JobOutput out;
+        out.sim.mmu_busy_cycles = 2'208'783;
+        out.sim.l2_mpki = 12.3456789;
+        out.metrics["attr.total.cycles"] = 2'208'783;
+        return out;
+    };
+    const ResultSink sink = SweepEngine(quietOptions(1)).run({spec});
+    const std::string path = "test_exec_digits.json";
+    ASSERT_TRUE(sink.writeJson(path, "unit", 7, 1));
+    const std::string json = slurp(path);
+    std::remove(path.c_str());
+
+    auto number = [&json](const std::string &field) {
+        const std::size_t at = json.find("\"" + field + "\":");
+        EXPECT_NE(at, std::string::npos) << field;
+        return std::strtod(json.c_str() + at + field.size() + 3, nullptr);
+    };
+    EXPECT_EQ(number("attr.total.cycles"), 2'208'783.0);
+    EXPECT_EQ(number("mmu_busy_cycles"), 2'208'783.0);
+    EXPECT_EQ(number("l2_mpki"), 12.3456789);
+}
+
 TEST(ResultSink, ToGridBridgesOkRecords)
 {
     std::vector<JobSpec> specs = {fakeJob("grid/a"), fakeJob("grid/b")};
@@ -391,11 +422,11 @@ TEST(ResultSink, ToGridBridgesOkRecords)
 
 TEST(SweepRegistry, PortedGridsAreRegistered)
 {
-    EXPECT_GE(sweepGrids().size(), 13u);
+    EXPECT_GE(sweepGrids().size(), 21u);
     for (const char *name :
          {"fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "sec94",
           "sec95", "sec96", "ablation_5level", "ablation_design",
-          "table4", "multicore"}) {
+          "table1", "table2", "table3", "table4", "multicore"}) {
         const SweepGrid *grid = findSweepGrid(name);
         ASSERT_NE(grid, nullptr) << name;
         EXPECT_EQ(grid->name, name);
@@ -427,7 +458,7 @@ TEST(SweepRegistry, JobKeysAreUniqueAndStable)
 
 TEST(SweepRegistry, SummariesSurviveFailedJobs)
 {
-    // Every job failed: each summary must print "(failed)" where its
+    // Every job failed: each summary must show "(failed)" where its
     // numbers would go, never throw (necpt_sweep catches SimErrors
     // only, so a std::out_of_range would abort the process).
     const SimParams params;
@@ -441,7 +472,57 @@ TEST(SweepRegistry, SummariesSurviveFailedJobs)
             record.error = "injected failure";
             sink.put(i, std::move(record));
         }
-        EXPECT_NO_THROW(grid.print_summary(sink, params)) << grid.name;
+        std::vector<Table> tables;
+        EXPECT_NO_THROW(tables = grid.summarize(sink, params))
+            << grid.name;
+        std::string text;
+        for (const Table &table : tables)
+            text += renderTable(table);
+        EXPECT_NE(text.find("(failed)"), std::string::npos) << grid.name;
+    }
+}
+
+TEST(SweepRegistry, Fig9SpeedupCellsAreCycleRatios)
+{
+    // Synthetic records with distinct cycle counts: every cell of the
+    // speedup table is base.cycles / cell.cycles, base = Nested Radix.
+    setenv("NECPT_APPS", "GUPS,BFS", 1);
+    const SweepGrid &grid = *findSweepGrid("fig9");
+    const SimParams params;
+    const auto jobs = grid.make_jobs(params);
+    ResultSink sink(jobs.size());
+    std::map<std::string, std::uint64_t> cycles;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        JobRecord record;
+        record.key = jobs[i].key;
+        record.status = JobStatus::Ok;
+        record.out.sim.cycles = 100'000 + 7'919 * i;
+        cycles[jobs[i].key] = record.out.sim.cycles;
+        sink.put(i, std::move(record));
+    }
+    const std::vector<Table> tables = grid.summarize(sink, params);
+    unsetenv("NECPT_APPS");
+
+    ASSERT_FALSE(tables.empty());
+    const Table &speedups = tables[0];
+    ASSERT_EQ(speedups.columns.size(), 3u); // GUPS, BFS, GeoMean
+    ASSERT_FALSE(speedups.rows.empty());
+    for (const Row &row : speedups.rows) {
+        ASSERT_EQ(row.cells.size(), 3u) << row.labels[0];
+        std::vector<double> ratios;
+        for (std::size_t a = 0; a < 2; ++a) {
+            const std::string app = speedups.columns[a].header;
+            const double expected =
+                static_cast<double>(cycles.at("fig9/Nested Radix/" + app))
+                / static_cast<double>(
+                    cycles.at("fig9/" + row.labels[0] + "/" + app));
+            EXPECT_EQ(std::get<double>(row.cells[a]), expected)
+                << row.labels[0] << " " << app;
+            ratios.push_back(expected);
+        }
+        EXPECT_DOUBLE_EQ(std::get<double>(row.cells[2]),
+                         std::sqrt(ratios[0] * ratios[1]))
+            << row.labels[0];
     }
 }
 
