@@ -132,8 +132,11 @@ ResultSink::writeJson(const std::string &path,
         os << "\"status\":\"" << jobStatusName(r.status) << "\",";
         os << "\"seed\":" << r.seed << ",";
         os << "\"attempts\":" << r.attempts;
-        if (!canonical)
+        if (!canonical) {
             os << ",\"wall_ms\":" << r.wall_ms;
+            if (r.status == JobStatus::Ok)
+                os << ",\"host_time\":" << toJson(r.out.sim.host_time);
+        }
         if (r.status != JobStatus::Ok) {
             os << ",\"error\":\"" << jsonEscape(r.error) << "\"";
             if (!r.error_kind.empty())

@@ -111,10 +111,11 @@ class ResultSink
      * Write the sweep as one JSON document:
      * {"sweep": name, "base_seed": n, "jobs": n, "total": n, "ok": n,
      *  "failed": n, "records": [{"key","status","seed","attempts",
-     *  "wall_ms"?, "error"?, "error_kind"?, "error_chain"?,
-     *  "result"?, "metrics"?, "labels"?}, ...]}
+     *  "wall_ms"?, "host_time"?, "error"?, "error_kind"?,
+     *  "error_chain"?, "result"?, "metrics"?, "labels"?}, ...]}
      *
-     * @param canonical omit execution-detail fields (jobs, wall_ms)
+     * @param canonical omit execution-detail fields (jobs, wall_ms,
+     *        host_time)
      *        so two runs of the same seed compare byte-identical
      *        regardless of worker count — the fault-campaign
      *        reproducibility contract.

@@ -1,5 +1,8 @@
 #include "os/system.hh"
 
+#include <algorithm>
+#include <array>
+
 #include "common/error.hh"
 #include "common/fault.hh"
 #include "common/log.hh"
@@ -134,10 +137,10 @@ NestedSystem::mmapRegion1G(std::uint64_t bytes)
     return base;
 }
 
-const NestedSystem::Vma *
-NestedSystem::vmaOf(Addr gva) const
+NestedSystem::Vma *
+NestedSystem::vmaOf(Addr gva)
 {
-    for (const Vma &vma : vmas)
+    for (Vma &vma : vmas)
         if (gva >= vma.base && gva < vma.base + vma.bytes)
             return &vma;
     return nullptr;
@@ -154,19 +157,12 @@ NestedSystem::blockCovered(std::uint64_t block, double coverage,
     return static_cast<double>(draw >> 11) * 0x1.0p-53 < coverage;
 }
 
-Translation
-NestedSystem::guestFaultIn(Addr gva, const Vma &vma)
+PageSize
+NestedSystem::guestPageSize(Addr gva, const Vma &vma)
 {
-    PhysMemPool &frames = cfg.virtualized ? *guest_pool : *host_pool;
-    ++guest_faults;
-
     // Explicit 1GB (hugetlbfs-style) regions bypass the THP policy.
-    if (vma.use_1g) {
-        const Addr page = pageBase(gva, PageSize::Page1G);
-        const Addr frame = frames.allocFrame(PageSize::Page1G);
-        guest_pt->map(page, frame, PageSize::Page1G);
-        return {frame, PageSize::Page1G, true};
-    }
+    if (vma.use_1g)
+        return PageSize::Page1G;
 
     // THP feasibility is decided per contiguous 64MB chunk: real
     // allocators succeed or fail in zones rather than salt-and-pepper
@@ -184,27 +180,27 @@ NestedSystem::guestFaultIn(Addr gva, const Vma &vma)
             use_thp = it->second;
         }
     }
+    return use_thp ? PageSize::Page2M : PageSize::Page4K;
+}
 
-    const PageSize size = use_thp ? PageSize::Page2M : PageSize::Page4K;
+Translation
+NestedSystem::guestFaultIn(Addr gva, Vma &vma)
+{
+    PhysMemPool &frames = cfg.virtualized ? *guest_pool : *host_pool;
+    ++guest_faults;
+    vma.faulted = true;
+    const PageSize size = guestPageSize(gva, vma);
     const Addr frame = frames.allocFrame(size);
     guest_pt->map(pageBase(gva, size), frame, size);
     return {frame, size, true};
 }
 
-void
-NestedSystem::hostFaultIn(Addr gpa)
+PageSize
+NestedSystem::hostPageSize(Addr gpa)
 {
-    NECPT_ASSERT(cfg.virtualized);
-    ++host_faults;
-
     // Page-table regions are always backed by 4KB pages (Section 4.3).
-    if (isPtRegion(gpa)) {
-        const Addr page = pageBase(gpa, PageSize::Page4K);
-        host_pt->map(page, host_pool->allocFrame(PageSize::Page4K),
-                     PageSize::Page4K);
-        noteHost4k(gpa);
-        return;
-    }
+    if (isPtRegion(gpa))
+        return PageSize::Page4K;
 
     // Per-64MB-chunk decision, as on the guest side: coarse enough to
     // keep regions size-uniform for the CWT summaries, fine enough
@@ -228,17 +224,26 @@ NestedSystem::hostFaultIn(Addr gpa)
     if (use_thp
         && host_blocks_with_4k.count(gpa >> pageShift(PageSize::Page2M)))
         use_thp = false;
+    return use_thp ? PageSize::Page2M : PageSize::Page4K;
+}
 
-    if (use_thp) {
-        const Addr page = pageBase(gpa, PageSize::Page2M);
-        host_pt->map(page, host_pool->allocFrame(PageSize::Page2M),
-                     PageSize::Page2M);
-    } else {
-        const Addr page = pageBase(gpa, PageSize::Page4K);
-        host_pt->map(page, host_pool->allocFrame(PageSize::Page4K),
-                     PageSize::Page4K);
+void
+NestedSystem::hostFaultIn(Addr gpa)
+{
+    hostMapRun(gpa, 1, hostPageSize(gpa));
+}
+
+void
+NestedSystem::hostMapRun(Addr gpa, int pages, PageSize size)
+{
+    NECPT_ASSERT(cfg.virtualized);
+    auto next_frame = [&] {
+        ++host_faults;
+        return host_pool->allocFrame(size);
+    };
+    host_pt->mapBlock(pageBase(gpa, size), pages, size, next_frame);
+    if (size == PageSize::Page4K)
         noteHost4k(gpa);
-    }
 }
 
 void
@@ -402,7 +407,7 @@ NestedSystem::makeResident(Addr gva)
 {
     Translation g = guestTranslate(gva);
     if (!g.valid) {
-        const Vma *vma = vmaOf(gva);
+        Vma *vma = vmaOf(gva);
         if (!vma)
             throw ConfigError(strfmt(
                 "access to unmapped guest VA 0x%llx",
@@ -420,18 +425,80 @@ NestedSystem::makeResident(Addr gva)
 void
 NestedSystem::prefaultAll()
 {
-    // Walk VMAs by mapped-page stride so a 2MB THP mapping advances
-    // the cursor by 2MB.
-    for (std::size_t i = 0; i < vmas.size(); ++i) {
-        const Vma vma = vmas[i];
-        Addr va = vma.base;
-        while (va < vma.base + vma.bytes)
+    for (Vma &vma : vmas) {
+        if (!vma.faulted) {
+            prefaultBlocks(vma);
+            continue;
+        }
+        // Walk by mapped-page stride so a 2MB THP mapping advances
+        // the cursor by 2MB.
+        for (Addr va = vma.base; va < vma.base + vma.bytes;)
             va += pageBytes(makeResident(va).size);
     }
     // Let background migration finish: measurement starts from a
     // quiesced steady state (in-flight resizes would otherwise double
     // every probe forever, since migration progresses on inserts).
     quiesce();
+}
+
+void
+NestedSystem::prefaultBlocks(Vma &vma)
+{
+    PhysMemPool &frames = cfg.virtualized ? *guest_pool : *host_pool;
+    const Addr end = vma.base + vma.bytes;
+    std::array<Addr, PageTable::block_pages> gpas{};
+    for (Addr va = vma.base; va < end;) {
+        // Page sizes change only at 64MB boundaries, and the cursor
+        // stays aligned to the size in force.
+        const PageSize size = guestPageSize(va, vma);
+        const std::uint64_t block_bytes =
+            PageTable::block_pages * pageBytes(size);
+        const Addr block_end =
+            std::min(alignDown(va, block_bytes) + block_bytes, end);
+        NECPT_ASSERT(pageOffset(va, size) == 0
+                     && pageOffset(block_end, size) == 0);
+        int taken = 0;
+        auto next_frame = [&] {
+            ++guest_faults;
+            return gpas[taken++] = frames.allocFrame(size);
+        };
+        guest_pt->mapBlock(
+            va, static_cast<int>((block_end - va) >> pageShift(size)),
+            size, next_frame);
+        if (cfg.virtualized)
+            backFrames(gpas.data(), taken);
+        va = block_end;
+    }
+    vma.faulted = true;
+}
+
+void
+NestedSystem::backFrames(const Addr *gpas, int count)
+{
+    for (int i = 0; i < count;) {
+        const Addr gpa = gpas[i];
+        // A host 2MB page or a recycled frame may already back it.
+        if (host_pt->lookup(gpa).valid) {
+            ++i;
+            continue;
+        }
+        const PageSize size = hostPageSize(gpa);
+        int run = 1;
+        // A 4KB backing marks its 2MB block (noteHost4k), which pins
+        // every later fault there to 4KB too: extend the run over the
+        // contiguous, unbacked gPAs left in this host block.
+        if (size == PageSize::Page4K) {
+            const int room = PageTable::block_pages
+                - static_cast<int>(pageNumber(gpa, size)
+                                   % PageTable::block_pages);
+            while (run < room && i + run < count
+                   && gpas[i + run] == gpa + run * pageBytes(size)
+                   && !host_pt->lookup(gpas[i + run]).valid)
+                ++run;
+        }
+        hostMapRun(gpa, run, size);
+        i += run;
+    }
 }
 
 void

@@ -120,7 +120,9 @@ class NestedSystem
     /**
      * Fault in every page of every VMA — the steady state the paper
      * measures in (applications materialize their datasets during
-     * initialization; Section 8 measures after warm-up).
+     * initialization; Section 8 measures after warm-up). A VMA no
+     * fault has touched yet is written one table block at a time;
+     * the result equals faulting its pages in address order.
      */
     void prefaultAll();
 
@@ -266,20 +268,42 @@ class NestedSystem
         std::uint64_t bytes;
         bool thp_eligible;
         bool use_1g = false;
+        /** A guest fault has mapped a page here: prefault must check
+         *  each page instead of writing whole blocks. */
+        bool faulted = false;
     };
 
-    const Vma *vmaOf(Addr gva) const;
+    Vma *vmaOf(Addr gva);
 
     /** Deterministic per-2MB-block THP feasibility draw. */
     bool blockCovered(std::uint64_t block, double coverage,
                       std::uint64_t salt) const;
 
+    /** The page size a guest fault at @p gva installs (THP policy,
+     *  decided on first touch of its 64MB region). */
+    PageSize guestPageSize(Addr gva, const Vma &vma);
+
     /** Install a guest mapping for the page containing @p gva.
      *  @return the mapping just installed. */
-    Translation guestFaultIn(Addr gva, const Vma &vma);
+    Translation guestFaultIn(Addr gva, Vma &vma);
+
+    /** The page size a host fault at @p gpa installs. */
+    PageSize hostPageSize(Addr gpa);
 
     /** Install host backing for the page containing @p gpa. */
     void hostFaultIn(Addr gpa);
+
+    /** Host-fault the @p pages contiguous pages of @p size from
+     *  @p gpa, which share one host table block. */
+    void hostMapRun(Addr gpa, int pages, PageSize size);
+
+    /** Prefault the never-faulted @p vma one guest table block at a
+     *  time, backing each block's frames on the host as it goes. */
+    void prefaultBlocks(Vma &vma);
+
+    /** Host-fault whichever of the @p count guest frames @p gpas (in
+     *  mapping order) nothing backs yet, one host block per run. */
+    void backFrames(const Addr *gpas, int count);
 
     /** Record that @p gpa's 2MB block holds a 4KB host mapping. */
     void noteHost4k(Addr gpa);

@@ -138,47 +138,56 @@ class ElasticCuckooTable
 
     /**
      * Insert-or-update @p key in place with one lookup: @p update runs
-     * on the resident payload, or on a value-initialized one that is
-     * then placed. Fault draws, the migration step and the resize check
-     * are exactly insert()'s.
+     * once, on the resident payload or on a value-initialized one that
+     * is then placed, and stands for @p updates writes to the key.
+     * Each write gets insert()'s fault draw, migration step, resize
+     * check and kick event, so the table ends exactly as after
+     * @p updates single upserts of the key: from the second write on,
+     * a single upsert only finds the key and writes its payload, and
+     * neither placement nor migration reads a payload.
      */
     template <typename Fn>
     Upserted
-    upsert(std::uint64_t key, Fn &&update)
+    upsert(std::uint64_t key, Fn &&update, int updates = 1)
     {
-        NECPT_ASSERT(key != empty_key);
-        // Injected resize window: open a fresh two-generation phase so
-        // this insert (and the probes that follow) run mid-resize.
-        if (fault_plan && !old && fault_plan->forceResizeWindow()) {
-            ++injected_resizes;
-            startResize();
-        }
-        const std::uint64_t kicks_before = rehash_moves;
+        NECPT_ASSERT(key != empty_key && updates >= 1);
         tracked = {};
         tracked_key = key;
         tracking = true;
-        if (FindResult hit = find(key)) {
-            update(*hit.value);
-            tracked.way = hit.way;
-        } else {
-            ValueT value{};
-            update(value);
-            homeless.emplace_back(key, value);
-            settle();
+        for (int write = 0; write < updates; ++write) {
+            // Injected resize window: open a fresh two-generation
+            // phase so this write (and the probes that follow) run
+            // mid-resize.
+            if (fault_plan && !old && fault_plan->forceResizeWindow()) {
+                ++injected_resizes;
+                startResize();
+            }
+            const std::uint64_t kicks_before = rehash_moves;
+            if (write == 0) {
+                if (FindResult hit = find(key)) {
+                    update(*hit.value);
+                    tracked.way = hit.way;
+                } else {
+                    ValueT value{};
+                    update(value);
+                    homeless.emplace_back(key, value);
+                    settle();
+                }
+            }
+            migrateSome();
+            if (!old && loadFactor() > cfg.resize_threshold)
+                startResize();
+            // One aggregated event per displacing write (never one per
+            // kick: prefault storms would flush the whole ring).
+            if (tracer && rehash_moves > kicks_before)
+                tracer->instant(
+                    "cuckoo.kicks", TraceCat::Cuckoo, trace_pt_tid,
+                    tracer->now(),
+                    {{"kicks", static_cast<std::int64_t>(rehash_moves
+                                                         - kicks_before)},
+                     {"key", static_cast<std::int64_t>(key)}});
         }
-        migrateSome();
-        if (!old && loadFactor() > cfg.resize_threshold)
-            startResize();
         tracking = false;
-        // One aggregated event per displacing insert (never one per
-        // kick: prefault storms would flush the whole ring).
-        if (tracer && rehash_moves > kicks_before)
-            tracer->instant(
-                "cuckoo.kicks", TraceCat::Cuckoo, trace_pt_tid,
-                tracer->now(),
-                {{"kicks", static_cast<std::int64_t>(rehash_moves
-                                                     - kicks_before)},
-                 {"key", static_cast<std::int64_t>(key)}});
         NECPT_ASSERT(tracked.way >= 0);
         return tracked;
     }

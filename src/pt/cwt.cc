@@ -151,10 +151,10 @@ CuckooWalkTable::setHasSmaller(Addr va, PageSize smaller)
 }
 
 void
-CuckooWalkTable::addSmaller(Addr va, PageSize smaller)
+CuckooWalkTable::addSmaller(Addr va, PageSize smaller, std::uint32_t pages)
 {
     const int idx = smaller == PageSize::Page4K ? 0 : 1;
-    ++smallerCounts(va)[idx];
+    smallerCounts(va)[idx] += pages;
     setHasSmaller(va, smaller);
 }
 

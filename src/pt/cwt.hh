@@ -13,11 +13,12 @@
  *     huge page (way = PMD-ECPT way of its block).
  *   - PUD-CWT: a section is a 1GB region; same fields one level up.
  *
- * A Cuckoo Walk Cache entry tags one 4KB CWT chunk (8192 sections), so
- * a single PMD-level entry reaches 16GB of VA and a PTE-level entry
- * 256MB — the only caching granularity we found consistent with the
- * hit rates the paper reports at 64GB footprints (Section 9.4: STC
- * 99%, gCWC PUD/PMD 99%/86%, hCWC PTE 99% in Step 1 / 67% in Step 3).
+ * A Cuckoo Walk Cache entry tags 2048 sections, a quarter of a 4KB
+ * chunk (8192 sections), so one entry reaches 64MB of VA at the PTE
+ * level, 4GB at PMD and 2TB at PUD. Whether that geometry gives the
+ * paper's Section 9.4 hit rates is open: ROADMAP item 6 measured that
+ * the gCWC then takes only compulsory misses and the STC sees almost
+ * no lookups.
  *
  * Guest CWT chunks live at guest-physical addresses and must be
  * host-translated before they can be fetched — the Shortcut
@@ -68,8 +69,7 @@ class CuckooWalkTable
 {
   public:
     /** Sections per CWC-cacheable entry: a 1KB sub-block of a chunk
-     *  (the granularity that reproduces the Section-9.4 CWC hit rates
-     *  at paper-scale footprints). */
+     *  (see the file comment and ROADMAP item 6 for its reach). */
     static constexpr int sections_per_entry = 2048;
     /** CWT storage granularity: 4KB chunks materialized on demand. */
     static constexpr int sections_per_chunk = 8192;
@@ -99,11 +99,11 @@ class CuckooWalkTable
 
     /**
      * Counted variant of setHasSmaller for the unmap/downgrade path:
-     * records one page of @p smaller mapped in the section, so
-     * removeSmaller() can clear the has-smaller bit exactly when the
-     * last such page goes away.
+     * records @p pages pages of @p smaller mapped in the section
+     * containing @p va, so removeSmaller() can clear the has-smaller
+     * bit exactly when the last such page goes away.
      */
-    void addSmaller(Addr va, PageSize smaller);
+    void addSmaller(Addr va, PageSize smaller, std::uint32_t pages = 1);
 
     /**
      * Record one page of @p smaller unmapped from the section
@@ -141,9 +141,6 @@ class CuckooWalkTable
     {
         return sectionOf(va);
     }
-
-    /** No-op (dense CWTs never resize); kept for API compatibility. */
-    void finishResize() {}
 
     PageSize level() const { return level_; }
     int sectionShift() const { return section_shift; }

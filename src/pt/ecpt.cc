@@ -71,35 +71,78 @@ EcptPageTable::noteBlockPlacement(PageSize size, std::uint64_t key,
 void
 EcptPageTable::map(Addr va, Addr pa, PageSize size)
 {
-    NECPT_ASSERT(pageOffset(va, size) == 0);
-    NECPT_ASSERT(pageOffset(pa, size) == 0);
-    const int sub = static_cast<int>(pageNumber(va, size) & 0x7);
-    bool fresh = false;
-    const auto slot = tableOf(size).upsert(
-        blockKey(va, size), [&](PteBlock &block) {
-            fresh = !block.pte[sub].present();
-            block.pte[sub] = Pte::make(pa);
-        });
-    if (fresh)
-        ++mapped[static_cast<int>(size)];
+    auto frame = [pa] { return pa; };
+    mapBlock(va, 1, size, frame);
+}
 
-    // CWT maintenance: present bit at this size. A block the upsert
-    // (re)placed went through noteBlockPlacement with this page in it
-    // already. A block updated where it sat needs this page's section
+bool
+EcptPageTable::opensLargerCwtChunk(Addr va, PageSize size) const
+{
+    for (int larger = static_cast<int>(size) + 1; larger < num_page_sizes;
+         ++larger) {
+        if (const CuckooWalkTable *cwt = cwts[larger].get();
+            cwt && !cwt->query(va))
+            return true;
+    }
+    return false;
+}
+
+void
+EcptPageTable::mapBlock(Addr va, int pages, PageSize size,
+                        FrameSource next_frame)
+{
+    NECPT_ASSERT(pageOffset(va, size) == 0);
+    const int first = static_cast<int>(pageNumber(va, size) & 0x7);
+    NECPT_ASSERT(pages >= 1 && first + pages <= PteBlock::entries);
+    // Mapped page by page, a block's pages share one section at every
+    // larger CWT level, and a chunk that section opens is carved from
+    // region space right after the first page's write. Map that page
+    // alone, so a resize later in the block cannot take the region
+    // first.
+    if (pages > 1 && opensLargerCwtChunk(va, size)) {
+        mapBlock(va, 1, size, next_frame);
+        mapBlock(va + pageBytes(size), pages - 1, size, next_frame);
+        return;
+    }
+    std::array<Addr, PteBlock::entries> frames{};
+    for (int i = 0; i < pages; ++i) {
+        frames[i] = next_frame();
+        NECPT_ASSERT(pageOffset(frames[i], size) == 0);
+    }
+    std::uint32_t fresh = 0;
+    const auto slot = tableOf(size).upsert(
+        blockKey(va, size),
+        [&](PteBlock &block) {
+            for (int i = 0; i < pages; ++i) {
+                Pte &pte = block.pte[first + i];
+                fresh += !pte.present();
+                pte = Pte::make(frames[i]);
+            }
+        },
+        pages);
+    mapped[static_cast<int>(size)] += fresh;
+
+    // CWT maintenance: present bits at this size. A block the upsert
+    // (re)placed went through noteBlockPlacement with these pages in
+    // it already. A block updated where it sat needs their sections
     // written, except at the PTE level, whose section is the whole
     // block and already names its way.
     if (CuckooWalkTable *cwt = cwtOf(size);
-        cwt && !slot.placed && size != PageSize::Page4K)
-        cwt->setPresent(va, slot.way);
+        cwt && !slot.placed && size != PageSize::Page4K) {
+        for (int i = 0; i < pages; ++i)
+            cwt->setPresent(va + static_cast<Addr>(i) * pageBytes(size),
+                            slot.way);
+    }
     // ...and which-smaller-size bits at every larger level (Figure
-    // 14's pruning depends on these). Counted per fresh page so the
-    // unmap path can downgrade the bits exactly; a re-map of an
-    // already-mapped page changes neither the bit nor the count.
+    // 14's pruning depends on these), where the block lies in one
+    // section. Counted per fresh page so the unmap path can downgrade
+    // the bits exactly; a re-map of an already-mapped page changes
+    // neither the bit nor the count.
     if (fresh) {
         for (int larger = static_cast<int>(size) + 1;
              larger < num_page_sizes; ++larger) {
             if (CuckooWalkTable *cwt = cwts[larger].get())
-                cwt->addSmaller(va, size);
+                cwt->addSmaller(va, size, fresh);
         }
     }
 }

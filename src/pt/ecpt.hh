@@ -31,7 +31,7 @@ namespace necpt
 /** A cache-line ECPT slot payload: 8 consecutive translations. */
 struct PteBlock
 {
-    static constexpr int entries = 8;
+    static constexpr int entries = PageTable::block_pages;
     std::array<Pte, entries> pte{};
 
     bool
@@ -85,8 +85,20 @@ class EcptPageTable final : public PageTable
     // PageTable base deletes copy and move).
     EcptPageTable(RegionAllocator &allocator, const EcptConfig &config);
 
-    /** Install va -> pa for a page of @p size, maintaining the CWTs. */
+    /** Install va -> pa for a page of @p size, maintaining the CWTs:
+     *  the one-page case of mapBlock(). */
     void map(Addr va, Addr pa, PageSize size) override;
+
+    /**
+     * Map up to 8 pages that share one PTE block with one cuckoo
+     * upsert standing for one write per page, and one counted
+     * has-smaller update per larger CWT level. The block's frames are
+     * taken first: tables and CWT chunks come from region space, never
+     * from the frame allocator, so no address moves. The table, the
+     * CWTs and every counter end as after one map() per page.
+     */
+    void mapBlock(Addr va, int pages, PageSize size,
+                  FrameSource next_frame) override;
 
     /** Remove the mapping of the page containing @p va. */
     void unmap(Addr va, PageSize size) override;
@@ -178,17 +190,15 @@ class EcptPageTable final : public PageTable
     void auditInvariants(const std::string &who) const override;
 
     /**
-     * Complete all in-flight elastic resizes (tables and CWTs) — what
-     * the OS's background migration finishes during idle periods.
+     * Complete all in-flight elastic resizes — what the OS's
+     * background migration finishes during idle periods. (CWTs are
+     * dense and never resize.)
      */
     void
     quiesce() override
     {
-        for (int s = 0; s < num_page_sizes; ++s) {
+        for (int s = 0; s < num_page_sizes; ++s)
             tables[s]->finishResize();
-            if (cwts[s])
-                cwts[s]->finishResize();
-        }
     }
 
     /** Bytes of all tables + CWTs (Section 9.5 accounting). */
@@ -216,6 +226,10 @@ class EcptPageTable final : public PageTable
     const EcptConfig &config() const { return cfg; }
 
   private:
+    /** Would a fresh page of @p size at @p va materialize a CWT chunk
+     *  at a larger level? */
+    bool opensLargerCwtChunk(Addr va, PageSize size) const;
+
     /** Refresh the CWT way bits after @p block settled in @p way. */
     void noteBlockPlacement(PageSize size, std::uint64_t key,
                             const PteBlock &block, int way);

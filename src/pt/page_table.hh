@@ -7,8 +7,8 @@
  * concrete class through NestedSystem's typed accessors.
  *
  * The optional hooks default to a table that keeps no flag word,
- * defers no work, injects no faults and has no cross-structure
- * invariant; the ECPT overrides all four.
+ * writes one page at a time, defers no work, injects no faults and
+ * has no cross-structure invariant; the ECPT overrides all five.
  */
 
 #ifndef NECPT_PT_PAGE_TABLE_HH
@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/function_ref.hh"
 #include "pt/pte.hh"
 
 namespace necpt
@@ -46,6 +47,28 @@ class PageTable
 
     /** Install va -> pa for a page of @p size. */
     virtual void map(Addr va, Addr pa, PageSize size) = 0;
+
+    /** Hands mapBlock() one frame per page, in address order. */
+    using FrameSource = FunctionRef<Addr()>;
+
+    /** Pages of one size that share one table block (an ECPT slot
+     *  holds 8 consecutive PTEs; Section 2.3). */
+    static constexpr int block_pages = 8;
+
+    /**
+     * Map the @p pages consecutive pages of @p size from @p va, all in
+     * one @ref block_pages -aligned block, to frames taken from
+     * @p next_frame. By default each page takes its frame and is
+     * mapped before the next one, so node allocations that share the
+     * frame allocator keep their order.
+     */
+    virtual void
+    mapBlock(Addr va, int pages, PageSize size, FrameSource next_frame)
+    {
+        for (int i = 0; i < pages; ++i)
+            map(va + static_cast<Addr>(i) * pageBytes(size), next_frame(),
+                size);
+    }
 
     /** Remove the mapping of the page of @p size containing @p va. */
     virtual void unmap(Addr va, PageSize size) = 0;

@@ -66,7 +66,7 @@ writeCsvRow(std::FILE *out, const SimResult &r)
 }
 
 std::string
-toJson(const SimResult &r)
+toJson(const SimResult &r, bool with_host_time)
 {
     std::ostringstream os;
     os << "{";
@@ -95,7 +95,20 @@ toJson(const SimResult &r)
        << ",";
     os << "\"host_structure_bytes\":" << r.host_structure_bytes << ",";
     os << "\"pte_bytes_total\":" << r.pte_bytes_total;
+    if (with_host_time)
+        os << ",\"host_time\":" << toJson(r.host_time);
     os << "}";
+    return os.str();
+}
+
+std::string
+toJson(const HostPhaseTimes &t)
+{
+    std::ostringstream os;
+    os << "{\"build_s\":" << jsonNumber(t.build_s)
+       << ",\"prefault_s\":" << jsonNumber(t.prefault_s)
+       << ",\"warmup_s\":" << jsonNumber(t.warmup_s)
+       << ",\"measure_s\":" << jsonNumber(t.measure_s) << "}";
     return os.str();
 }
 

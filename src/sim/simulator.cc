@@ -1,6 +1,7 @@
 #include "sim/simulator.hh"
 
 #include <algorithm>
+#include <chrono>
 #include <limits>
 
 #include "common/error.hh"
@@ -25,6 +26,15 @@ namespace necpt
 
 namespace
 {
+
+using HostClock = std::chrono::steady_clock;
+
+/** Host seconds from @p from to @p to. */
+double
+hostSeconds(HostClock::time_point from, HostClock::time_point to)
+{
+    return std::chrono::duration<double>(to - from).count();
+}
 
 /** Non-memory retire cost per instruction of the 4-issue core. */
 constexpr double base_cpi = 0.3;
@@ -206,6 +216,7 @@ Simulator::runWith(const std::string &label,
                    const WorkloadFactory &factory,
                    std::uint64_t footprint_bytes)
 {
+    const HostClock::time_point started = HostClock::now();
     buildMachine(footprint_bytes, label);
 
     /**
@@ -311,6 +322,8 @@ Simulator::runWith(const std::string &label,
         std::uint64_t total = 0;
         bool overlap = false;
         bool stats_reset = false;
+        /** Host time of the stats reset: warm-up ends here. */
+        HostClock::time_point measure_started{};
         std::uint64_t inflight_peak = 0;
         /** Registry backing the interval sampler (null = sampling off;
          *  owned by runWith, claimed fresh per run). */
@@ -483,6 +496,7 @@ Simulator::runWith(const std::string &label,
                     other.measure_start_instr = other.instructions;
                 }
                 stats_reset = true;
+                measure_started = HostClock::now();
             }
 
             const MemAccess access = cs.workload->next();
@@ -724,7 +738,9 @@ Simulator::runWith(const std::string &label,
     // Fault the whole dataset in before warm-up, like the real
     // applications do at initialization (Section 8 measures steady
     // state after the region of interest is reached).
+    const HostClock::time_point built = HostClock::now();
     sys->prefaultAll();
+    const HostClock::time_point prefaulted = HostClock::now();
 
     loop.total = params.warmup_accesses + params.measure_accesses;
     loop.overlap = params.max_outstanding_walks > 1;
@@ -736,8 +752,10 @@ Simulator::runWith(const std::string &label,
         mem->setCompletionSink(
             Loop::CompletionSink::bind<&Loop::onTxnIssued>(&loop));
     loop.stats_reset = params.warmup_accesses == 0;
-    if (loop.stats_reset)
+    if (loop.stats_reset) {
         sys->quiesce();
+        loop.measure_started = HostClock::now();
+    }
 
     // All cores start at cycle 0; the (cycle, priority=core, seq)
     // order advances the earliest core, lowest index first on ties —
@@ -770,6 +788,7 @@ Simulator::runWith(const std::string &label,
     // background refills issued by the very last completion).
     mem->setCompletionSink(nullptr);
     mem->drainAll();
+    const HostClock::time_point finished = HostClock::now();
     for (auto &cs : loop.cores)
         NECPT_ASSERT(cs.inflight == 0 && cs.machines.empty()
                      && cs.coalescer.empty());
@@ -794,6 +813,10 @@ Simulator::runWith(const std::string &label,
         static_cast<Cycles>(cycles_sum / params.cores);
     result.instructions = instr_sum;
     fillResult(result);
+    result.host_time = {hostSeconds(started, built),
+                        hostSeconds(built, prefaulted),
+                        hostSeconds(prefaulted, loop.measure_started),
+                        hostSeconds(loop.measure_started, finished)};
 
     // Walk-overlap characterization: total walker busy-cycles spread
     // over the measured interval and core count. Serialized walks

@@ -150,6 +150,20 @@ struct SimParams
     CriticalPathRecorder *critical_path = nullptr;
 };
 
+/**
+ * Host wall-clock seconds one run spent in each phase. An execution
+ * detail like a sweep job's wall_ms: JSON shows it where wall_ms is
+ * shown, and it stays out of the metrics registry, the CSV, canonical
+ * JSON and text output, which must be pure functions of the seed.
+ */
+struct HostPhaseTimes
+{
+    double build_s = 0;    //!< machine build and workload setup
+    double prefault_s = 0; //!< NestedSystem::prefaultAll
+    double warmup_s = 0;   //!< event loop up to the stats reset
+    double measure_s = 0;  //!< the measured window
+};
+
 /** Everything a bench needs to regenerate the paper's numbers. */
 struct SimResult
 {
@@ -202,6 +216,9 @@ struct SimResult
      *  peak on any single core. */
     double walk_inflight_avg = 0;
     std::uint64_t walk_inflight_max = 0;
+
+    /** Where the run's host time went (never part of the results). */
+    HostPhaseTimes host_time;
 
     /**
      * The scalar fields above, re-published under the unified dotted

@@ -85,7 +85,8 @@ usage(const char *prog)
         "                      batch:N, all  (comma-separated)\n"
         "  --radix-levels N    4 or 5 (LA57)\n"
         "  --csv FILE          append a CSV row (header if new file)\n"
-        "  --json              print the result as JSON\n"
+        "  --json              print the result as JSON, with the\n"
+        "                      host seconds of each phase (host_time)\n"
         "  --stats-json FILE   dump the unified metrics registry\n"
         "                      (every component counter) as JSON\n"
         "  --trace-walks[=N]   record walk-level trace events, every\n"
@@ -358,7 +359,7 @@ run(int argc, char **argv)
         std::fclose(out);
     }
     if (json)
-        std::printf("%s\n", toJson(result).c_str());
+        std::printf("%s\n", toJson(result, true).c_str());
 
     if (!stats_json_path.empty()) {
         MetricsRegistry registry;

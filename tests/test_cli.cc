@@ -213,10 +213,14 @@ TEST(NecptReport, StatsViewReadsTheSchemaFieldNames)
     const std::regex field(R"(\bm\.([A-Za-z_]+))");
     int fields = 0;
     for (std::sregex_iterator it(view.begin(), view.end(), field), last;
-         it != last; ++it, ++fields)
-        EXPECT_NE(stats.find("\"" + (*it)[1].str() + "\":"),
-                  std::string::npos)
-            << "the stats view reads m." << (*it)[1].str();
+         it != last; ++it, ++fields) {
+        const std::string name = (*it)[1].str();
+        std::string key = "\"";
+        key += name;
+        key += "\":";
+        EXPECT_NE(stats.find(key), std::string::npos)
+            << "the stats view reads m." << name;
+    }
     EXPECT_GT(fields, 0);
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <set>
 #include <unordered_map>
@@ -311,6 +312,83 @@ TEST(Cuckoo, PackedSlotsMatchReferenceUnderFaults)
         EXPECT_EQ(twin.slot_addr, hit.slot_addr) << "key " << key;
     });
     EXPECT_EQ(seen, ref);
+}
+
+/**
+ * One upsert standing for n writes against n single upserts of the
+ * same key, each writing its own word of an 8-word payload, under
+ * forced kick exhaustion and forced resize windows from equal seeds.
+ * Fault draws, migration, resizes and every entry's location must
+ * match, so the multi-write upsert is exactly the single ones.
+ */
+TEST(Cuckoo, UpsertUpdatesEqualRepeatedUpserts)
+{
+    using Block = std::array<std::uint64_t, 8>;
+    using BlockTable = ElasticCuckooTable<Block>;
+    BumpAllocator alloc_a, alloc_b;
+    const CuckooConfig cfg = tinyConfig(16, 3);
+    BlockTable a(alloc_a, cfg), b(alloc_b, cfg);
+    FaultSpec spec;
+    spec.kick_prob = 0.1;
+    spec.resize_prob = 0.05;
+    FaultPlan plan_a(spec, 11), plan_b(spec, 11);
+    a.setFaultPlan(&plan_a);
+    b.setFaultPlan(&plan_b);
+
+    auto word = [](std::uint64_t key, int j) {
+        return key * 8 + static_cast<std::uint64_t>(j) + 1;
+    };
+    Rng rng(0xB10C);
+    for (int op = 0; op < 1500; ++op) {
+        // Mostly fresh keys (resizes) with some re-writes of old ones.
+        const std::uint64_t key =
+            rng.chance(0.8) ? 1000 + static_cast<std::uint64_t>(op)
+                            : 1000 + rng.below(op + 1);
+        const int first = static_cast<int>(rng.below(8));
+        const int writes = 1 + static_cast<int>(rng.below(8 - first));
+        const auto placed = a.upsert(
+            key,
+            [&](Block &block) {
+                for (int j = first; j < first + writes; ++j)
+                    block[j] = word(key, j);
+            },
+            writes);
+        for (int j = first; j < first + writes; ++j)
+            b.upsert(key, [&](Block &block) { block[j] = word(key, j); });
+        EXPECT_EQ(placed.way, a.find(key).way) << "op " << op;
+        ASSERT_EQ(a.homelessCount(), 0u) << "op " << op;
+    }
+    EXPECT_GT(a.injectedKickFailures(), 0u);
+    EXPECT_GT(a.injectedResizes(), 0u);
+    EXPECT_GT(a.resizeCount(), plan_a.counters().forced_resizes);
+    EXPECT_EQ(a.injectedKickFailures(), b.injectedKickFailures());
+    EXPECT_EQ(a.injectedResizes(), b.injectedResizes());
+    EXPECT_EQ(a.rehashMoves(), b.rehashMoves());
+    EXPECT_EQ(a.resizeCount(), b.resizeCount());
+    EXPECT_EQ(a.resizeMoves(), b.resizeMoves());
+    EXPECT_EQ(a.resizing(), b.resizing());
+    EXPECT_EQ(a.size(), b.size());
+
+    struct Where
+    {
+        Block block;
+        int way;
+        bool in_old;
+        Addr slot_addr;
+        bool operator==(const Where &) const = default;
+    };
+    auto contents = [](BlockTable &table) {
+        std::map<std::uint64_t, Where> out;
+        table.forEach([&](std::uint64_t key, const Block &block, int way,
+                          bool in_old) {
+            out.emplace(key,
+                        Where{block, way, in_old, table.find(key).slot_addr});
+        });
+        return out;
+    };
+    const auto in_a = contents(a);
+    EXPECT_EQ(in_a.size(), a.size());
+    EXPECT_TRUE(in_a == contents(b));
 }
 
 /** Parameterized sweep over ways/slots: membership is exact. */

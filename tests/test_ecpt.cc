@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
+#include "common/fault.hh"
 #include "common/rng.hh"
 #include "pt/ecpt.hh"
 #include "tests/test_util.hh"
@@ -204,6 +207,96 @@ TEST(Ecpt, RandomMixedSizesRoundTrip)
         ASSERT_TRUE(r.translation.valid);
         EXPECT_EQ(r.translation.size, e.size);
     }
+}
+
+/**
+ * mapBlock() against one map() per page, under forced kick exhaustion
+ * and forced resize windows from equal seeds, over partial and full
+ * blocks of two sizes that keep opening fresh CWT chunks: every block
+ * with its way and slot address, every CWT line address and every
+ * counter must match.
+ */
+TEST(Ecpt, MapBlockEqualsMapPerPageUnderFaults)
+{
+    BumpAllocator alloc_a, alloc_b;
+    EcptConfig cfg = smallEcpt(true);
+    cfg.initial_slots = {16, 16, 16};
+    EcptPageTable a(alloc_a, cfg), b(alloc_b, cfg);
+    FaultSpec spec;
+    spec.kick_prob = 0.1;
+    spec.resize_prob = 0.3;
+    FaultPlan plan_a(spec, 5), plan_b(spec, 5);
+    a.setFaultPlan(&plan_a);
+    b.setFaultPlan(&plan_b);
+
+    Rng rng(0x3A9);
+    std::vector<std::pair<Addr, PageSize>> mapped;
+    std::uint64_t frame = 1;
+    for (int op = 0; op < 600; ++op) {
+        // 4KB pages in 16GB windows (one PMD-CWT chunk each) and 2MB
+        // pages in 8TB windows (one PUD-CWT chunk each), apart.
+        const bool small = op == 0 || rng.chance(0.7);
+        const PageSize size = small ? PageSize::Page4K : PageSize::Page2M;
+        const Addr window = small ? (1ULL << 44) + (rng.below(32) << 34)
+                                  : (1ULL << 46) + (rng.below(4) << 43);
+        const int first = op == 0 ? 0 : static_cast<int>(rng.below(8));
+        const int pages =
+            op == 0 ? 8 : 1 + static_cast<int>(rng.below(8 - first));
+        const Addr va = window
+            + ((rng.below(64) * 8 + static_cast<std::uint64_t>(first))
+               << pageShift(size));
+        std::vector<Addr> frames;
+        for (int i = 0; i < pages; ++i)
+            frames.push_back(frame++ << pageShift(size));
+        std::size_t taken = 0;
+        auto next_frame = [&] { return frames[taken++]; };
+        a.mapBlock(va, pages, size, next_frame);
+        EXPECT_EQ(taken, frames.size());
+        for (int i = 0; i < pages; ++i) {
+            const Addr page = va + static_cast<Addr>(i) * pageBytes(size);
+            b.map(page, frames[i], size);
+            mapped.emplace_back(page, size);
+        }
+    }
+    EXPECT_EQ(plan_a.counters().forced_resizes, 3u);
+    EXPECT_GT(plan_a.counters().forced_kicks, 0u);
+
+    for (const PageSize size : all_page_sizes) {
+        auto &ta = a.tableOf(size);
+        auto &tb = b.tableOf(size);
+        EXPECT_EQ(ta.rehashMoves(), tb.rehashMoves());
+        EXPECT_EQ(ta.resizeCount(), tb.resizeCount());
+        EXPECT_EQ(ta.resizeMoves(), tb.resizeMoves());
+        EXPECT_EQ(ta.injectedKickFailures(), tb.injectedKickFailures());
+        EXPECT_EQ(ta.injectedResizes(), tb.injectedResizes());
+        EXPECT_EQ(ta.size(), tb.size());
+        EXPECT_EQ(a.mappingCount(size), b.mappingCount(size));
+        ta.forEach([&](std::uint64_t key, const PteBlock &block, int way,
+                       bool in_old) {
+            const auto hit = ta.find(key);
+            const auto twin = tb.find(key);
+            ASSERT_TRUE(twin) << std::hex << key;
+            EXPECT_EQ(twin.way, way) << std::hex << key;
+            EXPECT_EQ(twin.in_old_generation, in_old) << std::hex << key;
+            EXPECT_EQ(twin.slot_addr, hit.slot_addr) << std::hex << key;
+            for (int j = 0; j < PteBlock::entries; ++j)
+                EXPECT_EQ(twin.value->pte[j].rawValue(),
+                          block.pte[j].rawValue());
+        });
+    }
+    EXPECT_EQ(a.structureBytes(), b.structureBytes());
+    for (const auto &[va, size] : mapped) {
+        std::vector<Addr> lines_a, lines_b;
+        for (const PageSize level : all_page_sizes) {
+            if (a.cwtOf(level)) {
+                a.cwtOf(level)->entryProbeAddrs(va, lines_a);
+                b.cwtOf(level)->entryProbeAddrs(va, lines_b);
+            }
+        }
+        ASSERT_EQ(lines_a, lines_b) << std::hex << va;
+    }
+    a.auditInvariants("blocks");
+    b.auditInvariants("pages");
 }
 
 } // namespace necpt

@@ -23,6 +23,8 @@
 #include "exec/engine.hh"
 #include "exec/registry.hh"
 #include "exec/thread_pool.hh"
+#include "sim/config.hh"
+#include "sim/report.hh"
 #include "tests/test_util.hh"
 
 namespace necpt
@@ -405,6 +407,48 @@ TEST(ResultSink, JsonKeepsEveryDigit)
     EXPECT_EQ(number("attr.total.cycles"), 2'208'783.0);
     EXPECT_EQ(number("mmu_busy_cycles"), 2'208'783.0);
     EXPECT_EQ(number("l2_mpki"), 12.3456789);
+}
+
+/** Host seconds per phase are recorded for a real run, bounded by the
+ *  job's wall clock, and shown only where wall_ms is: the
+ *  non-canonical sweep JSON and toJson's host-time form. */
+TEST(ResultSink, HostPhaseTimesOnlyBesideWallClock)
+{
+    JobSpec spec;
+    spec.key = "host/one";
+    spec.fn = [](const JobContext &) {
+        SimParams params;
+        params.warmup_accesses = 500;
+        params.measure_accesses = 2000;
+        params.scale_denominator = 256;
+        JobOutput out;
+        out.sim = runSim(makeConfig(ConfigId::NestedEcpt), params, "GUPS");
+        return out;
+    };
+    const ResultSink sink = SweepEngine(quietOptions(1)).run({spec});
+    const JobRecord &record = sink.records().at(0);
+    ASSERT_EQ(record.status, JobStatus::Ok) << record.error;
+    const HostPhaseTimes &t = record.out.sim.host_time;
+    for (const double phase :
+         {t.build_s, t.prefault_s, t.warmup_s, t.measure_s})
+        EXPECT_GE(phase, 0.0);
+    EXPECT_GT(t.prefault_s, 0.0);
+    EXPECT_GT(t.measure_s, 0.0);
+    EXPECT_LE(t.build_s + t.prefault_s + t.warmup_s + t.measure_s,
+              record.wall_ms / 1000.0);
+
+    const std::string path = "test_exec_host_time.json";
+    ASSERT_TRUE(sink.writeJson(path, "unit", 7, 1, /*canonical=*/true));
+    const std::string canonical = slurp(path);
+    ASSERT_TRUE(sink.writeJson(path, "unit", 7, 1));
+    const std::string full = slurp(path);
+    std::remove(path.c_str());
+    EXPECT_EQ(canonical.find("host_time"), std::string::npos);
+    EXPECT_EQ(canonical.find("prefault_s"), std::string::npos);
+    EXPECT_NE(full.find("\"host_time\":{\"build_s\":"), std::string::npos);
+    EXPECT_EQ(toJson(record.out.sim).find("host_time"), std::string::npos);
+    EXPECT_NE(toJson(record.out.sim, true).find("\"measure_s\":"),
+              std::string::npos);
 }
 
 TEST(ResultSink, ToGridBridgesOkRecords)

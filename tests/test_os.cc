@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <ostream>
+#include <sstream>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "os/phys_pool.hh"
 #include "os/system.hh"
@@ -319,21 +324,218 @@ TEST_P(PrefaultResident, SecondPassIsANoOp)
 
 // Hashed page tables map 4KB pages only (Section 2.2), so the HPT
 // rows turn THP on at the radix guest above an HPT host.
+constexpr PrefaultCase radix_case{"Radix", PtKind::Radix, PtKind::Radix,
+                                  false, false};
+constexpr PrefaultCase radix_thp_case{"RadixThp", PtKind::Radix,
+                                      PtKind::Radix, true, true};
+constexpr PrefaultCase ecpt_case{"Ecpt", PtKind::Ecpt, PtKind::Ecpt, false,
+                                 false};
+constexpr PrefaultCase ecpt_thp_case{"EcptThp", PtKind::Ecpt, PtKind::Ecpt,
+                                     true, true};
+constexpr PrefaultCase hpt_case{"Hpt", PtKind::Hpt, PtKind::Hpt, false,
+                                false};
+constexpr PrefaultCase hpt_host_guest_thp_case{
+    "HptHostGuestThp", PtKind::Radix, PtKind::Hpt, true, false};
+
+template <typename Case>
+std::string
+caseName(const ::testing::TestParamInfo<Case> &param_info)
+{
+    return std::string(param_info.param.name);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Organizations, PrefaultResident,
     ::testing::Values(
-        PrefaultCase{"Radix", PtKind::Radix, PtKind::Radix, false, false},
-        PrefaultCase{"RadixThp", PtKind::Radix, PtKind::Radix, true, true},
-        PrefaultCase{"Ecpt", PtKind::Ecpt, PtKind::Ecpt, false, false},
-        PrefaultCase{"EcptThp", PtKind::Ecpt, PtKind::Ecpt, true, true},
-        PrefaultCase{"Hpt", PtKind::Hpt, PtKind::Hpt, false, false},
-        PrefaultCase{"HptHostGuestThp", PtKind::Radix, PtKind::Hpt, true,
-                     false},
+        radix_case, radix_thp_case, ecpt_case, ecpt_thp_case, hpt_case,
+        hpt_host_guest_thp_case,
         PrefaultCase{"FlatHost", PtKind::Radix, PtKind::Flat, false, false},
         PrefaultCase{"FlatHostThp", PtKind::Radix, PtKind::Flat, true,
                      true}),
-    [](const ::testing::TestParamInfo<PrefaultCase> &param_info) {
-        return std::string(param_info.param.name);
-    });
+    caseName<PrefaultCase>);
+
+/** A PrefaultCase plus what the block path must also get right. */
+struct PrefaultBlockCase
+{
+    const char *name;
+    PrefaultCase org;
+    /** Initial slots per way of both PTE-ECPTs; 0 keeps smallSystem's. */
+    std::uint64_t pte_slots;
+    /** Touch one page of the first VMA before prefaulting, so that
+     *  VMA takes the page-by-page path. */
+    bool touch_first_vma;
+
+    friend void PrintTo(const PrefaultBlockCase &c, std::ostream *os)
+    {
+        *os << c.name;
+    }
+};
+
+class PrefaultBlocks : public ::testing::TestWithParam<PrefaultBlockCase>
+{};
+
+namespace
+{
+
+/** The host table's own lookup, which faults nothing in. */
+Translation
+hostLookup(NestedSystem &sys, Addr gpa)
+{
+    if (const RadixPageTable *t = sys.hostRadix())
+        return t->lookup(gpa);
+    if (const EcptPageTable *t = sys.hostEcpt())
+        return t->lookup(gpa);
+    if (const HashedPageTable *t = sys.hostHpt())
+        return t->lookup(gpa);
+    const FlatPageTable *t = sys.hostFlat();
+    return t ? t->lookup(gpa) : Translation{};
+}
+
+/** Every block of both ECPTs of @p sys: way, generation, slot address
+ *  and payload, per page size. */
+std::vector<std::map<std::uint64_t, std::string>>
+ecptBlocks(NestedSystem &sys)
+{
+    std::vector<std::map<std::uint64_t, std::string>> out;
+    for (EcptPageTable *ecpt : {sys.guestEcpt(), sys.hostEcpt()}) {
+        if (!ecpt)
+            continue;
+        for (PageSize size : all_page_sizes) {
+            auto &table = ecpt->tableOf(size);
+            auto &blocks = out.emplace_back();
+            table.forEach([&](std::uint64_t key, const PteBlock &block,
+                              int way, bool in_old) {
+                std::ostringstream text;
+                text << way << (in_old ? " old " : " live ") << std::hex
+                     << table.find(key).slot_addr;
+                for (const Pte &pte : block.pte)
+                    text << ' ' << pte.rawValue();
+                blocks.emplace(key, text.str());
+            });
+        }
+    }
+    return out;
+}
+
+/** Per-size cuckoo counters and CWT bytes of both ECPTs of @p sys. */
+std::vector<std::uint64_t>
+ecptCounters(NestedSystem &sys)
+{
+    std::vector<std::uint64_t> out;
+    for (EcptPageTable *ecpt : {sys.guestEcpt(), sys.hostEcpt()}) {
+        if (!ecpt)
+            continue;
+        out.push_back(ecpt->cwtBytes());
+        out.push_back(ecpt->structureBytes());
+        for (PageSize size : all_page_sizes) {
+            const auto &table = ecpt->tableOf(size);
+            out.insert(out.end(),
+                       {table.rehashMoves(), table.resizeCount(),
+                        table.resizeMoves(), table.size(),
+                        table.slotsPerWay(), ecpt->mappingCount(size)});
+        }
+    }
+    return out;
+}
+
+} // namespace
+
+/**
+ * Prefaulting block by block leaves the machine exactly as faulting
+ * every page in address order does: same faults, same translations on
+ * both sides, same cuckoo tables down to each block's way and slot
+ * address, same CWT chunk addresses, same pool usage.
+ */
+TEST_P(PrefaultBlocks, MatchesPageByPage)
+{
+    const PrefaultBlockCase &c = GetParam();
+    auto cfg = smallSystem(c.org.guest, c.org.host, false);
+    cfg.guest_thp = c.org.guest_thp;
+    cfg.host_thp = c.org.host_thp;
+    cfg.guest_thp_coverage = 0.5;
+    cfg.host_thp_coverage = 0.5;
+    if (c.pte_slots) {
+        cfg.guest_ecpt.initial_slots[0] = c.pte_slots;
+        cfg.host_ecpt.initial_slots[0] = c.pte_slots;
+    }
+    NestedSystem blocks(cfg), pages(cfg);
+    for (NestedSystem *sys : {&blocks, &pages}) {
+        sys->mmapRegion(192ULL << 20, true);
+        // Sizes off the 32KB block grid: partial first and last blocks.
+        sys->mmapRegion((5ULL << 20) + 3 * 4096, false);
+        sys->mmapRegion((1ULL << 20) + 4096, false);
+        if (c.touch_first_vma) {
+            EXPECT_TRUE(sys->ensureResident(sys->vmaRange(0).first
+                                            + (67ULL << 20) + 0x123));
+        }
+    }
+
+    blocks.prefaultAll();
+    for (std::size_t i = 0; i < pages.vmaCount(); ++i) {
+        const auto [base, bytes] = pages.vmaRange(i);
+        for (Addr va = base; va < base + bytes;) {
+            pages.ensureResident(va);
+            va += pageBytes(pages.guestTranslate(va).size);
+        }
+    }
+    pages.quiesce();
+
+    EXPECT_EQ(blocks.guestFaults(), pages.guestFaults());
+    EXPECT_EQ(blocks.hostFaults(), pages.hostFaults());
+    for (std::size_t i = 0; i < blocks.vmaCount(); ++i) {
+        const auto [base, bytes] = blocks.vmaRange(i);
+        for (Addr va = base; va < base + bytes; va += 4096) {
+            const Translation g = blocks.guestTranslate(va);
+            const Translation want = pages.guestTranslate(va);
+            ASSERT_TRUE(g.valid) << std::hex << va;
+            ASSERT_EQ(g.pa, want.pa) << std::hex << va;
+            ASSERT_EQ(g.size, want.size) << std::hex << va;
+            const Translation h = hostLookup(blocks, g.apply(va));
+            const Translation h_want = hostLookup(pages, g.apply(va));
+            ASSERT_EQ(h.valid, h_want.valid) << std::hex << va;
+            ASSERT_EQ(h.pa, h_want.pa) << std::hex << va;
+            ASSERT_EQ(h.size, h_want.size) << std::hex << va;
+            // Each CWT chunk was carved at the same point.
+            std::vector<Addr> cwt_lines, cwt_lines_want;
+            for (auto [ecpt, ecpt_want, at] :
+                 {std::tuple{blocks.guestEcpt(), pages.guestEcpt(), va},
+                  std::tuple{blocks.hostEcpt(), pages.hostEcpt(),
+                             g.apply(va)}}) {
+                for (PageSize level : all_page_sizes) {
+                    if (ecpt && ecpt->cwtOf(level)) {
+                        ecpt->cwtOf(level)->entryProbeAddrs(at, cwt_lines);
+                        ecpt_want->cwtOf(level)->entryProbeAddrs(
+                            at, cwt_lines_want);
+                    }
+                }
+            }
+            ASSERT_EQ(cwt_lines, cwt_lines_want) << std::hex << va;
+        }
+    }
+    EXPECT_EQ(ecptCounters(blocks), ecptCounters(pages));
+    EXPECT_TRUE(ecptBlocks(blocks) == ecptBlocks(pages));
+    EXPECT_EQ(blocks.guestPool().usedBytes(), pages.guestPool().usedBytes());
+    EXPECT_EQ(blocks.hostPool().usedBytes(), pages.hostPool().usedBytes());
+    EXPECT_EQ(blocks.guestStructureBytes(), pages.guestStructureBytes());
+    EXPECT_EQ(blocks.hostStructureBytes(), pages.hostStructureBytes());
+    blocks.auditInvariants();
+    pages.auditInvariants();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Organizations, PrefaultBlocks,
+    ::testing::Values(
+        PrefaultBlockCase{"Radix", radix_case, 0, false},
+        PrefaultBlockCase{"RadixThp", radix_thp_case, 0, false},
+        PrefaultBlockCase{"Ecpt", ecpt_case, 0, false},
+        PrefaultBlockCase{"EcptThp", ecpt_thp_case, 0, false},
+        PrefaultBlockCase{"Hpt", hpt_case, 0, false},
+        PrefaultBlockCase{"HptHostGuestThp", hpt_host_guest_thp_case, 0,
+                          false},
+        // 64 slots per way: elastic resizes start every few hundred
+        // blocks and migrate across the blocks that follow.
+        PrefaultBlockCase{"EcptResizing", ecpt_case, 64, false},
+        PrefaultBlockCase{"EcptThpTouchedVma", ecpt_thp_case, 0, true}),
+    caseName<PrefaultBlockCase>);
 
 } // namespace necpt
