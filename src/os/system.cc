@@ -147,12 +147,12 @@ NestedSystem::vmaOf(Addr gva)
 }
 
 bool
-NestedSystem::blockCovered(std::uint64_t block, double coverage,
+NestedSystem::blockCovered(std::uint64_t chunk, double coverage,
                            std::uint64_t salt) const
 {
     // Deterministic per-chunk hash draw (stride patterns would alias
     // with strided workloads).
-    std::uint64_t sm = block ^ (cfg.seed * 0x9E3779B97F4A7C15ULL) ^ salt;
+    std::uint64_t sm = chunk ^ (cfg.seed * 0x9E3779B97F4A7C15ULL) ^ salt;
     const auto draw = splitmix64(sm);
     return static_cast<double>(draw >> 11) * 0x1.0p-53 < coverage;
 }
@@ -168,7 +168,7 @@ NestedSystem::guestPageSize(Addr gva, const Vma &vma)
     // allocators succeed or fail in zones rather than salt-and-pepper
     // at 2MB granularity, and 64MB keeps the coverage fraction
     // meaningful even for sub-GB arrays.
-    const auto region = gva >> 26;
+    const auto region = gva >> thp_chunk_shift;
     bool use_thp = false;
     if (cfg.guest_thp && vma.thp_eligible) {
         auto it = guest_block_thp.find(region);
@@ -206,7 +206,7 @@ NestedSystem::hostPageSize(Addr gpa)
     // keep regions size-uniform for the CWT summaries, fine enough
     // that the configured coverage leaves a real 4KB residue (the
     // Figure-12 structure).
-    const auto region = gpa >> 26;
+    const auto region = gpa >> thp_chunk_shift;
     bool use_thp = false;
     if (cfg.host_thp) {
         auto it = host_block_thp.find(region);
@@ -341,7 +341,7 @@ NestedSystem::thpDemote(Addr gva)
     PhysMemPool &frames = cfg.virtualized ? *guest_pool : *host_pool;
     // The region is fragmented now: future faults here must stay 4KB,
     // or a fresh 2MB mapping could overlap the split pieces.
-    guest_block_thp[page >> 26] = false;
+    guest_block_thp[page >> thp_chunk_shift] = false;
     // Copy-based split: the huge frame is released and each 4KB piece
     // re-lands in its own frame (keeps pool accounting size-exact).
     guest_pt->unmap(page, PageSize::Page2M);
@@ -425,6 +425,7 @@ NestedSystem::makeResident(Addr gva)
 void
 NestedSystem::prefaultAll()
 {
+    reserveForPrefault();
     for (Vma &vma : vmas) {
         if (!vma.faulted) {
             prefaultBlocks(vma);
@@ -439,6 +440,58 @@ NestedSystem::prefaultAll()
     // quiesced steady state (in-flight resizes would otherwise double
     // every probe forever, since migration progresses on inserts).
     quiesce();
+}
+
+void
+NestedSystem::reserveForPrefault()
+{
+    std::array<std::uint64_t, num_page_sizes> guest_blocks{};
+    // The last block counted per size: VMAs come in address order, and
+    // two of them may share a block.
+    std::array<std::uint64_t, num_page_sizes> last_block;
+    last_block.fill(~0ULL);
+    // Host blocks, one 4KB backing per guest frame: a huge frame's
+    // backing has a block to itself, and the 4KB frames between huge
+    // ones come from the bump allocator in one run.
+    std::uint64_t host_blocks = 0;
+    std::uint64_t run_4k = 0;
+    const auto packed = [](std::uint64_t frames) {
+        return (frames + PageTable::block_pages - 1)
+            / PageTable::block_pages;
+    };
+    constexpr Addr chunk_bytes = Addr{1} << thp_chunk_shift;
+    for (const Vma &vma : vmas) {
+        if (vma.faulted)
+            continue;
+        const Addr end = vma.base + vma.bytes;
+        // One page size per 64MB chunk (a 1GB VMA is all 1GB pages).
+        for (Addr va = vma.base; va < end;) {
+            const PageSize size = guestPageSize(va, vma);
+            const Addr stop = vma.use_1g
+                ? end
+                : std::min(alignDown(va, chunk_bytes) + chunk_bytes, end);
+            const int s = static_cast<int>(size);
+            const std::uint64_t first =
+                pageNumber(va, size) / PageTable::block_pages;
+            const std::uint64_t last =
+                pageNumber(stop - 1, size) / PageTable::block_pages;
+            guest_blocks[s] += last - first + (first != last_block[s]);
+            last_block[s] = last;
+            const std::uint64_t pages = (stop - va) >> pageShift(size);
+            if (size == PageSize::Page4K) {
+                run_4k += pages;
+            } else {
+                host_blocks += packed(run_4k) + pages;
+                run_4k = 0;
+            }
+            va = stop;
+        }
+    }
+    host_blocks += packed(run_4k);
+    for (const PageSize size : all_page_sizes)
+        guest_pt->reserve(size, guest_blocks[static_cast<int>(size)]);
+    if (cfg.virtualized && !cfg.host_thp)
+        host_pt->reserve(PageSize::Page4K, host_blocks);
 }
 
 void
@@ -475,29 +528,45 @@ NestedSystem::prefaultBlocks(Vma &vma)
 void
 NestedSystem::backFrames(const Addr *gpas, int count)
 {
+    constexpr PageSize base = PageSize::Page4K;
     for (int i = 0; i < count;) {
+        // The frames from i on that are contiguous and share one 4KB
+        // host block: one query says which of them a host 2MB page or
+        // an earlier backing (a recycled frame) already covers.
         const Addr gpa = gpas[i];
-        // A host 2MB page or a recycled frame may already back it.
-        if (host_pt->lookup(gpa).valid) {
-            ++i;
-            continue;
+        const int room = PageTable::block_pages
+            - static_cast<int>(pageNumber(gpa, base)
+                               % PageTable::block_pages);
+        int n = 1;
+        while (n < room && i + n < count
+               && gpas[i + n] == gpa + n * pageBytes(base))
+            ++n;
+        std::uint32_t backed = host_pt->mappedMask(gpa, n);
+        for (int j = 0; j < n;) {
+            if (backed >> j & 1) {
+                ++j;
+                continue;
+            }
+            const Addr at = gpa + j * pageBytes(base);
+            const PageSize size = hostPageSize(at);
+            int run = 1;
+            // A 4KB backing marks its 2MB block (noteHost4k), which
+            // pins every later fault there to 4KB too: extend the run
+            // over the unbacked frames that follow.
+            if (size == base) {
+                while (j + run < n && !(backed >> (j + run) & 1))
+                    ++run;
+            }
+            hostMapRun(at, run, size);
+            j += run;
+            // A 4KB map changes no other frame's bit; a 2MB one covers
+            // the rest of the block, so ask again.
+            if (size != base && j < n)
+                backed = host_pt->mappedMask(gpa + j * pageBytes(base),
+                                             n - j)
+                    << j;
         }
-        const PageSize size = hostPageSize(gpa);
-        int run = 1;
-        // A 4KB backing marks its 2MB block (noteHost4k), which pins
-        // every later fault there to 4KB too: extend the run over the
-        // contiguous, unbacked gPAs left in this host block.
-        if (size == PageSize::Page4K) {
-            const int room = PageTable::block_pages
-                - static_cast<int>(pageNumber(gpa, size)
-                                   % PageTable::block_pages);
-            while (run < room && i + run < count
-                   && gpas[i + run] == gpa + run * pageBytes(size)
-                   && !host_pt->lookup(gpas[i + run]).valid)
-                ++run;
-        }
-        hostMapRun(gpa, run, size);
-        i += run;
+        i += n;
     }
 }
 

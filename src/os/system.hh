@@ -120,11 +120,27 @@ class NestedSystem
     /**
      * Fault in every page of every VMA — the steady state the paper
      * measures in (applications materialize their datasets during
-     * initialization; Section 8 measures after warm-up). A VMA no
-     * fault has touched yet is written one table block at a time;
-     * the result equals faulting its pages in address order.
+     * initialization; Section 8 measures after warm-up). The tables
+     * are pre-sized first (reserveForPrefault()); then a VMA no fault
+     * has touched yet is written one table block at a time. The
+     * result equals reserveForPrefault() followed by faulting every
+     * page in address order.
      */
     void prefaultAll();
+
+    /**
+     * Announce to each table (PageTable::reserve) the blocks that
+     * prefaulting the untouched VMAs inserts, per page size: on the
+     * guest side exactly, from the same THP decisions the faults
+     * make; on the host side only when host THP is off, where each
+     * guest frame is backed by one 4KB page, as if the 4KB frames
+     * packed eight to a block. While frames come from the bump
+     * allocator, as before a machine's first fault, neither count
+     * exceeds what the faults insert, so a pre-sized ECPT ends at the
+     * size elastic growth would reach, not larger. prefaultAll()
+     * calls it; a table that already holds a key ignores it.
+     */
+    void reserveForPrefault();
 
     /**
      * Complete any in-flight elastic resizes (OS background migration
@@ -275,12 +291,15 @@ class NestedSystem
 
     Vma *vmaOf(Addr gva);
 
-    /** Deterministic per-2MB-block THP feasibility draw. */
-    bool blockCovered(std::uint64_t block, double coverage,
+    /** THP feasibility is decided per 64MB chunk of address space. */
+    static constexpr int thp_chunk_shift = 26;
+
+    /** Deterministic per-64MB-chunk THP feasibility draw. */
+    bool blockCovered(std::uint64_t chunk, double coverage,
                       std::uint64_t salt) const;
 
     /** The page size a guest fault at @p gva installs (THP policy,
-     *  decided on first touch of its 64MB region). */
+     *  decided on first touch of its 64MB chunk). */
     PageSize guestPageSize(Addr gva, const Vma &vma);
 
     /** Install a guest mapping for the page containing @p gva.
@@ -302,7 +321,9 @@ class NestedSystem
     void prefaultBlocks(Vma &vma);
 
     /** Host-fault whichever of the @p count guest frames @p gpas (in
-     *  mapping order) nothing backs yet, one host block per run. */
+     *  mapping order) nothing backs yet, one host block per run: one
+     *  PageTable::mappedMask per run of contiguous frames in one host
+     *  block, and one more after a 2MB host map inside it. */
     void backFrames(const Addr *gpas, int count);
 
     /** Record that @p gpa's 2MB block holds a 4KB host mapping. */
@@ -350,9 +371,9 @@ class NestedSystem
     std::vector<Vma> vmas;
     Addr mmap_cursor;
 
-    /** First-touch THP decision per guest-virtual 1GB region. */
+    /** First-touch THP decision per guest-virtual 64MB chunk. */
     std::unordered_map<std::uint64_t, bool> guest_block_thp;
-    /** First-touch THP decision per guest-physical 1GB region. */
+    /** First-touch THP decision per guest-physical 64MB chunk. */
     std::unordered_map<std::uint64_t, bool> host_block_thp;
     /** gPA 2MB blocks already holding a 4KB mapping (e.g. a scattered
      *  page-table node): a huge host mapping would overlap them. */

@@ -11,6 +11,10 @@
  * is in flight, a key can live in either generation and hardware probes
  * must cover both — probeAddrs() reflects that.
  *
+ * A caller that knows how many keys are coming (prefault) can
+ * reserve() them first: the table then starts at the size elastic
+ * growth would have reached, and the writes never resize.
+ *
  * Cuckoo displacements and resize migrations *move* entries between ways
  * and addresses. The table reports each move through a callback so the
  * OS can update Cuckoo Walk Tables, and counts moves — the reason the
@@ -313,6 +317,32 @@ class ElasticCuckooTable
     /** Base address of live way @p w (tests / debugging). */
     Addr wayBase(int w) const { return live.base[w]; }
     /// @}
+
+    /**
+     * Pre-size an empty table for @p entries keys: replace its
+     * generation with the one elastic growth would end on after
+     * @p entries inserts, the smallest initial_slots * 2^k whose load
+     * factor stays at or under the resize threshold, so filling it
+     * never resizes or migrates. A table holding a key or mid-resize,
+     * or one that would not have grown, is left as it is.
+     */
+    void
+    reserve(std::uint64_t entries)
+    {
+        if (size() != 0 || old)
+            return;
+        std::uint64_t slots = live.slots;
+        // loadFactor()'s expression, so the boundary is the same one.
+        while (static_cast<double>(entries)
+                   / static_cast<double>(slots * cfg.ways)
+               > cfg.resize_threshold)
+            slots *= 2;
+        if (slots == live.slots)
+            return;
+        Generation sized = makeGeneration(slots);
+        releaseGeneration(live);
+        live = std::move(sized);
+    }
 
     /** Force any in-flight resize to complete (used by tests). */
     void

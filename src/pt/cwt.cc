@@ -195,9 +195,9 @@ void
 CuckooWalkTable::entryProbeAddrs(Addr va, std::vector<Addr> &out) const
 {
     const Chunk *chunk = peekChunk(va);
-    // The refill fetches the descriptor line within the chunk. An
-    // untouched chunk still costs a fetch attempt at where it would
-    // live; charge the chunk base in that case.
+    // The refill fetches the descriptor line within the chunk. A
+    // chunk never carved (untouched, or its region allocation threw)
+    // has no line in memory, so the refill fetches nothing.
     const Addr base = chunk ? chunk->base : invalid_addr;
     if (base == invalid_addr)
         return;

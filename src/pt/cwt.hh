@@ -131,7 +131,8 @@ class CuckooWalkTable
 
     /**
      * Physical addresses a hardware refill of the entry covering
-     * @p va must fetch (the descriptor line within the chunk).
+     * @p va must fetch (the descriptor line within the chunk); none
+     * while the chunk has no region.
      */
     void entryProbeAddrs(Addr va, std::vector<Addr> &out) const;
 

@@ -221,6 +221,30 @@ EcptPageTable::lookup(Addr va) const
     return {};
 }
 
+std::uint32_t
+EcptPageTable::mappedMask(Addr va, int pages) const
+{
+    constexpr PageSize base = PageSize::Page4K;
+    NECPT_ASSERT(pageOffset(va, base) == 0);
+    const int first = static_cast<int>(pageNumber(va, base) & 0x7);
+    NECPT_ASSERT(pages >= 1 && first + pages <= PteBlock::entries);
+    const std::uint32_t all = (1u << pages) - 1;
+    std::uint32_t mask = 0;
+    auto &table = const_cast<ElasticCuckooTable<PteBlock> &>(tableOf(base));
+    if (const auto hit = table.find(blockKey(va, base))) {
+        for (int i = 0; i < pages; ++i)
+            mask |= static_cast<std::uint32_t>(
+                        hit.value->pte[first + i].present())
+                << i;
+    }
+    if (mask == all)
+        return mask;
+    for (const PageSize size : {PageSize::Page2M, PageSize::Page1G})
+        if (lookupSized(va, size).translation.valid)
+            return all;
+    return mask;
+}
+
 void
 EcptPageTable::setFaultPlan(FaultPlan *plan)
 {

@@ -100,6 +100,15 @@ class EcptPageTable final : public PageTable
     void mapBlock(Addr va, int pages, PageSize size,
                   FrameSource next_frame) override;
 
+    /** Pre-size the empty size-@p size table for @p blocks blocks
+     *  (ElasticCuckooTable::reserve); the CWTs are dense and need no
+     *  sizing. */
+    void
+    reserve(PageSize size, std::uint64_t blocks) override
+    {
+        tableOf(size).reserve(blocks);
+    }
+
     /** Remove the mapping of the page containing @p va. */
     void unmap(Addr va, PageSize size) override;
 
@@ -109,6 +118,14 @@ class EcptPageTable final : public PageTable
 
     /** Functional lookup across all page sizes. */
     Translation lookup(Addr va) const override;
+
+    /**
+     * One PTE-ECPT find answers every requested page of the block; the
+     * 2MB and 1GB tables are asked only when one of them is unmapped
+     * at 4KB, once for all of them, since the block lies in one 2MB
+     * page and one 1GB page.
+     */
+    std::uint32_t mappedMask(Addr va, int pages) const override;
 
     /** Lookup restricted to one page size; also reports the way. */
     struct SizedResult

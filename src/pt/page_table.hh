@@ -7,8 +7,9 @@
  * concrete class through NestedSystem's typed accessors.
  *
  * The optional hooks default to a table that keeps no flag word,
- * writes one page at a time, defers no work, injects no faults and
- * has no cross-structure invariant; the ECPT overrides all five.
+ * writes and reads one page at a time, has nothing to pre-size,
+ * defers no work, injects no faults and has no cross-structure
+ * invariant; the ECPT overrides all seven.
  */
 
 #ifndef NECPT_PT_PAGE_TABLE_HH
@@ -70,11 +71,36 @@ class PageTable
                 size);
     }
 
+    /**
+     * Announce @p blocks table blocks of @p size pages that a bulk
+     * write (prefault) is about to insert, so a table that grows as it
+     * fills can take its final size up front. By default there is
+     * nothing to size.
+     */
+    virtual void reserve(PageSize, std::uint64_t) {}
+
     /** Remove the mapping of the page of @p size containing @p va. */
     virtual void unmap(Addr va, PageSize size) = 0;
 
     /** Functional lookup across all page sizes (no timing). */
     virtual Translation lookup(Addr va) const = 0;
+
+    /**
+     * Which of the @p pages consecutive 4KB pages from @p va, all in
+     * one @ref block_pages -aligned block, are mapped at any size: bit
+     * i is lookup(va + i * 4KB).valid. By default one lookup per page.
+     */
+    virtual std::uint32_t
+    mappedMask(Addr va, int pages) const
+    {
+        std::uint32_t mask = 0;
+        for (int i = 0; i < pages; ++i) {
+            const Addr page = va + static_cast<Addr>(i)
+                * pageBytes(PageSize::Page4K);
+            mask |= static_cast<std::uint32_t>(lookup(page).valid) << i;
+        }
+        return mask;
+    }
 
     /** Bytes of table structure (Section 9.5 accounting). */
     virtual std::uint64_t structureBytes() const = 0;

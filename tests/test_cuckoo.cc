@@ -391,6 +391,82 @@ TEST(Cuckoo, UpsertUpdatesEqualRepeatedUpserts)
     EXPECT_TRUE(in_a == contents(b));
 }
 
+/**
+ * reserve() lands on the generation elastic growth ends on: for entry
+ * counts just below, at and just past each resize point, a reserved
+ * table holds them in the elastic table's geometry without resizing.
+ * A table that holds a key, is mid-resize, or would not have grown is
+ * left as it is.
+ */
+TEST(Cuckoo, ReserveReachesElasticGeometry)
+{
+    const CuckooConfig cfg = tinyConfig(16, 3);
+    std::vector<std::uint64_t> counts{0, 1};
+    for (std::uint64_t slots = cfg.initial_slots; slots <= 256; slots *= 2) {
+        // The last count whose load factor stays at the threshold.
+        std::uint64_t at = 0;
+        while (static_cast<double>(at + 1)
+                   / static_cast<double>(slots * cfg.ways)
+               <= cfg.resize_threshold)
+            ++at;
+        counts.insert(counts.end(), {at - 1, at, at + 1});
+    }
+    for (const std::uint64_t n : counts) {
+        SCOPED_TRACE(n);
+        BumpAllocator alloc_elastic, alloc_reserved;
+        Table elastic(alloc_elastic, cfg), reserved(alloc_reserved, cfg);
+        reserved.reserve(n);
+        for (std::uint64_t k = 0; k < n; ++k) {
+            elastic.insert(k * 7 + 1, k);
+            reserved.insert(k * 7 + 1, k);
+            ASSERT_FALSE(reserved.resizing());
+        }
+        elastic.finishResize();
+        EXPECT_EQ(reserved.slotsPerWay(), elastic.slotsPerWay());
+        EXPECT_EQ(reserved.structureBytes(), elastic.structureBytes());
+        EXPECT_EQ(reserved.resizeCount(), 0u);
+        EXPECT_EQ(reserved.resizeMoves(), 0u);
+        EXPECT_EQ(reserved.size(), n);
+        for (std::uint64_t k = 0; k < n; ++k)
+            ASSERT_TRUE(reserved.find(k * 7 + 1)) << k;
+    }
+
+    // Nothing to grow: no region is released or carved.
+    BumpAllocator alloc;
+    Table fits(alloc, cfg);
+    const Addr way0 = fits.wayBase(0);
+    fits.reserve(counts[3]);
+    EXPECT_EQ(fits.wayBase(0), way0);
+    EXPECT_EQ(alloc.allocs, cfg.ways);
+    EXPECT_EQ(alloc.frees, 0);
+
+    // A table with a key keeps its geometry.
+    Table holding(alloc, cfg);
+    holding.insert(5, 5);
+    const Addr holding_way0 = holding.wayBase(0);
+    holding.reserve(10000);
+    EXPECT_EQ(holding.slotsPerWay(), cfg.initial_slots);
+    EXPECT_EQ(holding.wayBase(0), holding_way0);
+    EXPECT_TRUE(holding.find(5));
+
+    // So does a table mid-resize, emptied or not.
+    Table growing(alloc, cfg);
+    std::uint64_t k = 0;
+    while (!growing.resizing())
+        growing.insert(k++, 0);
+    const std::uint64_t bytes = growing.structureBytes();
+    const std::uint64_t slots = growing.slotsPerWay();
+    growing.reserve(10000);
+    EXPECT_TRUE(growing.resizing());
+    EXPECT_EQ(growing.structureBytes(), bytes);
+    for (std::uint64_t i = 0; i < k; ++i)
+        growing.erase(i);
+    ASSERT_TRUE(growing.resizing());
+    growing.reserve(10000);
+    EXPECT_EQ(growing.slotsPerWay(), slots);
+    EXPECT_EQ(growing.structureBytes(), bytes);
+}
+
 /** Parameterized sweep over ways/slots: membership is exact. */
 class CuckooGeometry
     : public ::testing::TestWithParam<std::pair<int, std::uint64_t>>

@@ -332,6 +332,8 @@ constexpr PrefaultCase ecpt_case{"Ecpt", PtKind::Ecpt, PtKind::Ecpt, false,
                                  false};
 constexpr PrefaultCase ecpt_thp_case{"EcptThp", PtKind::Ecpt, PtKind::Ecpt,
                                      true, true};
+constexpr PrefaultCase ecpt_host_thp_case{"EcptHostThp", PtKind::Ecpt,
+                                          PtKind::Ecpt, false, true};
 constexpr PrefaultCase hpt_case{"Hpt", PtKind::Hpt, PtKind::Hpt, false,
                                 false};
 constexpr PrefaultCase hpt_host_guest_thp_case{
@@ -364,6 +366,11 @@ struct PrefaultBlockCase
     /** Touch one page of the first VMA before prefaulting, so that
      *  VMA takes the page-by-page path. */
     bool touch_first_vma;
+    /** Start with a 2MB + 12KB VMA whose first 2MB is faulted in and
+     *  collapsed into a 2MB page: its 512 backed 4KB guest frames are
+     *  recycled, 509 of them into the untouched VMAs, so the last
+     *  recycled ones share a block with fresh, unbacked frames. */
+    bool recycle_frames = false;
 
     friend void PrintTo(const PrefaultBlockCase &c, std::ostream *os)
     {
@@ -389,6 +396,21 @@ hostLookup(NestedSystem &sys, Addr gpa)
         return t->lookup(gpa);
     const FlatPageTable *t = sys.hostFlat();
     return t ? t->lookup(gpa) : Translation{};
+}
+
+/** Fault every page of every VMA of @p sys in address order, one
+ *  ensureResident per mapped page, then let resizes finish. */
+void
+faultEveryPage(NestedSystem &sys)
+{
+    for (std::size_t i = 0; i < sys.vmaCount(); ++i) {
+        const auto [base, bytes] = sys.vmaRange(i);
+        for (Addr va = base; va < base + bytes;) {
+            sys.ensureResident(va);
+            va += pageBytes(sys.guestTranslate(va).size);
+        }
+    }
+    sys.quiesce();
 }
 
 /** Every block of both ECPTs of @p sys: way, generation, slot address
@@ -441,10 +463,11 @@ ecptCounters(NestedSystem &sys)
 } // namespace
 
 /**
- * Prefaulting block by block leaves the machine exactly as faulting
- * every page in address order does: same faults, same translations on
- * both sides, same cuckoo tables down to each block's way and slot
- * address, same CWT chunk addresses, same pool usage.
+ * Prefaulting block by block leaves the machine exactly as the same
+ * reservation followed by faulting every page in address order does:
+ * same faults, same translations on both sides, same cuckoo tables
+ * down to each block's way and slot address, same CWT chunk addresses,
+ * same pool usage.
  */
 TEST_P(PrefaultBlocks, MatchesPageByPage)
 {
@@ -460,6 +483,14 @@ TEST_P(PrefaultBlocks, MatchesPageByPage)
     }
     NestedSystem blocks(cfg), pages(cfg);
     for (NestedSystem *sys : {&blocks, &pages}) {
+        if (c.recycle_frames) {
+            const Addr base =
+                sys->mmapRegion((2ULL << 20) + 3 * 4096, false);
+            ASSERT_EQ(pageOffset(base, PageSize::Page2M), 0u);
+            for (Addr va = base; va < base + (2ULL << 20); va += 4096)
+                sys->ensureResident(va);
+            ASSERT_EQ(sys->thpPromote(base), 512);
+        }
         sys->mmapRegion(192ULL << 20, true);
         // Sizes off the 32KB block grid: partial first and last blocks.
         sys->mmapRegion((5ULL << 20) + 3 * 4096, false);
@@ -471,14 +502,8 @@ TEST_P(PrefaultBlocks, MatchesPageByPage)
     }
 
     blocks.prefaultAll();
-    for (std::size_t i = 0; i < pages.vmaCount(); ++i) {
-        const auto [base, bytes] = pages.vmaRange(i);
-        for (Addr va = base; va < base + bytes;) {
-            pages.ensureResident(va);
-            va += pageBytes(pages.guestTranslate(va).size);
-        }
-    }
-    pages.quiesce();
+    pages.reserveForPrefault();
+    faultEveryPage(pages);
 
     EXPECT_EQ(blocks.guestFaults(), pages.guestFaults());
     EXPECT_EQ(blocks.hostFaults(), pages.hostFaults());
@@ -520,6 +545,12 @@ TEST_P(PrefaultBlocks, MatchesPageByPage)
     EXPECT_EQ(blocks.hostStructureBytes(), pages.hostStructureBytes());
     blocks.auditInvariants();
     pages.auditInvariants();
+    // The small-table row still writes blocks while a resize is in
+    // flight: the host table, which host THP keeps unreserved.
+    if (c.pte_slots) {
+        EXPECT_GT(blocks.hostEcpt()->tableOf(PageSize::Page4K).resizeCount(),
+                  1u);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -532,10 +563,169 @@ INSTANTIATE_TEST_SUITE_P(
         PrefaultBlockCase{"Hpt", hpt_case, 0, false},
         PrefaultBlockCase{"HptHostGuestThp", hpt_host_guest_thp_case, 0,
                           false},
-        // 64 slots per way: elastic resizes start every few hundred
-        // blocks and migrate across the blocks that follow.
-        PrefaultBlockCase{"EcptResizing", ecpt_case, 64, false},
-        PrefaultBlockCase{"EcptThpTouchedVma", ecpt_thp_case, 0, true}),
+        // 16 slots per way: the guest tables are reserved, but host
+        // THP leaves the host's unreserved, and its elastic resizes
+        // start every few dozen to few hundred blocks and migrate
+        // across the blocks that follow.
+        PrefaultBlockCase{"EcptResizing", ecpt_host_thp_case, 16, false},
+        PrefaultBlockCase{"EcptThpTouchedVma", ecpt_thp_case, 0, true},
+        PrefaultBlockCase{"EcptRecycledFrames", ecpt_case, 0, false, true}),
     caseName<PrefaultBlockCase>);
+
+class PrefaultReserve : public ::testing::TestWithParam<PrefaultCase>
+{
+  protected:
+    /** The case's machine, with ECPTs small enough that every table in
+     *  use grows several times. */
+    static SystemConfig
+    config(const PrefaultCase &c)
+    {
+        auto cfg = smallSystem(c.guest, c.host, false);
+        cfg.guest_thp = c.guest_thp;
+        cfg.host_thp = c.host_thp;
+        cfg.guest_thp_coverage = 0.5;
+        cfg.host_thp_coverage = 0.5;
+        cfg.guest_ecpt.initial_slots = {64, 4, 4};
+        cfg.host_ecpt.initial_slots = {64, 4, 4};
+        return cfg;
+    }
+
+    static void
+    mapVmas(NestedSystem &sys)
+    {
+        sys.mmapRegion(448ULL << 20, true);
+        sys.mmapRegion((5ULL << 20) + 3 * 4096, false);
+        sys.mmapRegion((1ULL << 20) + 4096, false);
+    }
+
+    /** A table the reservation sizes, and whether its block count is
+     *  exact rather than a lower bound. */
+    struct Reserved
+    {
+        bool guest;
+        PageSize size;
+        bool exact;
+    };
+
+    /** Every guest ECPT table (exact), and the host's 4KB ECPT table
+     *  when host THP is off (exact above an ECPT guest, whose frames
+     *  nothing else interleaves). */
+    static std::vector<Reserved>
+    reservedTables(const PrefaultCase &c)
+    {
+        std::vector<Reserved> tables;
+        if (c.guest == PtKind::Ecpt) {
+            for (PageSize size : all_page_sizes)
+                tables.push_back({true, size, true});
+        }
+        if (c.host == PtKind::Ecpt && !c.host_thp)
+            tables.push_back(
+                {false, PageSize::Page4K, c.guest == PtKind::Ecpt});
+        return tables;
+    }
+};
+
+/**
+ * The reservation ends where elastic growth ends: after prefaultAll
+ * every ECPT table has the size that faulting page by page without a
+ * reservation grows it to, and the tables whose count is exact never
+ * resized.
+ */
+TEST_P(PrefaultReserve, EndsOnElasticGeometry)
+{
+    const PrefaultCase &c = GetParam();
+    NestedSystem reserved(config(c)), elastic(config(c));
+    mapVmas(reserved);
+    mapVmas(elastic);
+    reserved.prefaultAll();
+    faultEveryPage(elastic);
+
+    for (auto [ecpt, want] :
+         {std::pair{reserved.guestEcpt(), elastic.guestEcpt()},
+          std::pair{reserved.hostEcpt(), elastic.hostEcpt()}}) {
+        if (!ecpt)
+            continue;
+        for (PageSize size : all_page_sizes) {
+            SCOPED_TRACE(pageSizeName(size));
+            const auto &table = ecpt->tableOf(size);
+            const auto &table_want = want->tableOf(size);
+            EXPECT_EQ(table.slotsPerWay(), table_want.slotsPerWay());
+            EXPECT_EQ(table.structureBytes(), table_want.structureBytes());
+            EXPECT_EQ(table.size(), table_want.size());
+        }
+        EXPECT_GT(want->tableOf(PageSize::Page4K).resizeCount(), 1u);
+        EXPECT_EQ(ecpt->structureBytes(), want->structureBytes());
+    }
+    for (const Reserved &t : reservedTables(c)) {
+        if (!t.exact)
+            continue;
+        EcptPageTable *ecpt = t.guest ? reserved.guestEcpt()
+                                      : reserved.hostEcpt();
+        EXPECT_EQ(ecpt->tableOf(t.size).resizeCount(), 0u)
+            << (t.guest ? "guest " : "host ") << pageSizeName(t.size);
+    }
+    if (c.guest_thp) {
+        EXPECT_GT(elastic.guestEcpt()->tableOf(PageSize::Page2M)
+                      .resizeCount(),
+                  0u);
+    }
+    reserved.auditInvariants();
+}
+
+/**
+ * The reservation never counts more blocks than faulting page by page
+ * inserts: a table whose initial size just holds that many keeps its
+ * size. Where the count is exact it is no fewer either: a table a slot
+ * per way smaller grows once.
+ */
+TEST_P(PrefaultReserve, CountsEveryBlock)
+{
+    const PrefaultCase &c = GetParam();
+    const SystemConfig base = config(c);
+    NestedSystem elastic(base);
+    mapVmas(elastic);
+    faultEveryPage(elastic);
+    for (const auto [guest, size, exact] : reservedTables(c)) {
+        SCOPED_TRACE(::testing::Message()
+                     << (guest ? "guest " : "host ") << pageSizeName(size));
+        const auto &filled =
+            (guest ? elastic.guestEcpt() : elastic.hostEcpt())->tableOf(size);
+        const std::uint64_t blocks = filled.size();
+        // The smallest table that holds them (the resize check's
+        // expression).
+        const double threshold =
+            (guest ? base.guest_ecpt : base.host_ecpt).resize_threshold;
+        std::uint64_t fits = 1;
+        while (static_cast<double>(blocks)
+                   / static_cast<double>(fits * filled.numWays())
+               > threshold)
+            ++fits;
+        for (const std::uint64_t initial : {fits, fits - 1}) {
+            if (blocks == 0 || initial == 0 || (initial < fits && !exact))
+                continue;
+            SystemConfig cfg = base;
+            (guest ? cfg.guest_ecpt : cfg.host_ecpt)
+                .initial_slots[static_cast<int>(size)] = initial;
+            NestedSystem sys(cfg);
+            mapVmas(sys);
+            sys.reserveForPrefault();
+            EXPECT_EQ((guest ? sys.guestEcpt() : sys.hostEcpt())
+                          ->tableOf(size)
+                          .slotsPerWay(),
+                      initial == fits ? fits : 2 * initial)
+                << blocks << " blocks";
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Organizations, PrefaultReserve,
+    ::testing::Values(
+        ecpt_case, ecpt_thp_case, ecpt_host_thp_case,
+        PrefaultCase{"EcptGuestThp", PtKind::Ecpt, PtKind::Ecpt, true,
+                     false},
+        PrefaultCase{"HybridHost", PtKind::Radix, PtKind::Ecpt, false,
+                     false}),
+    caseName<PrefaultCase>);
 
 } // namespace necpt
