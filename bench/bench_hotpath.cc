@@ -4,8 +4,8 @@
  *
  * Tight loops over the structures the per-access translation path is
  * made of — the packed set-associative cache, the elastic cuckoo
- * table's find and probe-address generation, and the one-pass hash
- * family — plus the machine-build step every run pays first, prefault
+ * table's find and probe-address generation, and its one-pass d-way
+ * hash (hashWays) — plus the machine-build step every run pays first, prefault
  * (host ns per prefaulted page), reported as operations per second and
  * nanoseconds per operation, and written to
  * BENCH_hotpath.json in the same shape bench_sim_throughput emits, so
@@ -15,12 +15,14 @@
  * much finer grain than the end-to-end throughput bench.
  */
 
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "common/hash.hh"
+#include "common/rng.hh"
 #include "mem/cache.hh"
 #include "os/system.hh"
 #include "pt/cuckoo.hh"
@@ -159,16 +161,21 @@ cuckooProbeAddrs()
     });
 }
 
+/** The cuckoo table's d-way hash pass over three seeded ways, seeded
+ *  the way ElasticCuckooTable seeds its functions. */
 Sample
-hashAll()
+hashWaysPass()
 {
-    HashFamily family(0xF00D, 3);
-    std::uint64_t out[HashFamily::max_ways];
+    std::array<HashFunction, 3> ways;
+    std::uint64_t sm = 0xF00D;
+    for (HashFunction &fn : ways)
+        fn = HashFunction(splitmix64(sm));
+    std::uint64_t out[3];
     const std::uint64_t keys = 4'000'000;
     return measure("hash_all_3way", keys, [&] {
         std::uint64_t acc = 0;
         for (std::uint64_t k = 0; k < keys; ++k) {
-            family.hashAll(PageSize::Page4K, k, 3, out);
+            hashWays(ways.data(), 3, k, out);
             acc ^= out[0] ^ out[1] ^ out[2];
         }
         g_sink = acc;
@@ -201,7 +208,7 @@ main()
     samples.push_back(cacheFill());
     samples.push_back(cuckooFind());
     samples.push_back(cuckooProbeAddrs());
-    samples.push_back(hashAll());
+    samples.push_back(hashWaysPass());
     samples.push_back(
         prefault("prefault_nested_ecpt_4k", ConfigId::NestedEcpt));
     samples.push_back(

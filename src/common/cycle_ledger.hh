@@ -12,10 +12,9 @@
  * cycle is left uncounted. A forgotten charge is a test failure, not a
  * silent residual bin — see tests/test_attribution.cc.
  *
- * Ledgers are plain fixed arrays: charging is one predictable add, the
- * disabled path is a single branch, and nothing here ever touches the
- * heap (the steady-state translation path stays allocation-free with
- * attribution compiled in, enabled or not).
+ * Ledgers are plain fixed arrays: charging is one predictable add, and
+ * nothing here ever touches the heap (the steady-state translation
+ * path stays allocation-free).
  */
 
 #ifndef NECPT_COMMON_CYCLE_LEDGER_HH
@@ -75,23 +74,16 @@ attrCauseName(AttrCause cause)
 class CycleLedger
 {
   public:
-    /** Enable charging; a disabled ledger makes charge() a no-op. */
-    void setEnabled(bool on) { enabled_ = on; }
-    bool enabled() const { return enabled_; }
-
     void
     charge(AttrCause cause, Cycles cycles)
     {
-        if (enabled_)
-            bins_[static_cast<int>(cause)] += cycles;
+        bins_[static_cast<int>(cause)] += cycles;
     }
 
     /** Fold another ledger in (nested walks: POM-TLB fallback). */
     void
     fold(const CycleLedger &other)
     {
-        if (!enabled_)
-            return;
         for (int c = 0; c < num_attr_causes; ++c)
             bins_[c] += other.bins_[c];
     }
@@ -133,7 +125,6 @@ class CycleLedger
 
   private:
     std::array<std::uint64_t, num_attr_causes> bins_{};
-    bool enabled_ = true;
 };
 
 } // namespace necpt

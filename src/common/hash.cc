@@ -37,13 +37,4 @@ HashFunction::HashFunction(std::uint64_t seed)
     mult = splitmix64(sm) | 1; // multiplier must be odd
 }
 
-HashFamily::HashFamily(std::uint64_t family_seed, int ways)
-    : ways_(ways)
-{
-    std::uint64_t sm = family_seed;
-    for (int size = 0; size < num_page_sizes; ++size)
-        for (int way = 0; way < max_ways; ++way)
-            functions[size][way] = HashFunction(splitmix64(sm));
-}
-
 } // namespace necpt

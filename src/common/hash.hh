@@ -1,6 +1,6 @@
 /**
  * @file
- * The hash-function family used by hashed and elastic cuckoo page tables.
+ * The CRC hash functions used by hashed and elastic cuckoo page tables.
  *
  * Table 2 of the paper specifies CRC hash functions with a 2-cycle latency.
  * Each ECPT way uses an independently seeded member of the family so that a
@@ -12,17 +12,15 @@
  * at ~10 hash calls per simulated access it was the single hottest leaf
  * in the profile. Slicing looks all eight message bytes up in eight
  * independent tables and XORs — same polynomial algebra, no carried
- * dependency, and the d-way family pass (hashAll) vectorizes the table
- * gathers (common/simd.hh).
+ * dependency, so the d ways a cuckoo table hashes in one pass
+ * (hashWays) overlap in the host pipeline.
  */
 
 #ifndef NECPT_COMMON_HASH_HH
 #define NECPT_COMMON_HASH_HH
 
-#include <array>
 #include <cstdint>
 
-#include "common/simd.hh"
 #include "common/types.hh"
 
 namespace necpt
@@ -68,7 +66,7 @@ crc64(std::uint64_t value)
 }
 
 /**
- * One member of the seeded CRC hash family.
+ * One seeded CRC hash function.
  *
  * A HashFunction maps a virtual page number to a table slot index; the
  * caller reduces modulo its table size. Seeding XORs and multiplies the
@@ -80,7 +78,7 @@ class HashFunction
   public:
     HashFunction() : preXor(0), mult(0x9E3779B97F4A7C15ULL) {}
 
-    /** Build the family member with the given @p seed. */
+    /** Build the function with the given @p seed. */
     explicit HashFunction(std::uint64_t seed);
 
     /** Hash a (page-number) key to a 64-bit value. */
@@ -88,14 +86,6 @@ class HashFunction
     operator()(std::uint64_t key) const
     {
         return crc64((key ^ preXor) * mult);
-    }
-
-    /** The seeded pre-mix alone (the slice input before the CRC pass),
-     *  for batched CRC evaluation across family members. */
-    std::uint64_t
-    premix(std::uint64_t key) const
-    {
-        return (key ^ preXor) * mult;
     }
 
     /** Hardware latency of the hash unit (Table 2: 2 cycles). */
@@ -107,62 +97,17 @@ class HashFunction
 };
 
 /**
- * A family of hash functions indexed by (page-size, way).
- *
- * Guest and host use different family seeds (the paper's gH vs hH).
+ * The d-way hash pass of a cuckoo table: the raw hash of @p key under
+ * each of its @p d functions, written to @p out (at least @p d
+ * entries). The hardware computes the d hashes in parallel (Figure 4).
  */
-class HashFamily
+inline void
+hashWays(const HashFunction *fns, int d, std::uint64_t key,
+         std::uint64_t *out)
 {
-  public:
-    static constexpr int max_ways = 8;
-
-    /** Build a family for up to @p ways ways per page size. */
-    explicit HashFamily(std::uint64_t family_seed, int ways = 3);
-
-    /** The hash function for @p size 's table, way @p way. */
-    const HashFunction &
-    way(PageSize size, int way) const
-    {
-        return functions[static_cast<int>(size)][way];
-    }
-
-    int numWays() const { return ways_; }
-
-    /**
-     * Hash @p key through all @p d ways of @p size 's table in one pass,
-     * writing the raw 64-bit values to @p out (at least @p d entries).
-     * The hardware computes the d hashes in parallel (Figure 4); the
-     * software model mirrors that with a four-lane CRC kernel over the
-     * per-way premixes instead of d serial passes.
-     */
-    void
-    hashAll(PageSize size, std::uint64_t key, int d, std::uint64_t *out) const
-    {
-        const auto &fns = functions[static_cast<int>(size)];
-        int w = 0;
-        for (; w + 4 <= d; w += 4) {
-            std::uint64_t mixed[4];
-            for (int l = 0; l < 4; ++l)
-                mixed[l] = ~__builtin_bswap64(fns[w + l].premix(key));
-            simd::crc64x4(detail::crc64_tables.t, mixed, out + w);
-        }
-        if (int rem = d - w) {
-            // Tail lanes replicate the last premix; extra lanes are
-            // computed and discarded (cheaper than a masked path).
-            std::uint64_t mixed[4], folded[4];
-            for (int l = 0; l < 4; ++l)
-                mixed[l] = ~__builtin_bswap64(
-                    fns[w + (l < rem ? l : rem - 1)].premix(key));
-            simd::crc64x4(detail::crc64_tables.t, mixed, folded);
-            for (int l = 0; l < rem; ++l)
-                out[w + l] = folded[l];
-        }
-    }
-
-  private:
-    std::array<std::array<HashFunction, max_ways>, num_page_sizes> functions;
-    int ways_;
-};
+    for (int w = 0; w < d; ++w)
+        out[w] = fns[w](key);
+}
 
 } // namespace necpt
 

@@ -16,17 +16,10 @@ constexpr int level_unset = -1;
 std::atomic<int> g_level{level_unset};
 
 std::mutex &
-sinkMutex()
+lineMutex()
 {
     static std::mutex m;
     return m;
-}
-
-LogSink &
-sinkSlot()
-{
-    static LogSink sink;
-    return sink;
 }
 
 int
@@ -70,25 +63,13 @@ setLogLevel(LogLevel level)
     g_level.store(static_cast<int>(level), std::memory_order_relaxed);
 }
 
-void
-setLogSink(LogSink sink)
-{
-    std::lock_guard<std::mutex> lock(sinkMutex());
-    sinkSlot() = std::move(sink);
-}
-
 namespace log_detail
 {
 
 void
-dispatch(LogLevel severity, const char *tag, const std::string &line)
+dispatch(const char *tag, const std::string &line)
 {
-    std::lock_guard<std::mutex> lock(sinkMutex());
-    LogSink &sink = sinkSlot();
-    if (sink) {
-        sink(severity, line);
-        return;
-    }
+    std::lock_guard<std::mutex> lock(lineMutex());
     std::fprintf(stderr, "%s: %s\n", tag, line.c_str());
 }
 

@@ -5,8 +5,8 @@
  * panic() flags a simulator bug (aborts); fatal() flags a user/config error
  * (clean exit(1)); warn()/inform() print and continue.
  *
- * warn()/inform() are routed through a pluggable, mutex-guarded sink
- * and filtered by a verbosity level (`NECPT_LOG_LEVEL` / --quiet), so
+ * warn()/inform() print whole lines to stderr under a mutex and are
+ * filtered by a verbosity level (`NECPT_LOG_LEVEL` / --quiet), so
  * multi-job sweeps neither interleave half-lines on stderr nor bury
  * the progress meter. panic()/fatal() bypass both: a dying process
  * must always say why, immediately and unfiltered.
@@ -17,7 +17,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
 #include <string>
 #include <utility>
 
@@ -40,16 +39,6 @@ LogLevel logLevel();
 
 /** Override the level (CLI --quiet). Wins over the environment. */
 void setLogLevel(LogLevel level);
-
-/**
- * Receives each formatted warn()/inform() line (no trailing newline).
- * Called with the sink mutex held: implementations must not log.
- */
-using LogSink =
-    std::function<void(LogLevel severity, const std::string &line)>;
-
-/** Replace the sink; an empty function restores the stderr default. */
-void setLogSink(LogSink sink);
 
 namespace log_detail
 {
@@ -82,8 +71,8 @@ format(const char *fmt, Args &&...args)
     }
 }
 
-/** Serialize through the sink (default: "tag: line" on stderr). */
-void dispatch(LogLevel severity, const char *tag, const std::string &line);
+/** Print "tag: line" on stderr, one whole line at a time. */
+void dispatch(const char *tag, const std::string &line);
 
 } // namespace log_detail
 
@@ -112,7 +101,7 @@ warn(const char *fmt, Args &&...args)
 {
     if (logLevel() < LogLevel::Warn)
         return;
-    log_detail::dispatch(LogLevel::Warn, "warn",
+    log_detail::dispatch("warn",
                          log_detail::format(fmt,
                                             std::forward<Args>(args)...));
 }
@@ -124,7 +113,7 @@ inform(const char *fmt, Args &&...args)
 {
     if (logLevel() < LogLevel::Info)
         return;
-    log_detail::dispatch(LogLevel::Info, "info",
+    log_detail::dispatch("info",
                          log_detail::format(fmt,
                                             std::forward<Args>(args)...));
 }

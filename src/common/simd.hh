@@ -1,13 +1,12 @@
 /**
  * @file
- * Portable SIMD kernels for the two loops the profile says dominate
- * compute: the packed-tag cache-way scan (SetAssocCache::findWay) and
- * the d-way CRC-64 hash pass (HashFamily::hashAll).
+ * The one SIMD kernel: the packed-tag cache-way scan behind
+ * SetAssocCache::findWay, which every simulated memory access runs.
  *
- * Every kernel has a scalar fallback that is bit-identical to the
- * vector path, so simulation results never depend on the host ISA.
- * AVX2 is used when the compiler targets it (`__AVX2__`); nothing here
- * emits runtime dispatch — the build decides once.
+ * Its scalar fallback is bit-identical to the vector path, so
+ * simulation results never depend on the host ISA. AVX2 is used when
+ * the compiler targets it (`__AVX2__`); nothing here emits runtime
+ * dispatch — the build decides once.
  */
 
 #ifndef NECPT_COMMON_SIMD_HH
@@ -26,13 +25,6 @@ namespace necpt
 {
 namespace simd
 {
-
-/** Human-readable name of the active kernel set (stats/bench JSON). */
-inline const char *
-kernelName()
-{
-    return NECPT_SIMD_AVX2 ? "avx2" : "scalar";
-}
 
 /**
  * Lowest index i in [0, n) with (meta[i] & valid_bit) and
@@ -81,66 +73,6 @@ findTag(const std::uint64_t *tags, const std::uint8_t *meta, int n,
     return -1;
 #else
     return findTagScalar(tags, meta, n, tag, valid_bit);
-#endif
-}
-
-/**
- * Four independent CRC-64/ECMA reductions in one pass over the
- * slice-by-8 tables: out[l] = ~fold(d[l]) where fold() XORs
- * tables[j][byte j of d] for the eight bytes (byte 7 = most
- * significant, consumed first, so it takes the most-advanced table).
- * The caller pre-folds the CRC init
- * value and byte order into d (see crc64() in hash.hh); this kernel
- * is pure table algebra so the AVX2 gather path and the scalar path
- * agree bit for bit.
- */
-inline void
-crc64x4(const std::uint64_t (*tables)[256], const std::uint64_t *d,
-        std::uint64_t *out)
-{
-// The gather formulation is only a win where VPGATHERQQ is fast;
-// several server parts (and most virtualized hosts) microcode it
-// slower than four independent scalar slice-by-8 chains, which
-// already saturate the load ports. Opt in explicitly.
-#if NECPT_SIMD_AVX2 && defined(NECPT_SIMD_CRC_GATHER)
-    __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i *>(d));
-    const __m256i byte_mask = _mm256_set1_epi64x(0xFF);
-    __m256i acc = _mm256_setzero_si256();
-    // Byte 7 (bits 56..63) goes through table 7, byte 0 through
-    // table 0: unrolled so each gather uses a compile-time table.
-    acc = _mm256_xor_si256(acc, _mm256_i64gather_epi64(
-        reinterpret_cast<const long long *>(tables[7]),
-        _mm256_and_si256(_mm256_srli_epi64(v, 56), byte_mask), 8));
-    acc = _mm256_xor_si256(acc, _mm256_i64gather_epi64(
-        reinterpret_cast<const long long *>(tables[6]),
-        _mm256_and_si256(_mm256_srli_epi64(v, 48), byte_mask), 8));
-    acc = _mm256_xor_si256(acc, _mm256_i64gather_epi64(
-        reinterpret_cast<const long long *>(tables[5]),
-        _mm256_and_si256(_mm256_srli_epi64(v, 40), byte_mask), 8));
-    acc = _mm256_xor_si256(acc, _mm256_i64gather_epi64(
-        reinterpret_cast<const long long *>(tables[4]),
-        _mm256_and_si256(_mm256_srli_epi64(v, 32), byte_mask), 8));
-    acc = _mm256_xor_si256(acc, _mm256_i64gather_epi64(
-        reinterpret_cast<const long long *>(tables[3]),
-        _mm256_and_si256(_mm256_srli_epi64(v, 24), byte_mask), 8));
-    acc = _mm256_xor_si256(acc, _mm256_i64gather_epi64(
-        reinterpret_cast<const long long *>(tables[2]),
-        _mm256_and_si256(_mm256_srli_epi64(v, 16), byte_mask), 8));
-    acc = _mm256_xor_si256(acc, _mm256_i64gather_epi64(
-        reinterpret_cast<const long long *>(tables[1]),
-        _mm256_and_si256(_mm256_srli_epi64(v, 8), byte_mask), 8));
-    acc = _mm256_xor_si256(acc, _mm256_i64gather_epi64(
-        reinterpret_cast<const long long *>(tables[0]),
-        _mm256_and_si256(v, byte_mask), 8));
-    acc = _mm256_xor_si256(acc, _mm256_set1_epi64x(-1)); // final ~
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(out), acc);
-#else
-    for (int l = 0; l < 4; ++l) {
-        std::uint64_t acc = 0;
-        for (int j = 0; j < 8; ++j)
-            acc ^= tables[j][(d[l] >> (j * 8)) & 0xFF];
-        out[l] = ~acc;
-    }
 #endif
 }
 

@@ -969,11 +969,9 @@ table2Grid(const SimParams &)
         add(strfmt("Initial %s g/hECPT", levels[l]),
             strfmt("%llu entries x %d ways",
                    (unsigned long long)ecpt.initial_slots[l], ecpt.ways));
-    for (int l = 0; l < 3; ++l)
-        add(strfmt("Initial %s %s", levels[l], l ? "g/hCWT" : "hCWT"),
-            strfmt("%llu entries x %d ways",
-                   (unsigned long long)ecpt.cwt_initial_slots[l],
-                   ecpt.cwt_ways));
+    add("Initial PTE hCWT", "4096 entries x 2 ways");
+    add("Initial PMD g/hCWT", "4096 entries x 2 ways");
+    add("Initial PUD g/hCWT", "2048 entries x 2 ways");
     add("gCWC", "16 PMD + 2 PUD entries, FA, 4 cyc RT");
     add("hCWC (Step 1)", "4 PTE entries, FA, 4 cyc RT");
     add("hCWC (Step 3)", "16 PTE + 4 PMD + 2 PUD, FA, 4 cyc RT");

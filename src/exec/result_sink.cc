@@ -88,24 +88,6 @@ ResultSink::okResults() const
     return results;
 }
 
-ResultGrid
-ResultSink::toGrid() const
-{
-    ResultGrid grid;
-    for (const JobRecord &r : slots)
-        if (r.status == JobStatus::Ok)
-            grid.add(r.out.sim);
-    return grid;
-}
-
-double
-speedupOver(const ResultGrid &grid, const std::string &baseline,
-            const std::string &config, const std::string &app)
-{
-    return static_cast<double>(grid.at(baseline, app).cycles)
-        / static_cast<double>(grid.at(config, app).cycles);
-}
-
 bool
 ResultSink::writeJson(const std::string &path,
                       const std::string &sweep_name,

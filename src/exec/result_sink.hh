@@ -12,7 +12,6 @@
 #ifndef NECPT_EXEC_RESULT_SINK_HH
 #define NECPT_EXEC_RESULT_SINK_HH
 
-#include <map>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -21,50 +20,6 @@
 
 namespace necpt
 {
-
-/** Successful results keyed by (config name, app name): the table a
- *  figure summary reads. */
-class ResultGrid
-{
-  public:
-    void
-    add(const SimResult &result)
-    {
-        grid[{result.config, result.app}] = result;
-    }
-
-    /** The (config, app) result; call only where has() holds. */
-    const SimResult &
-    at(const std::string &config, const std::string &app) const
-    {
-        return grid.at({config, app});
-    }
-
-    bool
-    has(const std::string &config, const std::string &app) const
-    {
-        return grid.count({config, app}) > 0;
-    }
-
-    /** Whether @p config succeeded on every one of @p apps — the check
-     *  a summary makes before it reads that configuration's row. */
-    bool
-    complete(const std::string &config,
-             const std::vector<std::string> &apps) const
-    {
-        for (const std::string &app : apps)
-            if (!has(config, app))
-                return false;
-        return true;
-    }
-
-  private:
-    std::map<std::pair<std::string, std::string>, SimResult> grid;
-};
-
-/** Speedup of @p config over @p baseline for @p app (cycle ratio). */
-double speedupOver(const ResultGrid &grid, const std::string &baseline,
-                   const std::string &config, const std::string &app);
 
 class ResultSink
 {
@@ -101,11 +56,8 @@ class ResultSink
      *  with no record counts as failed), or Ok. */
     JobStatus firstFailure(const std::vector<std::string> &keys) const;
 
-    /** Successful SimResults, submission order (CSV/grid fodder). */
+    /** Successful SimResults, submission order (CSV fodder). */
     std::vector<SimResult> okResults() const;
-
-    /** The successful records as a (config, app)-keyed grid. */
-    ResultGrid toGrid() const;
 
     /**
      * Write the sweep as one JSON document:

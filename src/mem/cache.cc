@@ -60,11 +60,4 @@ SetAssocCache::fill(Addr addr)
     touch(set, victim);
 }
 
-void
-SetAssocCache::flush()
-{
-    for (auto &m : meta)
-        m &= age_mask;
-}
-
 } // namespace necpt

@@ -82,20 +82,6 @@ class SetAssocCache
     /** Install the line containing @p addr, evicting LRU if needed. */
     void fill(Addr addr);
 
-    /** Invalidate the line containing @p addr if present. */
-    void
-    invalidate(Addr addr)
-    {
-        const Addr line = lineAddr(addr);
-        const auto set = setIndex(line);
-        const int way = findWay(set, tagOf(line));
-        if (way >= 0)
-            meta[set * cfg.assoc + way] &= age_mask;
-    }
-
-    /** Drop all lines (keeps statistics). */
-    void flush();
-
     const CacheConfig &config() const { return cfg; }
     const HitMiss &stats(Requester requester) const
     {
@@ -109,14 +95,12 @@ class SetAssocCache
         stats_[1].reset();
     }
 
-    std::uint64_t numSets() const { return sets; }
-
   private:
     /** Per-way metadata byte: valid flag plus exact LRU age. */
     static constexpr std::uint8_t valid_bit = 0x80;
     static constexpr std::uint8_t age_mask = 0x7F;
 
-    /** The single lookup loop behind access/contains/fill/invalidate:
+    /** The single lookup loop behind access/contains/fill:
      *  way index of @p tag within @p set, or -1 when absent. */
     int
     findWay(std::uint64_t set, std::uint64_t tag) const

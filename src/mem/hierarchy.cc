@@ -76,7 +76,6 @@ MemoryHierarchy::access(Addr addr, Cycles now, Requester requester,
     if (fault_plan) {
         spike = fault_plan->memSpikeCycles();
         dram_lat += spike;
-        injected_spikes += spike;
         if (spike > 0 && tracer_)
             tracer_->instant(
                 "fault.mem_spike", TraceCat::Fault, trace_pt_tid, now,
@@ -180,10 +179,9 @@ MemoryHierarchy::issueBatch(AddrSpan addrs, Cycles now, int core,
 
         MemBreakdown line_bd;
         const AccessResult r =
-            access(lines[i], issue, Requester::Mmu, core,
-                   attr_enabled ? &line_bd : nullptr);
+            access(lines[i], issue, Requester::Mmu, core, &line_bd);
         const Cycles done = issue + r.latency;
-        if (attr_enabled && done > finish) {
+        if (done > finish) {
             // This line now defines the batch's completion cycle, so
             // its decomposition — plus whatever it waited before its
             // access began — becomes the batch's. (Strict > matches

@@ -86,8 +86,8 @@ struct BatchResult
     int requests = 0;         //!< batch size
     int l2_misses = 0;        //!< members that missed in L2
     int l3_misses = 0;        //!< members that went to DRAM
-    /** Critical-line decomposition of @ref latency (attribution on
-     *  the issuing hierarchy only; zero otherwise). */
+    /** Critical-line decomposition of @ref latency (zero for an empty
+     *  batch). */
     MemBreakdown bd;
 };
 
@@ -208,18 +208,10 @@ class MemoryHierarchy
     std::uint64_t mshrBusyCycles() const { return mshr_busy_cycles; }
     /// @}
 
-    SetAssocCache &l3Mut() { return *l3_; }
-
     void resetStats();
 
     int numCores() const { return static_cast<int>(l1s.size()); }
     const MemHierarchyConfig &config() const { return cfg; }
-
-    /** Toggle batch-latency decomposition (BatchResult::bd). On by
-     *  default; disabling skips the per-line bookkeeping entirely so
-     *  the issue path runs exactly as before attribution existed. */
-    void setAttribution(bool on) { attr_enabled = on; }
-    bool attributionEnabled() const { return attr_enabled; }
 
     /** Arm (or disarm, with nullptr) injected latency spikes —
      *  modeling refresh storms, row conflicts, and contention bursts
@@ -241,9 +233,6 @@ class MemoryHierarchy
     void registerMetrics(MetricsRegistry &reg,
                          const std::string &prefix) const;
 
-    /** Spike cycles injected so far (tests / audits). */
-    Cycles injectedSpikeCycles() const { return injected_spikes; }
-
   private:
     /** One issued-but-not-drained transaction. */
     struct PendingTxn
@@ -261,10 +250,8 @@ class MemoryHierarchy
 
     MemHierarchyConfig cfg;
     CompletionSink completion_sink;
-    bool attr_enabled = true;
     FaultPlan *fault_plan = nullptr;
     TraceBuffer *tracer_ = nullptr;
-    Cycles injected_spikes = 0;
     std::vector<std::unique_ptr<SetAssocCache>> l1s;
     std::vector<std::unique_ptr<SetAssocCache>> l2s;
     std::unique_ptr<SetAssocCache> l3_;

@@ -91,20 +91,6 @@ class AssocCache
         *victim = {key, value, ++tick, true};
     }
 
-    /** Invalidate @p key if present. @return true when a line died. */
-    bool
-    invalidate(const KeyT &key)
-    {
-        Line *base = setBase(key);
-        for (std::size_t i = 0; i < assoc; ++i) {
-            if (base[i].valid && base[i].key == key) {
-                base[i].valid = false;
-                return true;
-            }
-        }
-        return false;
-    }
-
     /**
      * Invalidate every line matching @p pred(key, value). Surviving
      * lines keep their LRU ranks untouched — a partial invalidation
@@ -123,14 +109,6 @@ class AssocCache
             }
         }
         return count;
-    }
-
-    /** Invalidate everything. */
-    void
-    flush()
-    {
-        for (Line &line : lines)
-            line.valid = false;
     }
 
     std::size_t capacity() const { return lines.size(); }

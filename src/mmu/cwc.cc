@@ -37,13 +37,6 @@ CuckooWalkCache::fill(PageSize level, std::uint64_t entry_key,
         cache->insert(entry_key, payload);
 }
 
-void
-CuckooWalkCache::invalidate(PageSize level, std::uint64_t entry_key)
-{
-    if (Level *cache = levels[static_cast<int>(level)].get())
-        cache->invalidate(entry_key);
-}
-
 std::size_t
 CuckooWalkCache::invalidateRange(Addr base, std::uint64_t bytes)
 {
@@ -64,14 +57,6 @@ CuckooWalkCache::invalidateRange(Addr base, std::uint64_t bytes)
             });
     }
     return count;
-}
-
-void
-CuckooWalkCache::flush()
-{
-    for (auto &level : levels)
-        if (level)
-            level->flush();
 }
 
 void

@@ -58,9 +58,6 @@ class CuckooWalkCache
     void fill(PageSize level, std::uint64_t entry_key,
               std::uint64_t payload);
 
-    /** Invalidate one entry (CWT update coherence). */
-    void invalidate(PageSize level, std::uint64_t entry_key);
-
     /**
      * Shootdown receive side: drop every cached CWT entry whose
      * coverage overlaps the VA range [base, base+bytes). The entry key
@@ -69,8 +66,6 @@ class CuckooWalkCache
      * Survivors keep their LRU ranks. @return entries invalidated.
      */
     std::size_t invalidateRange(Addr base, std::uint64_t bytes);
-
-    void flush();
 
     bool caches(PageSize level) const
     {

@@ -57,8 +57,7 @@ PomTlb::lookup(Addr va)
 }
 
 void
-PomTlb::install(Addr va, const Translation &translation,
-                std::uint16_t asid)
+PomTlb::install(Addr va, const Translation &translation)
 {
     const auto key = keyOf(va, translation.size);
     Entry *base_entry = &entries[setOf(key) * num_ways];
@@ -68,7 +67,6 @@ PomTlb::install(Addr va, const Translation &translation,
         if (e.valid && e.vpn == key) {
             e.translation = translation;
             e.lru = ++tick;
-            e.asid = asid;
             return;
         }
         if (!e.valid) {
@@ -78,7 +76,7 @@ PomTlb::install(Addr va, const Translation &translation,
         if (e.lru < victim->lru)
             victim = &e;
     }
-    *victim = {key, translation, ++tick, asid, true};
+    *victim = {key, translation, ++tick, true};
 }
 
 bool
@@ -96,15 +94,6 @@ PomTlb::invalidateKey(std::uint64_t key)
 }
 
 std::size_t
-PomTlb::invalidatePage(Addr va)
-{
-    std::size_t count = 0;
-    for (auto size : all_page_sizes)
-        count += invalidateKey(keyOf(va, size)) ? 1 : 0;
-    return count;
-}
-
-std::size_t
 PomTlb::invalidateRange(Addr base_va, std::uint64_t range_bytes)
 {
     std::size_t count = 0;
@@ -116,19 +105,6 @@ PomTlb::invalidateRange(Addr base_va, std::uint64_t range_bytes)
             count += invalidateKey(
                          (vpn << 2) | static_cast<std::uint64_t>(size))
                 ? 1 : 0;
-        }
-    }
-    return count;
-}
-
-std::size_t
-PomTlb::invalidateAsid(std::uint16_t asid)
-{
-    std::size_t count = 0;
-    for (Entry &e : entries) {
-        if (e.valid && e.asid == asid) {
-            e.valid = false;
-            ++count;
         }
     }
     return count;

@@ -50,25 +50,13 @@ class PomTlb
     /** Entry address that a probe for @p va fetches (hit or miss). */
     Addr probeAddr(Addr va) const;
 
-    /** Install a completed walk's translation, tagged @p asid. The
-     *  POM-TLB is shared across cores, so unlike the per-core TLBs the
-     *  tag arrives per install (the walker knows its core). */
-    void install(Addr va, const Translation &translation,
-                 std::uint16_t asid = 0);
+    /** Install a completed walk's translation. */
+    void install(Addr va, const Translation &translation);
 
-    /// @name Translation coherence (shootdown receive side)
-    /// @{
-    /** Invalidate any entry (any size) whose page contains @p va.
-     *  Survivors keep their LRU ranks. */
-    std::size_t invalidatePage(Addr va);
-
-    /** Invalidate every entry overlapping [base, base+bytes). Walks
-     *  the affected sets page by page — never the whole array. */
+    /** Shootdown receive side: invalidate every entry overlapping
+     *  [base, base+bytes). Walks the affected sets page by page —
+     *  never the whole array. Survivors keep their LRU ranks. */
     std::size_t invalidateRange(Addr base, std::uint64_t bytes);
-
-    /** Invalidate every entry tagged @p asid. */
-    std::size_t invalidateAsid(std::uint16_t asid);
-    /// @}
 
     const HitMiss &stats() const { return stats_; }
     void resetStats() { stats_.reset(); }
@@ -80,7 +68,6 @@ class PomTlb
         std::uint64_t vpn = 0; //!< size-tagged VPN key
         Translation translation;
         std::uint64_t lru = 0;
-        std::uint16_t asid = 0;
         bool valid = false;
     };
 

@@ -22,9 +22,9 @@ TlbHierarchy::lookup(Addr va)
     // L1: all size classes probed in parallel in the pipeline.
     for (int s = 0; s < num_page_sizes; ++s) {
         const auto size = all_page_sizes[s];
-        if (TlbEntry *e = l1[s]->find(pageNumber(va, size))) {
+        if (const Addr *pa = l1[s]->find(pageNumber(va, size))) {
             l1_stats.hit();
-            return {true, true, 0, {e->pa, size, true}};
+            return {true, true, 0, {*pa, size, true}};
         }
     }
     l1_stats.miss();
@@ -32,11 +32,11 @@ TlbHierarchy::lookup(Addr va)
     // L2 probe.
     for (int s = 0; s < num_page_sizes; ++s) {
         const auto size = all_page_sizes[s];
-        if (TlbEntry *e = l2[s]->find(pageNumber(va, size))) {
+        if (const Addr *pa = l2[s]->find(pageNumber(va, size))) {
             l2_stats.hit();
             // Refill L1 for subsequent accesses.
-            l1[s]->insert(pageNumber(va, size), *e);
-            return {true, false, cfg.l2_latency, {e->pa, size, true}};
+            l1[s]->insert(pageNumber(va, size), *pa);
+            return {true, false, cfg.l2_latency, {*pa, size, true}};
         }
     }
     l2_stats.miss();
@@ -48,21 +48,8 @@ TlbHierarchy::install(Addr va, const Translation &translation)
 {
     const int s = static_cast<int>(translation.size);
     const auto vpn = pageNumber(va, translation.size);
-    const TlbEntry entry{translation.pa, asid_};
-    l1[s]->insert(vpn, entry);
-    l2[s]->insert(vpn, entry);
-}
-
-std::size_t
-TlbHierarchy::invalidatePage(Addr va)
-{
-    std::size_t count = 0;
-    for (int s = 0; s < num_page_sizes; ++s) {
-        const auto vpn = pageNumber(va, all_page_sizes[s]);
-        count += l1[s]->invalidate(vpn) ? 1 : 0;
-        count += l2[s]->invalidate(vpn) ? 1 : 0;
-    }
-    return count;
+    l1[s]->insert(vpn, translation.pa);
+    l2[s]->insert(vpn, translation.pa);
 }
 
 std::size_t
@@ -76,25 +63,11 @@ TlbHierarchy::invalidateRange(Addr base, std::uint64_t bytes)
         // that merely contains it.
         const auto lo = pageNumber(base, size);
         const auto hi = pageNumber(last, size);
-        auto in_range = [lo, hi](std::uint64_t vpn, const TlbEntry &) {
+        auto in_range = [lo, hi](std::uint64_t vpn, Addr) {
             return vpn >= lo && vpn <= hi;
         };
         count += l1[s]->invalidateIf(in_range);
         count += l2[s]->invalidateIf(in_range);
-    }
-    return count;
-}
-
-std::size_t
-TlbHierarchy::invalidateAsid(std::uint16_t asid)
-{
-    std::size_t count = 0;
-    auto tagged = [asid](std::uint64_t, const TlbEntry &e) {
-        return e.asid == asid;
-    };
-    for (int s = 0; s < num_page_sizes; ++s) {
-        count += l1[s]->invalidateIf(tagged);
-        count += l2[s]->invalidateIf(tagged);
     }
     return count;
 }
@@ -108,15 +81,6 @@ TlbHierarchy::holds(Addr va) const
             return true;
     }
     return false;
-}
-
-void
-TlbHierarchy::flush()
-{
-    for (int s = 0; s < num_page_sizes; ++s) {
-        l1[s]->flush();
-        l2[s]->flush();
-    }
 }
 
 void

@@ -61,30 +61,14 @@ class TlbHierarchy
      */
     Result lookup(Addr va);
 
-    /** Install the result of a completed walk into L1 and L2. The
-     *  entry is tagged with the hierarchy's current ASID. */
+    /** Install the result of a completed walk into L1 and L2. */
     void install(Addr va, const Translation &translation);
-
-    /** Drop all entries (context/world switch). */
-    void flush();
 
     /// @name Translation coherence (shootdown receive side)
     /// @{
-    /** ASID tag applied to subsequently installed entries. Tags live
-     *  in the entry payload, not the lookup key, so set placement —
-     *  and therefore all non-churn behavior — is unchanged. */
-    void setAsid(std::uint16_t asid) { asid_ = asid; }
-    std::uint16_t asid() const { return asid_; }
-
-    /** Invalidate any entry (all sizes, both levels) whose page
-     *  contains @p va. Survivors keep their LRU ranks. */
-    std::size_t invalidatePage(Addr va);
-
-    /** Invalidate every entry overlapping [base, base+bytes). */
+    /** Invalidate every entry overlapping [base, base+bytes).
+     *  Survivors keep their LRU ranks. */
     std::size_t invalidateRange(Addr base, std::uint64_t bytes);
-
-    /** Invalidate every entry tagged @p asid. */
-    std::size_t invalidateAsid(std::uint16_t asid);
 
     /** Does any level hold a translation for @p va? No stats or LRU
      *  side effects (shootdown sharer filtering). */
@@ -99,17 +83,12 @@ class TlbHierarchy
     /// @}
 
   private:
-    struct TlbEntry
-    {
-        Addr pa = invalid_addr;
-        std::uint16_t asid = 0;
-    };
-    using SizeTlb = AssocCache<std::uint64_t, TlbEntry>;
+    /** One page size's entries: VPN -> frame base. */
+    using SizeTlb = AssocCache<std::uint64_t, Addr>;
 
     TlbConfig cfg;
     std::array<std::unique_ptr<SizeTlb>, num_page_sizes> l1;
     std::array<std::unique_ptr<SizeTlb>, num_page_sizes> l2;
-    std::uint16_t asid_ = 0;
     HitMiss l1_stats;
     HitMiss l2_stats;
 };

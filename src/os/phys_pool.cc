@@ -145,50 +145,8 @@ PtRegionRegistry::contains(Addr addr) const
 Addr
 ScatteredPtAllocator::allocRegion(std::uint64_t bytes)
 {
-    if (bytes <= 4096) {
-        const Addr base = pool.allocFrame(PageSize::Page4K);
-        registry.add(base, bytes);
-        return base;
-    }
-
-    // Multi-page request: try to assemble it from successive 4KB
-    // frames. The bump allocator usually hands these out contiguously,
-    // but that is NOT guaranteed — freelist recycling returns
-    // arbitrary frames — and any allocFrame call may throw. Both ways
-    // out of the loop must return every frame already taken.
-    const std::uint64_t frames =
-        alignUp(bytes, 4096) / 4096;
-    std::vector<Addr> taken;
-    taken.reserve(frames);
-    bool contiguous = true;
-    try {
-        for (std::uint64_t i = 0; i < frames; ++i) {
-            const Addr frame = pool.allocFrame(PageSize::Page4K);
-            if (!taken.empty() && frame != taken.back() + 4096) {
-                pool.freeFrame(frame, PageSize::Page4K);
-                contiguous = false;
-                break;
-            }
-            taken.push_back(frame);
-        }
-    } catch (const ResourceExhausted &) {
-        for (const Addr frame : taken)
-            pool.freeFrame(frame, PageSize::Page4K);
-        throw;
-    }
-
-    if (contiguous) {
-        const Addr base = taken.front();
-        from_frames[base] = frames * 4096;
-        registry.add(base, bytes);
-        return base;
-    }
-
-    // A frame broke the run: give the partial run back and take one
-    // contiguous region reservation instead.
-    for (const Addr frame : taken)
-        pool.freeFrame(frame, PageSize::Page4K);
-    const Addr base = pool.allocRegion(bytes);
+    NECPT_ASSERT(bytes == 4096);
+    const Addr base = pool.allocFrame(PageSize::Page4K);
     registry.add(base, bytes);
     return base;
 }
@@ -196,20 +154,9 @@ ScatteredPtAllocator::allocRegion(std::uint64_t bytes)
 void
 ScatteredPtAllocator::freeRegion(Addr base, std::uint64_t bytes)
 {
+    NECPT_ASSERT(bytes == 4096);
     registry.remove(base, bytes);
-    if (bytes <= 4096) {
-        pool.freeFrame(base, PageSize::Page4K);
-        return;
-    }
-    const auto it = from_frames.find(base);
-    if (it != from_frames.end()) {
-        for (Addr frame = base; frame < base + it->second;
-             frame += 4096)
-            pool.freeFrame(frame, PageSize::Page4K);
-        from_frames.erase(it);
-        return;
-    }
-    pool.freeRegion(base, bytes);
+    pool.freeFrame(base, PageSize::Page4K);
 }
 
 } // namespace necpt

@@ -59,7 +59,6 @@ class PhysMemPool : public RegionAllocator
     /// @{
     std::uint64_t usedBytes() const { return used; }
     std::uint64_t capacityBytes() const { return capacity; }
-    Addr baseAddr() const { return base_; }
     double
     fillFraction() const
     {
@@ -153,15 +152,8 @@ class PtRegionAllocator : public RegionAllocator
  * RegionAllocator adapter for *radix* page-table nodes: real kernels
  * allocate the 4KB nodes from the general page allocator, scattered
  * among data frames (they get no contiguity guarantee). Nodes are
- * still registered so the hypervisor backs them with 4KB pages.
- *
- * Multi-page requests are assembled from individual 4KB frames when
- * the frame allocator happens to hand them out contiguously (the
- * common bump-allocation case); the moment a frame breaks the run —
- * freelist recycling, or an allocation failure partway through — the
- * frames taken so far are returned to the pool and the request falls
- * back to one contiguous region reservation. Nothing leaks on either
- * path.
+ * still registered so the hypervisor backs them with 4KB pages. Every
+ * request is exactly one 4KB node.
  */
 class ScatteredPtAllocator : public RegionAllocator
 {
@@ -174,16 +166,9 @@ class ScatteredPtAllocator : public RegionAllocator
     Addr allocRegion(std::uint64_t bytes) override;
     void freeRegion(Addr base, std::uint64_t bytes) override;
 
-    /** Regions currently assembled from individual 4KB frames (rather
-     *  than one pool region); exposed for tests. */
-    std::size_t frameBackedRegions() const { return from_frames.size(); }
-
   private:
     PhysMemPool &pool;
     PtRegionRegistry &registry;
-    /** base -> byte length of regions built from per-4KB frames, so
-     *  freeRegion returns them the way they were taken. */
-    std::map<Addr, std::uint64_t> from_frames;
 };
 
 } // namespace necpt

@@ -268,15 +268,6 @@ class NestedSystem
 
     const SystemConfig &config() const { return cfg; }
 
-    /**
-     * Adjust the guest THP coverage before any page is faulted in —
-     * coverage is application-dependent (Section 9.1 / Figure 14).
-     */
-    void setGuestThpCoverage(double coverage)
-    {
-        cfg.guest_thp_coverage = coverage;
-    }
-
   private:
     struct Vma
     {

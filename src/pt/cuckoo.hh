@@ -36,7 +36,6 @@
 #include "common/hash.hh"
 #include "common/log.hh"
 #include "common/rng.hh"
-#include "common/simd.hh"
 #include "common/trace_events.hh"
 #include "pt/pte.hh"
 
@@ -90,6 +89,9 @@ class ElasticCuckooTable
     /** Reserved key marking a free slot. */
     static constexpr std::uint64_t empty_key = ~0ULL;
 
+    /** Most ways (hash functions) a table can have. */
+    static constexpr int max_ways = 8;
+
     /** Invoked whenever a key settles at a (possibly new) location,
      *  with the payload it carries there. Non-owning: the registered
      *  callee must outlive the table's use (the ECPT stores its
@@ -101,7 +103,7 @@ class ElasticCuckooTable
                        const CuckooConfig &config)
         : alloc(allocator), cfg(config), rng(config.seed ^ 0xC0C0)
     {
-        NECPT_ASSERT(cfg.ways >= 2 && cfg.ways <= HashFamily::max_ways);
+        NECPT_ASSERT(cfg.ways >= 2 && cfg.ways <= max_ways);
         std::uint64_t sm = cfg.seed;
         for (int w = 0; w < cfg.ways; ++w)
             hashes[w] = HashFunction(splitmix64(sm));
@@ -208,7 +210,7 @@ class ElasticCuckooTable
             return {};
         // One hash pass covers both generations: the raw 64-bit values
         // are generation-independent, only the modulo differs.
-        std::uint64_t raw[HashFamily::max_ways];
+        std::uint64_t raw[max_ways];
         rawHashes(key, raw);
         if (FindResult r = findIn(live, key, false, raw))
             return r;
@@ -255,7 +257,7 @@ class ElasticCuckooTable
     probeAddrs(std::uint64_t key, unsigned way_mask,
                std::vector<Addr> &out) const
     {
-        std::uint64_t raw[HashFamily::max_ways];
+        std::uint64_t raw[max_ways];
         rawHashes(key, raw);
         for (int w = 0; w < cfg.ways; ++w) {
             if (!(way_mask & (1u << w)))
@@ -415,29 +417,11 @@ class ElasticCuckooTable
                    static_cast<int>(i / gen.slots), is_old);
     }
 
-    /** Compute all ways' raw hashes of @p key in one pass — the d
-     *  premixes feed the four-lane CRC kernel (the hardware hashes all
-     *  ways in parallel; the model now does too). */
+    /** Compute all ways' raw hashes of @p key in one pass. */
     void
     rawHashes(std::uint64_t key, std::uint64_t *out) const
     {
-        const int d = cfg.ways;
-        int w = 0;
-        for (; w + 4 <= d; w += 4) {
-            std::uint64_t mixed[4];
-            for (int l = 0; l < 4; ++l)
-                mixed[l] = ~__builtin_bswap64(hashes[w + l].premix(key));
-            simd::crc64x4(detail::crc64_tables.t, mixed, out + w);
-        }
-        if (int rem = d - w) {
-            std::uint64_t mixed[4], folded[4];
-            for (int l = 0; l < 4; ++l)
-                mixed[l] = ~__builtin_bswap64(
-                    hashes[w + (l < rem ? l : rem - 1)].premix(key));
-            simd::crc64x4(detail::crc64_tables.t, mixed, folded);
-            for (int l = 0; l < rem; ++l)
-                out[w + l] = folded[l];
-        }
+        hashWays(hashes.data(), cfg.ways, key, out);
     }
 
     /** Reduce a raw hash to a slot index. The default slot counts are
@@ -510,7 +494,7 @@ class ElasticCuckooTable
         std::uint64_t cur_key = key;
         ValueT cur_value = value;
         int last_way = -1;
-        std::uint64_t raw[HashFamily::max_ways];
+        std::uint64_t raw[max_ways];
         for (int kick = 0; kick <= cfg.max_kicks; ++kick) {
             rawHashes(cur_key, raw);
             for (int w = 0; w < cfg.ways; ++w) {
@@ -656,7 +640,7 @@ class ElasticCuckooTable
     RegionAllocator &alloc;
     CuckooConfig cfg;
     Rng rng;
-    std::array<HashFunction, HashFamily::max_ways> hashes;
+    std::array<HashFunction, max_ways> hashes;
     Generation live;
     std::optional<Generation> old;
     MoveCallback on_move;

@@ -1,5 +1,7 @@
 #include "pt/cwt.hh"
 
+#include "common/log.hh"
+
 namespace necpt
 {
 
@@ -18,15 +20,13 @@ sectionShiftFor(PageSize level)
     return 15;
 }
 
-CuckooWalkTable::CuckooWalkTable(RegionAllocator &allocator, PageSize level,
-                                 const CuckooConfig &config)
+CuckooWalkTable::CuckooWalkTable(RegionAllocator &allocator, PageSize level)
     : alloc(allocator),
       level_(level),
       section_shift(sectionShiftFor(level)),
       entry_shift(sectionShiftFor(level) + 11),  // 2048-section granule
       chunk_shift(sectionShiftFor(level) + 13)   // 8192-section chunk
 {
-    (void)config;
 }
 
 CuckooWalkTable::~CuckooWalkTable()

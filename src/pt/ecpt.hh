@@ -54,16 +54,6 @@ struct EcptConfig
     /** Load factor that triggers an elastic upsize. */
     double resize_threshold = 0.6;
     /**
-     * Nominal CWT geometry as Table 2 states it (2 ways;
-     * 4096/4096/2048 entries). The modeled CWTs are dense chunked
-     * arrays (see pt/cwt.hh) and size themselves on demand; these
-     * numbers are kept for Table-2 reporting.
-     */
-    int cwt_ways = 2;
-    std::array<std::uint64_t, num_page_sizes> cwt_initial_slots{
-        4096, 4096, 2048};
-    std::uint64_t cwt_slot_bytes = 64;
-    /**
      * Whether a PTE-level CWT is maintained. False for guests and for
      * the Plain design's host; true for the Advanced design's host
      * (Section 4.2).

@@ -125,15 +125,6 @@ struct SimParams
     TraceBuffer *tracer = nullptr;
 
     /**
-     * Per-walk cycle attribution (on by default). Every walk carries a
-     * CycleLedger binning its latency by cause; the bins roll into the
-     * attr.* counters/histograms and annotate trace spans. Disabling
-     * leaves the ledgers compiled in but makes every charge a dead
-     * branch — the hot path stays allocation-free either way.
-     */
-    bool attribution = true;
-
-    /**
      * Interval metrics sampler (null = off). Every interval() measured
      * cycles the Simulator snapshots the full registry scalar set into
      * the buffer from an end-of-cycle scheduler event, producing the

@@ -77,8 +77,7 @@ class WalkMachine
     /// its walker) just before finish() delivers the continuation.
     /// Walkers reuse one live ledger across walks, so completion
     /// handlers that run later in the same cycle (stall accounting,
-    /// the critical-path recorder) read this snapshot instead. Zeroed
-    /// when attribution is disabled.
+    /// the critical-path recorder) read this snapshot instead.
     /// @{
     const CycleLedger &attrLedger() const { return attr_ledger_; }
     void setAttrLedger(const CycleLedger &led) { attr_ledger_ = led; }

@@ -223,7 +223,6 @@ class NestedEcptWalker::Machine : public WalkMachine
     start()
     {
         tracing = w.traceBegin();
-        ledger.setEnabled(w.attributionEnabled());
         EcptPageTable &guest = *w.sys.guestEcpt();
         EcptPageTable &host = *w.sys.hostEcpt();
         const Addr gva = va();

@@ -35,16 +35,6 @@ class NestedHptWalker : public Walker
 
     std::string name() const override { return "NestedHPT"; }
 
-    /** Mean probes per completed walk (collision-chain cost). */
-    double
-    avgProbesPerWalk() const
-    {
-        return stats_.walks.value()
-            ? static_cast<double>(stats_.mmu_requests.value())
-                  / static_cast<double>(stats_.walks.value())
-            : 0.0;
-    }
-
   private:
     /**
      * Sequentially probe the host HPT chain for @p gpa, advancing

@@ -48,7 +48,6 @@ class GraphWorkload : public Workload
     void setup(NestedSystem &sys) override;
     MemAccess next() override;
 
-    std::uint64_t numVertices() const { return vertices; }
     std::uint64_t degree() const { return deg; }
 
   private:

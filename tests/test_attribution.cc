@@ -157,30 +157,4 @@ TEST(Attribution, ConservesUnderForcedResizes)
     }
 }
 
-/** Disabling attribution zeroes the bins (every charge a dead branch)
- *  while the timing result stays byte-identical. */
-TEST(Attribution, DisabledIsFreeAndIdentical)
-{
-    SimParams on = tinyParams(4);
-    SimParams off = on;
-    off.attribution = false;
-    const auto cfg = makeConfig(ConfigId::NestedEcptThp);
-    const SimResult r_on = runSim(cfg, on, "GUPS");
-    const SimResult r_off = runSim(cfg, off, "GUPS");
-
-    EXPECT_EQ(r_on.cycles, r_off.cycles);
-    EXPECT_EQ(r_on.walks, r_off.walks);
-    EXPECT_EQ(r_on.mmu_busy_cycles, r_off.mmu_busy_cycles);
-
-    expectConserved(r_on);
-    EXPECT_EQ(r_off.metrics.at("attr.total.cycles"), 0.0);
-    for (int c = 0; c < num_attr_causes; ++c) {
-        const std::string an =
-            std::string("attr.")
-            + attrCauseName(static_cast<AttrCause>(c));
-        EXPECT_EQ(r_off.metrics.at(an + ".cycles"), 0.0);
-        EXPECT_EQ(r_off.metrics.at(an + ".share"), 0.0);
-    }
-}
-
 } // namespace necpt

@@ -59,18 +59,6 @@ TEST(SetAssocCache, PerRequesterStats)
     EXPECT_EQ(cache.stats(Requester::Core).accesses(), 0u);
 }
 
-TEST(SetAssocCache, InvalidateAndFlush)
-{
-    SetAssocCache cache(smallCache());
-    cache.fill(0x1000);
-    cache.fill(0x2000);
-    cache.invalidate(0x1000);
-    EXPECT_FALSE(cache.contains(0x1000));
-    EXPECT_TRUE(cache.contains(0x2000));
-    cache.flush();
-    EXPECT_FALSE(cache.contains(0x2000));
-}
-
 TEST(SetAssocCache, ContainsDoesNotTouchStats)
 {
     SetAssocCache cache(smallCache());

@@ -64,7 +64,6 @@ smallEcptSystem(bool thp)
     cfg.guest_phys_bytes = 2ULL << 30;
     cfg.host_phys_bytes = 3ULL << 30;
     cfg.guest_ecpt.initial_slots = {1024, 1024, 512};
-    cfg.guest_ecpt.cwt_initial_slots = {256, 256, 128};
     cfg.host_ecpt = cfg.guest_ecpt;
     return cfg;
 }
@@ -191,10 +190,11 @@ TEST(TlbCoherence, InvalidatePageDropsBothLevels)
     TlbHierarchy tlb(tinyTlbConfig());
     tlb.install(0x1000, page4k(0xA000));
     EXPECT_TRUE(tlb.holds(0x1000));
-    // One entry per level dies; the rest of the hierarchy is untouched.
-    EXPECT_EQ(tlb.invalidatePage(0x1234), 2u);
+    // A one-byte range kills its page: one entry per level dies; the
+    // rest of the hierarchy is untouched.
+    EXPECT_EQ(tlb.invalidateRange(0x1234, 1), 2u);
     EXPECT_FALSE(tlb.holds(0x1000));
-    EXPECT_EQ(tlb.invalidatePage(0x1000), 0u);
+    EXPECT_EQ(tlb.invalidateRange(0x1000, 0x1000), 0u);
 }
 
 TEST(TlbCoherence, PartialInvalidationPreservesSurvivorLruRanks)
@@ -211,7 +211,7 @@ TEST(TlbCoherence, PartialInvalidationPreservesSurvivorLruRanks)
     tlb.install(c, page4k(0xC000));
     tlb.install(d, page4k(0xD000));
 
-    EXPECT_EQ(tlb.invalidatePage(b), 2u);
+    EXPECT_EQ(tlb.invalidateRange(b, 0x1000), 2u);
     tlb.install(e, page4k(0xE000)); // fills B's hole
     tlb.install(f, page4k(0xF000)); // evicts A, the surviving LRU
 
@@ -225,22 +225,15 @@ TEST(TlbCoherence, PartialInvalidationPreservesSurvivorLruRanks)
 TEST(TlbCoherence, InvalidateRangeAndAsidAreSelective)
 {
     TlbHierarchy tlb(tinyTlbConfig());
-    tlb.setAsid(1);
     tlb.install(0x1000, page4k(0xA000));
     tlb.install(0x2000, page4k(0xB000));
-    tlb.setAsid(2);
     tlb.install(0x3000, page4k(0xC000));
 
     // [0x1000, 0x3000) covers the first two pages only.
     EXPECT_EQ(tlb.invalidateRange(0x1000, 0x2000), 4u);
     EXPECT_FALSE(tlb.holds(0x1000));
+    EXPECT_FALSE(tlb.holds(0x2000));
     EXPECT_TRUE(tlb.holds(0x3000));
-
-    tlb.setAsid(1);
-    tlb.install(0x4000, page4k(0xD000));
-    EXPECT_EQ(tlb.invalidateAsid(1), 2u);
-    EXPECT_FALSE(tlb.holds(0x4000));
-    EXPECT_TRUE(tlb.holds(0x3000)); // asid 2 survives
 }
 
 // ------------------------------------------ POM-TLB partial invalidation
@@ -256,7 +249,7 @@ TEST(PomTlbCoherence, PartialInvalidationPreservesSurvivorLruRanks)
     pom.install(0x3000, page4k(0xC000));
     pom.install(0x4000, page4k(0xD000));
 
-    EXPECT_EQ(pom.invalidatePage(0x2000), 1u);
+    EXPECT_EQ(pom.invalidateRange(0x2000, 0x1000), 1u);
     pom.install(0x5000, page4k(0xE000)); // fills B's hole
     pom.install(0x6000, page4k(0xF000)); // evicts A
 
@@ -271,17 +264,13 @@ TEST(PomTlbCoherence, InvalidateRangeAndAsidAreSelective)
 {
     BumpAllocator alloc;
     PomTlb pom(alloc, 64, 4);
-    pom.install(0x1000, page4k(0xA000), /*asid=*/1);
-    pom.install(0x2000, page4k(0xB000), 1);
-    pom.install(0x9000, page4k(0xC000), 2);
+    pom.install(0x1000, page4k(0xA000));
+    pom.install(0x2000, page4k(0xB000));
+    pom.install(0x9000, page4k(0xC000));
 
     EXPECT_EQ(pom.invalidateRange(0x1000, 0x2000), 2u);
     EXPECT_FALSE(pom.lookup(0x1000).hit);
-    EXPECT_TRUE(pom.lookup(0x9000).hit);
-
-    pom.install(0x1000, page4k(0xA000), 1);
-    EXPECT_EQ(pom.invalidateAsid(1), 1u);
-    EXPECT_FALSE(pom.lookup(0x1000).hit);
+    EXPECT_FALSE(pom.lookup(0x2000).hit);
     EXPECT_TRUE(pom.lookup(0x9000).hit);
 }
 

@@ -9,25 +9,12 @@
 namespace necpt
 {
 
-namespace
-{
-CuckooConfig
-cwtConfig()
-{
-    CuckooConfig cfg;
-    cfg.ways = 2;
-    cfg.initial_slots = 128;
-    cfg.slot_bytes = 16;
-    return cfg;
-}
-} // namespace
-
 TEST(Cwt, SectionGranularities)
 {
     BumpAllocator alloc;
-    CuckooWalkTable pte(alloc, PageSize::Page4K, cwtConfig());
-    CuckooWalkTable pmd(alloc, PageSize::Page2M, cwtConfig());
-    CuckooWalkTable pud(alloc, PageSize::Page1G, cwtConfig());
+    CuckooWalkTable pte(alloc, PageSize::Page4K);
+    CuckooWalkTable pmd(alloc, PageSize::Page2M);
+    CuckooWalkTable pud(alloc, PageSize::Page1G);
     EXPECT_EQ(pte.sectionShift(), 15); // 32KB: one PTE-ECPT block
     EXPECT_EQ(pmd.sectionShift(), 21); // 2MB
     EXPECT_EQ(pud.sectionShift(), 30); // 1GB
@@ -36,7 +23,7 @@ TEST(Cwt, SectionGranularities)
 TEST(Cwt, PresentRoundTrip)
 {
     BumpAllocator alloc;
-    CuckooWalkTable cwt(alloc, PageSize::Page2M, cwtConfig());
+    CuckooWalkTable cwt(alloc, PageSize::Page2M);
     EXPECT_FALSE(cwt.query(0x4000'0000).has_value());
     cwt.setPresent(0x4000'0000, 2);
     const auto d = cwt.query(0x4000'0000);
@@ -49,7 +36,7 @@ TEST(Cwt, PresentRoundTrip)
 TEST(Cwt, SectionsIndependent)
 {
     BumpAllocator alloc;
-    CuckooWalkTable cwt(alloc, PageSize::Page2M, cwtConfig());
+    CuckooWalkTable cwt(alloc, PageSize::Page2M);
     const Addr base = 0x8000'0000;
     cwt.setPresent(base, 1);
     // The adjacent 2MB section is untouched but covered by the same
@@ -64,7 +51,7 @@ TEST(Cwt, SectionsIndependent)
 TEST(Cwt, SmallerSizeBitsTracked)
 {
     BumpAllocator alloc;
-    CuckooWalkTable cwt(alloc, PageSize::Page1G, cwtConfig());
+    CuckooWalkTable cwt(alloc, PageSize::Page1G);
     cwt.setHasSmaller(0x0, PageSize::Page2M);
     auto d = cwt.query(0x0);
     ASSERT_TRUE(d.has_value());
@@ -83,7 +70,7 @@ TEST(Cwt, SmallerSizeBitsTracked)
 TEST(Cwt, PresentExcludesSmaller)
 {
     BumpAllocator alloc;
-    CuckooWalkTable cwt(alloc, PageSize::Page2M, cwtConfig());
+    CuckooWalkTable cwt(alloc, PageSize::Page2M);
     cwt.setPresent(0x0, 1);
     const auto d = cwt.query(0x0);
     ASSERT_TRUE(d.has_value());
@@ -94,7 +81,7 @@ TEST(Cwt, PresentExcludesSmaller)
 TEST(Cwt, WayUpdateOverwrites)
 {
     BumpAllocator alloc;
-    CuckooWalkTable cwt(alloc, PageSize::Page2M, cwtConfig());
+    CuckooWalkTable cwt(alloc, PageSize::Page2M);
     cwt.setPresent(0x0, 0);
     cwt.setPresent(0x0, 2);
     EXPECT_EQ(cwt.query(0x0)->way, 2);
@@ -103,7 +90,7 @@ TEST(Cwt, WayUpdateOverwrites)
 TEST(Cwt, EntryKeyCoversAllSections)
 {
     BumpAllocator alloc;
-    CuckooWalkTable cwt(alloc, PageSize::Page2M, cwtConfig());
+    CuckooWalkTable cwt(alloc, PageSize::Page2M);
     const Addr base = 0x4'0000'0000; // entry-aligned (256MB for PMD)
     const int n = CuckooWalkTable::sections_per_entry;
     for (int s = 0; s < n; ++s)
@@ -116,7 +103,7 @@ TEST(Cwt, EntryKeyCoversAllSections)
 TEST(Cwt, AllSectionsIndependentlyStored)
 {
     BumpAllocator alloc;
-    CuckooWalkTable cwt(alloc, PageSize::Page2M, cwtConfig());
+    CuckooWalkTable cwt(alloc, PageSize::Page2M);
     const Addr base = 0x8'0000'0000;
     const int n = CuckooWalkTable::sections_per_entry;
     for (int s = 0; s < n; ++s)
@@ -132,7 +119,7 @@ TEST(Cwt, AllSectionsIndependentlyStored)
 TEST(Cwt, EntryProbeAddrsFetchDescriptorLine)
 {
     BumpAllocator alloc(0x100000);
-    CuckooWalkTable cwt(alloc, PageSize::Page2M, cwtConfig());
+    CuckooWalkTable cwt(alloc, PageSize::Page2M);
     cwt.setPresent(0x0, 0);
     std::vector<Addr> probes;
     cwt.entryProbeAddrs(0x0, probes);
@@ -149,7 +136,7 @@ TEST(Cwt, EntryProbeAddrsFetchDescriptorLine)
 TEST(Cwt, NeighboringSectionsPackIntoNibbles)
 {
     BumpAllocator alloc;
-    CuckooWalkTable cwt(alloc, PageSize::Page2M, cwtConfig());
+    CuckooWalkTable cwt(alloc, PageSize::Page2M);
     cwt.setPresent(0x0, 3);
     cwt.setHasSmaller(0x20'0000, PageSize::Page4K);
     const auto d0 = cwt.query(0x0);
@@ -170,7 +157,7 @@ TEST(Cwt, NeighboringSectionsPackIntoNibbles)
 TEST(Cwt, StructureBytesGrowPerChunk)
 {
     BumpAllocator alloc;
-    CuckooWalkTable cwt(alloc, PageSize::Page4K, cwtConfig());
+    CuckooWalkTable cwt(alloc, PageSize::Page4K);
     EXPECT_EQ(cwt.structureBytes(), 0u);
     cwt.setPresent(0x0, 0);
     EXPECT_EQ(cwt.structureBytes(), CuckooWalkTable::chunk_bytes);

@@ -21,7 +21,6 @@ smallEcpt(bool pte_cwt = false)
 {
     EcptConfig cfg;
     cfg.initial_slots = {256, 256, 128};
-    cfg.cwt_initial_slots = {128, 128, 64};
     cfg.has_pte_cwt = pte_cwt;
     return cfg;
 }

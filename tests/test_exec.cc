@@ -455,11 +455,12 @@ TEST(ResultSink, ToGridBridgesOkRecords)
 {
     std::vector<JobSpec> specs = {fakeJob("grid/a"), fakeJob("grid/b")};
     const ResultSink sink = SweepEngine(quietOptions(2)).run(specs);
-    const ResultGrid grid = sink.toGrid();
-    EXPECT_TRUE(grid.has("fake", "grid/a"));
-    EXPECT_TRUE(grid.has("fake", "grid/b"));
-    EXPECT_EQ(grid.at("fake", "grid/a").cycles,
-              sink.find("grid/a")->out.sim.cycles);
+    const std::vector<SimResult> ok = sink.okResults();
+    ASSERT_EQ(ok.size(), 2u);
+    EXPECT_EQ(ok[0].config, "fake");
+    EXPECT_EQ(ok[0].app, "grid/a");
+    EXPECT_EQ(ok[1].app, "grid/b");
+    EXPECT_EQ(ok[0].cycles, sink.find("grid/a")->out.sim.cycles);
 }
 
 // ------------------------------------------------------------ registry

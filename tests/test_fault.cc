@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 #include "common/error.hh"
 #include "common/fault.hh"
@@ -238,78 +239,41 @@ TEST(PoolFaults, InjectedFailureLeavesAccountingIntact)
 
 // ------------------------------------------- scattered allocator paths
 
-TEST(ScatteredAllocator, AssemblesContiguousFramesAndFreesThem)
-{
-    PhysMemPool pool(0, 1ULL << 30, "host-phys");
-    PtRegionRegistry registry;
-    ScatteredPtAllocator alloc(pool, registry);
-
-    const std::uint64_t before = pool.usedBytes();
-    const Addr base = alloc.allocRegion(16 * 1024); // 4 frames
-    EXPECT_EQ(alloc.frameBackedRegions(), 1u);
-    EXPECT_TRUE(registry.contains(base));
-    EXPECT_TRUE(registry.contains(base + 16 * 1024 - 1));
-    EXPECT_EQ(pool.usedBytes(), before + 16 * 1024);
-
-    alloc.freeRegion(base, 16 * 1024);
-    EXPECT_EQ(alloc.frameBackedRegions(), 0u);
-    EXPECT_FALSE(registry.contains(base));
-    EXPECT_EQ(pool.usedBytes(), before);
-}
-
-TEST(ScatteredAllocator, NonContiguousRunFallsBackWithoutLeaking)
-{
-    PhysMemPool pool(0, 1ULL << 30, "host-phys");
-    PtRegionRegistry registry;
-    ScatteredPtAllocator alloc(pool, registry);
-
-    // Put one recycled frame on the freelist with a live frame after
-    // it: the assembly run must break (freelist frame, then a bump
-    // frame that is not adjacent) and fall back to a region.
-    const Addr a = pool.allocFrame(PageSize::Page4K);
-    const Addr b = pool.allocFrame(PageSize::Page4K);
-    (void)b; // keeps the bump cursor past a's neighbor
-    pool.freeFrame(a, PageSize::Page4K);
-
-    const std::uint64_t before = pool.usedBytes();
-    const Addr base = alloc.allocRegion(8 * 1024);
-    EXPECT_EQ(alloc.frameBackedRegions(), 0u); // fell back to a region
-    EXPECT_TRUE(registry.contains(base));
-    EXPECT_EQ(pool.usedBytes(), before + 8 * 1024);
-
-    alloc.freeRegion(base, 8 * 1024);
-    EXPECT_EQ(pool.usedBytes(), before);
-}
-
 TEST(ScatteredAllocator, MidAssemblyFailureRollsBackTakenFrames)
 {
     PhysMemPool pool(0, 1ULL << 30, "host-phys");
     PtRegionRegistry registry;
     ScatteredPtAllocator alloc(pool, registry);
 
-    // Inject a guaranteed failure partway: pool_fill 0 with the pool
-    // plan means roughly every other allocFrame throws, so an 8-frame
-    // assembly fails mid-run.
+    // pool_fill 0 with the pool plan makes roughly every other
+    // allocFrame throw, so some 4KB node allocation fails.
     FaultSpec spec;
     spec.pool_fill = 0.0;
     FaultPlan plan(spec, 3);
     pool.setFaultPlan(&plan);
 
     const std::uint64_t before = pool.usedBytes();
+    std::vector<Addr> nodes;
     bool threw = false;
     for (int i = 0; i < 16 && !threw; ++i) {
         try {
-            const Addr base = alloc.allocRegion(32 * 1024);
-            alloc.freeRegion(base, 32 * 1024); // keep usage flat
+            const Addr base = alloc.allocRegion(4096);
+            nodes.push_back(base);
+            EXPECT_TRUE(registry.contains(base));
+            alloc.freeRegion(base, 4096); // keep usage flat
         } catch (const ResourceExhausted &) {
             threw = true;
         }
     }
     ASSERT_TRUE(threw);
-    // No leaks: every frame taken before the failing call was rolled
-    // back (the throw is rethrown only after the rollback).
+    // The failing call took no frame and registered nothing: usage is
+    // back where it started and no node, nor the frame the pool hands
+    // out next, is registered.
     EXPECT_EQ(pool.usedBytes(), before);
-    EXPECT_EQ(alloc.frameBackedRegions(), 0u);
+    pool.setFaultPlan(nullptr);
+    nodes.push_back(pool.allocFrame(PageSize::Page4K));
+    for (const Addr node : nodes)
+        EXPECT_FALSE(registry.contains(node));
 }
 
 // --------------------------------------------------------- cuckoo site
@@ -391,7 +355,6 @@ TEST(EcptFaults, InFlightResizeUnderInsertionPressureStaysConsistent)
     BumpAllocator alloc;
     EcptConfig cfg;
     cfg.initial_slots = {256, 128, 64};
-    cfg.cwt_initial_slots = {128, 64, 32};
     cfg.has_pte_cwt = true; // audit all three CWTs
     EcptPageTable pt(alloc, cfg);
 

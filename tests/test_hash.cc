@@ -1,11 +1,13 @@
-/** @file Unit tests for the CRC hash family (common/hash.hh). */
+/** @file Unit tests for the CRC hash functions (common/hash.hh). */
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <set>
 #include <vector>
 
 #include "common/hash.hh"
+#include "common/rng.hh"
 
 namespace necpt
 {
@@ -45,23 +47,46 @@ TEST(HashFunction, Uniformity)
     }
 }
 
+namespace
+{
+
+/** @p n functions seeded from one splitmix64 stream, the way an
+ *  elastic cuckoo table seeds its ways. */
+template <std::size_t n>
+std::array<HashFunction, n>
+seededWays(std::uint64_t seed)
+{
+    std::array<HashFunction, n> ways;
+    for (HashFunction &fn : ways)
+        fn = HashFunction(splitmix64(seed));
+    return ways;
+}
+
+} // namespace
+
 TEST(HashFamily, DistinctMembers)
 {
-    HashFamily family(0xFEED, 3);
-    std::set<std::uint64_t> outputs;
-    for (int s = 0; s < num_page_sizes; ++s)
-        for (int w = 0; w < 3; ++w)
-            outputs.insert(family.way(all_page_sizes[s], w)(0xCAFE));
-    // All nine members should hash the same key differently.
+    const auto ways = seededWays<9>(0xFEED);
+    std::uint64_t out[9];
+    hashWays(ways.data(), 9, 0xCAFE, out);
+    std::set<std::uint64_t> outputs(out, out + 9);
+    // All nine ways hash the same key differently, and the one-pass
+    // hash of each way is that way's function.
     EXPECT_EQ(outputs.size(), 9u);
+    for (int w = 0; w < 9; ++w)
+        EXPECT_EQ(out[w], ways[w](0xCAFE));
 }
 
 TEST(HashFamily, ReproducibleAcrossInstances)
 {
-    HashFamily a(7, 3), b(7, 3);
-    for (std::uint64_t k = 0; k < 100; ++k)
-        EXPECT_EQ(a.way(PageSize::Page4K, 1)(k),
-                  b.way(PageSize::Page4K, 1)(k));
+    const auto a = seededWays<3>(7), b = seededWays<3>(7);
+    for (std::uint64_t k = 0; k < 100; ++k) {
+        std::uint64_t out_a[3], out_b[3];
+        hashWays(a.data(), 3, k, out_a);
+        hashWays(b.data(), 3, k, out_b);
+        for (int w = 0; w < 3; ++w)
+            EXPECT_EQ(out_a[w], out_b[w]);
+    }
 }
 
 TEST(HashFunction, LatencyConstant)

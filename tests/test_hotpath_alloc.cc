@@ -6,8 +6,8 @@
  * wrappers and asserts that, once warmed, the structures on the
  * per-access path perform ZERO heap allocations:
  *
- *   - SetAssocCache access/fill/contains/invalidate (packed arrays),
- *   - HashFamily::hashAll (pure arithmetic),
+ *   - SetAssocCache access/fill/contains (packed arrays),
+ *   - hashWays, the cuckoo tables' d-way hash pass (pure arithmetic),
  *   - cuckoo find + probeAddrs into a reused caller buffer,
  *   - MemoryHierarchy batchAccess/issueBatch/drain (pooled PendingTxns,
  *     scratch line buffers),
@@ -25,12 +25,14 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <new>
 #include <vector>
 
 #include "common/hash.hh"
+#include "common/rng.hh"
 #include "mem/cache.hh"
 #include "mem/hierarchy.hh"
 #include "pt/cuckoo.hh"
@@ -104,7 +106,6 @@ TEST(HotPathAlloc, SetAssocCacheSteadyStateIsAllocationFree)
                     cache.fill(a);
                 (void)cache.contains(a);
             }
-            cache.invalidate(0x1000);
         }
     });
     EXPECT_EQ(allocs, 0u);
@@ -112,12 +113,15 @@ TEST(HotPathAlloc, SetAssocCacheSteadyStateIsAllocationFree)
 
 TEST(HotPathAlloc, HashAllIsAllocationFree)
 {
-    HashFamily family(0xF00D, 3);
-    std::uint64_t out[HashFamily::max_ways];
+    std::array<HashFunction, 3> ways;
+    std::uint64_t sm = 0xF00D;
+    for (HashFunction &fn : ways)
+        fn = HashFunction(splitmix64(sm));
+    std::uint64_t out[3];
     const std::uint64_t allocs = allocationsDuring([&] {
         std::uint64_t sink = 0;
         for (std::uint64_t key = 0; key < 100'000; ++key) {
-            family.hashAll(PageSize::Page4K, key, 3, out);
+            hashWays(ways.data(), 3, key, out);
             sink ^= out[0] ^ out[1] ^ out[2];
         }
         ASSERT_NE(sink, 0u);
@@ -313,42 +317,6 @@ TEST(HotPathAlloc, EventSchedulerSteadyStateIsAllocationFree)
     EXPECT_EQ(allocs, 0u);
     EXPECT_EQ(rig.steps, 11u * 4 * 101);
     EXPECT_GT(rig.pumps, 0u);
-}
-
-TEST(HotPathAlloc, WalkWithAttributionDisabledIsAllocationFree)
-{
-    // The attribution ledgers are compiled into every walk either way;
-    // disabling must leave each charge a dead branch with no heap
-    // traffic — same warm-then-measure protocol as above.
-    SimParams params;
-    params.warmup_accesses = 500;
-    params.measure_accesses = 2000;
-    params.attribution = false;
-    Simulator sim(makeConfig(ConfigId::NestedEcpt), params);
-    sim.run("GUPS");
-
-    const Addr base = sim.system().mmapRegion(64 * 4096);
-    std::vector<Addr> vas;
-    for (int i = 0; i < 64; ++i)
-        vas.push_back(base + static_cast<Addr>(i) * 4096);
-    for (Addr va : vas)
-        sim.system().ensureResident(va);
-    Cycles now = 1'000'000;
-    for (Addr va : vas) {
-        sim.walker(0).translate(va, now);
-        now += 1000;
-    }
-
-    const std::uint64_t allocs = allocationsDuring([&] {
-        for (int round = 0; round < 10; ++round) {
-            for (Addr va : vas) {
-                const WalkResult w = sim.walker(0).translate(va, now);
-                ASSERT_GT(w.latency, 0u);
-                now += 1000;
-            }
-        }
-    });
-    EXPECT_EQ(allocs, 0u);
 }
 
 } // namespace necpt

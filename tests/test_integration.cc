@@ -35,7 +35,6 @@ mixedSystem(PtKind guest, PtKind host)
     cfg.guest_phys_bytes = 2ULL << 30;
     cfg.host_phys_bytes = 3ULL << 30;
     cfg.guest_ecpt.initial_slots = {512, 512, 256};
-    cfg.guest_ecpt.cwt_initial_slots = {128, 128, 64};
     cfg.host_ecpt = cfg.guest_ecpt;
     cfg.host_ecpt.has_pte_cwt = true;
     return cfg;

@@ -56,12 +56,10 @@ TEST(AssocCache, SetAssociativeRespectsSets)
     AssocCache<std::uint64_t, int> cache(8, 2); // 4 sets x 2 ways
     EXPECT_EQ(cache.capacity(), 8u);
     cache.insert(0, 0);
-    cache.insert(4, 4); // same set as 0 under %4 hashing of identity?
-    // Whatever the set mapping, update + invalidate behave.
-    cache.invalidate(0);
-    EXPECT_EQ(cache.peek(0), nullptr);
-    cache.flush();
-    EXPECT_EQ(cache.peek(4), nullptr);
+    cache.insert(4, 4);
+    // Whatever the set mapping, one set's two ways hold both keys.
+    EXPECT_NE(cache.peek(0), nullptr);
+    EXPECT_NE(cache.peek(4), nullptr);
 }
 
 // ------------------------------------------------------------------ TLB
@@ -108,14 +106,6 @@ TEST(Tlb, L2CatchesL1Evictions)
     EXPECT_EQ(r.latency, cfg.l2_latency);
 }
 
-TEST(Tlb, FlushDropsEverything)
-{
-    TlbHierarchy tlb;
-    tlb.install(0x1000, {0xA000, PageSize::Page4K, true});
-    tlb.flush();
-    EXPECT_FALSE(tlb.lookup(0x1000).hit);
-}
-
 TEST(Tlb, StatsTrackMissRates)
 {
     TlbHierarchy tlb;
@@ -149,14 +139,6 @@ TEST(Pwc, LevelsOutsideRangeIgnored)
     PageWalkCache pwc(2, 4, 32);
     pwc.fill(1, 0x1000); // PTE level is not cached natively
     EXPECT_FALSE(pwc.lookup(1, 0x1000));
-}
-
-TEST(Pwc, FlushClears)
-{
-    PageWalkCache pwc(2, 4, 16);
-    pwc.fill(3, 0x1000);
-    pwc.flush();
-    EXPECT_FALSE(pwc.lookup(3, 0x1000));
 }
 
 // ----------------------------------------------------------- NTLB / STC
@@ -204,17 +186,6 @@ TEST(Cwc, FillThenHit)
     ASSERT_TRUE(payload.has_value());
     EXPECT_EQ(*payload, 0xDEADu);
     EXPECT_EQ(cwc.stats(PageSize::Page2M).hits(), 1u);
-}
-
-TEST(Cwc, InvalidateAndFlush)
-{
-    CuckooWalkCache cwc({4, 16, 2});
-    cwc.fill(PageSize::Page1G, 1, 0x1);
-    cwc.invalidate(PageSize::Page1G, 1);
-    EXPECT_FALSE(cwc.lookup(PageSize::Page1G, 1).has_value());
-    cwc.fill(PageSize::Page1G, 2, 0x2);
-    cwc.flush();
-    EXPECT_FALSE(cwc.lookup(PageSize::Page1G, 2).has_value());
 }
 
 // ------------------------------------------------- Adaptive controller

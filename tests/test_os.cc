@@ -59,20 +59,13 @@ TEST(ScatteredAllocator, NodesComeFromFrameZoneAndRegister)
     PhysMemPool pool(0, 4ULL << 30);
     PtRegionRegistry registry;
     ScatteredPtAllocator alloc(pool, registry);
-    // 4KB node allocations interleave with data frames...
+    // 4KB node allocations interleave with data frames.
     const Addr data1 = pool.allocFrame(PageSize::Page4K);
     const Addr node = alloc.allocRegion(4096);
     const Addr data2 = pool.allocFrame(PageSize::Page4K);
     EXPECT_EQ(node, data1 + 4096);
     EXPECT_EQ(data2, node + 4096);
     EXPECT_TRUE(registry.contains(node));
-    // ...while large allocations are assembled from successive 4KB
-    // frames (no contiguity assumed — the bump allocator just happens
-    // to provide it here) and registered over their whole extent.
-    const Addr big = alloc.allocRegion(1 << 20);
-    EXPECT_EQ(big, data2 + 4096);
-    EXPECT_TRUE(registry.contains(big));
-    EXPECT_TRUE(registry.contains(big + (1 << 20) - 1));
     alloc.freeRegion(node, 4096);
     EXPECT_FALSE(registry.contains(node));
 }
@@ -117,7 +110,6 @@ smallSystem(PtKind guest, PtKind host, bool thp)
     cfg.guest_phys_bytes = 2ULL << 30;
     cfg.host_phys_bytes = 3ULL << 30;
     cfg.guest_ecpt.initial_slots = {1024, 1024, 512};
-    cfg.guest_ecpt.cwt_initial_slots = {256, 256, 128};
     cfg.host_ecpt = cfg.guest_ecpt;
     return cfg;
 }

@@ -35,7 +35,6 @@ makeTable(RegionAllocator &alloc)
     if constexpr (T::kind == PtKind::Ecpt) {
         EcptConfig cfg;
         cfg.initial_slots = {1024, 1024, 512};
-        cfg.cwt_initial_slots = {256, 256, 128};
         return std::make_unique<T>(alloc, cfg);
     } else if constexpr (T::kind == PtKind::Flat) {
         return std::make_unique<T>(alloc, flat_covered_bytes);
@@ -249,7 +248,6 @@ TYPED_TEST(PageTableContract, MappedMaskMatchesLookup)
     if constexpr (TypeParam::kind == PtKind::Ecpt) {
         EcptConfig cfg;
         cfg.initial_slots = {16, 16, 16};
-        cfg.cwt_initial_slots = {256, 256, 128};
         EcptPageTable ecpt(alloc, cfg);
         auto &pte_table = ecpt.tableOf(PageSize::Page4K);
         const Addr page = pageBytes(PageSize::Page4K);

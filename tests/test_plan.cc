@@ -21,7 +21,6 @@ struct PlanFixture : public ::testing::Test
         : pt(alloc, [] {
               EcptConfig cfg;
               cfg.initial_slots = {256, 256, 128};
-              cfg.cwt_initial_slots = {128, 128, 64};
               cfg.has_pte_cwt = true;
               return cfg;
           }())

@@ -29,7 +29,6 @@ sysFor(PtKind guest, PtKind host, bool virtualized = true,
     cfg.guest_phys_bytes = 2ULL << 30;
     cfg.host_phys_bytes = 3ULL << 30;
     cfg.guest_ecpt.initial_slots = {1024, 1024, 512};
-    cfg.guest_ecpt.cwt_initial_slots = {256, 256, 128};
     cfg.host_ecpt = cfg.guest_ecpt;
     return cfg;
 }
