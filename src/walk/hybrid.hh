@@ -37,6 +37,15 @@ class HybridWalker : public Walker
 
     std::string name() const override { return "NestedHybrid"; }
 
+    void
+    resetStats() override
+    {
+        Walker::resetStats();
+        gpwc.resetStats();
+        ntlb.resetStats();
+        hcwc.resetStats();
+    }
+
     const AdaptiveCwcController &adaptiveController() const
     {
         return adaptive;

@@ -88,6 +88,16 @@ class NestedEcptWalker : public Walker
     void registerMetrics(MetricsRegistry &reg,
                          const std::string &prefix) override;
 
+    void
+    resetStats() override
+    {
+        Walker::resetStats();
+        gcwc.resetStats();
+        hcwc_step1.resetStats();
+        hcwc_step3.resetStats();
+        stc.resetStats();
+    }
+
     bool
     plainDesign() const
     {

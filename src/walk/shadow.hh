@@ -42,6 +42,13 @@ class ShadowPagingWalker : public Walker
 
     std::string name() const override { return "ShadowPaging"; }
 
+    void
+    resetStats() override
+    {
+        Walker::resetStats();
+        pwc.resetStats();
+    }
+
     /** VM exits taken to synchronize the shadow table. */
     std::uint64_t vmExits() const { return vmexits; }
 
