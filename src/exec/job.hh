@@ -43,12 +43,6 @@ struct JobContext
     int attempt = 0;
 
     /**
-     * Fault-plan seed for this attempt: a pure function of (seed,
-     * attempt), so a retried job redraws its injected faults — the
-     * point of retrying a ResourceExhausted — while any --jobs value
-     * still reproduces the identical attempt sequence.
-     */
-    /**
      * Per-job event tracer (null = tracing off). Owned by the engine;
      * jobs thread it into SimParams::tracer so walk events land in
      * this job's private ring (pid = submission index).
@@ -62,6 +56,12 @@ struct JobContext
      */
     TimeSeriesBuffer *timeseries = nullptr;
 
+    /**
+     * Fault-plan seed for this attempt: a pure function of (seed,
+     * attempt), so a retried job redraws its injected faults — the
+     * point of retrying a ResourceExhausted — while any --jobs value
+     * still reproduces the identical attempt sequence.
+     */
     std::uint64_t
     faultSeed() const
     {
