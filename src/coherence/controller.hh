@@ -152,9 +152,9 @@ class CoherenceController
     {
         std::uint64_t rounds = 0;
         std::uint64_t invalidations = 0; //!< queued by sources
-        std::uint64_t tlb_entries = 0;   //!< dropped from per-core TLBs
+        /** Dropped from per-core TLBs and walk caches together. */
+        std::uint64_t tlb_entries = 0;
         std::uint64_t pom_entries = 0;
-        std::uint64_t walk_cache_entries = 0;
         std::uint64_t acks = 0;         //!< sw responder acks
         std::uint64_t acks_dropped = 0; //!< re-sent after timeout
         std::uint64_t walk_replays = 0;

@@ -46,15 +46,9 @@ CuckooWalkCache::invalidateRange(Addr base, std::uint64_t bytes)
         Level *cache = levels[s].get();
         if (!cache)
             continue;
-        // Entry keys are va >> (section shift + 11): one key per
-        // 2048-section granule (CuckooWalkTable::entryKey).
-        const int shift = sectionShiftFor(all_page_sizes[s]) + 11;
-        const std::uint64_t lo = base >> shift;
-        const std::uint64_t hi = last >> shift;
-        count += cache->invalidateIf(
-            [lo, hi](std::uint64_t key, std::uint64_t) {
-                return key >= lo && key <= hi;
-            });
+        // The keys CuckooWalkTable::entryKey fills with.
+        const int shift = entryShiftFor(all_page_sizes[s]);
+        count += cache->invalidateKeys(base >> shift, last >> shift);
     }
     return count;
 }

@@ -61,8 +61,8 @@ class CuckooWalkCache
     /**
      * Shootdown receive side: drop every cached CWT entry whose
      * coverage overlaps the VA range [base, base+bytes). The entry key
-     * at each level is the VA prefix above that level's 2048-section
-     * granule, so the range maps to a [lo, hi] key interval per level.
+     * at each level is `va >> entryShiftFor(level)` (pt/cwt.hh), so
+     * the range maps to a [lo, hi] key interval per level.
      * Survivors keep their LRU ranks. @return entries invalidated.
      */
     std::size_t invalidateRange(Addr base, std::uint64_t bytes);

@@ -63,11 +63,8 @@ TlbHierarchy::invalidateRange(Addr base, std::uint64_t bytes)
         // that merely contains it.
         const auto lo = pageNumber(base, size);
         const auto hi = pageNumber(last, size);
-        auto in_range = [lo, hi](std::uint64_t vpn, Addr) {
-            return vpn >= lo && vpn <= hi;
-        };
-        count += l1[s]->invalidateIf(in_range);
-        count += l2[s]->invalidateIf(in_range);
+        count += l1[s]->invalidateKeys(lo, hi);
+        count += l2[s]->invalidateKeys(lo, hi);
     }
     return count;
 }

@@ -2,7 +2,9 @@
  * @file
  * The per-core data-TLB hierarchy of Table 2: split L1 DTLBs per page
  * size (64x4-way for 4KB, 32x4-way for 2MB, 4-entry FA for 1GB) backed
- * by split L2 DTLBs (1024x12-way for 4KB and 2MB, 16x4-way for 1GB).
+ * by split L2 DTLBs (1020-entry 12-way, i.e. 85 sets, for 4KB and 2MB;
+ * 16x4-way for 1GB). Table 2's 1024 entries are not a multiple of 12
+ * ways, so the model keeps the largest multiple below it.
  *
  * Entries map a guest-virtual page directly to its host-physical frame
  * — the {gVA, hPA} pair loaded at the end of a nested walk (Section 5).
@@ -71,7 +73,8 @@ class TlbHierarchy
     std::size_t invalidateRange(Addr base, std::uint64_t bytes);
 
     /** Does any level hold a translation for @p va? No stats or LRU
-     *  side effects (shootdown sharer filtering). */
+     *  side effects; a test observer (hw mode counts sharers from the
+     *  drop counts invalidateRange returns). */
     bool holds(Addr va) const;
     /// @}
 

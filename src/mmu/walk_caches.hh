@@ -87,12 +87,8 @@ class PageWalkCache
         std::size_t count = 0;
         const Addr last = base + (bytes ? bytes - 1 : 0);
         for (int l = min_lvl; l <= max_lvl; ++l) {
-            const auto lo = prefix(base, l);
-            const auto hi = prefix(last, l);
-            count += caches[l - min_lvl]->invalidateIf(
-                [lo, hi](std::uint64_t key, bool) {
-                    return key >= lo && key <= hi;
-                });
+            count += caches[l - min_lvl]->invalidateKeys(
+                prefix(base, l), prefix(last, l));
         }
         return count;
     }
@@ -160,11 +156,8 @@ class FrameCache
     std::size_t
     invalidateRange(Addr base, std::uint64_t bytes)
     {
-        const std::uint64_t lo = base >> 12;
-        const std::uint64_t hi = (base + (bytes ? bytes - 1 : 0)) >> 12;
-        return cache.invalidateIf([lo, hi](std::uint64_t key, Addr) {
-            return key >= lo && key <= hi;
-        });
+        return cache.invalidateKeys(base >> 12,
+                                    (base + (bytes ? bytes - 1 : 0)) >> 12);
     }
 
     Cycles latency() const { return latency_; }

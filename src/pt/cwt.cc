@@ -20,11 +20,18 @@ sectionShiftFor(PageSize level)
     return 15;
 }
 
+int
+entryShiftFor(PageSize level)
+{
+    static_assert(CuckooWalkTable::sections_per_entry == 1 << 11);
+    return sectionShiftFor(level) + 11;
+}
+
 CuckooWalkTable::CuckooWalkTable(RegionAllocator &allocator, PageSize level)
     : alloc(allocator),
       level_(level),
       section_shift(sectionShiftFor(level)),
-      entry_shift(sectionShiftFor(level) + 11),  // 2048-section granule
+      entry_shift(entryShiftFor(level)),
       chunk_shift(sectionShiftFor(level) + 13)   // 8192-section chunk
 {
 }

@@ -43,6 +43,14 @@ namespace necpt
 int sectionShiftFor(PageSize level);
 
 /**
+ * VA reach (log2 bytes) of one CWT entry at @p level: its
+ * sections_per_entry sections. CuckooWalkTable::entryKey is
+ * `va >> entryShiftFor(level)`, and the Cuckoo Walk Cache drops a
+ * range by the same keys, so this is the one definition both share.
+ */
+int entryShiftFor(PageSize level);
+
+/**
  * Decoded 4-bit CWT section descriptor.
  *
  * Two exclusive variants share the nibble: a section mapped by a page

@@ -236,6 +236,47 @@ TEST(TlbCoherence, InvalidateRangeAndAsidAreSelective)
     EXPECT_TRUE(tlb.holds(0x3000));
 }
 
+TEST(TlbCoherence, HugeRangeOverDefaultGeometryDropsExactlyTheOverlap)
+{
+    // Table 2's geometry. A 2MB range overlaps the 4KB pages inside
+    // it, its own 2MB page and the 1GB page around it; the pages on
+    // either side of each of those survive.
+    TlbHierarchy tlb{TlbConfig{}};
+    const Addr gb = 0x4000'0000, mb2 = 0x20'0000, kb4 = 0x1000;
+    const Addr base = gb + 5 * mb2;
+    const Addr inside[] = {base, base + 256 * kb4, base + mb2 - kb4};
+    const Addr outside_4k[] = {base - kb4, base + mb2};
+    for (const Addr va : inside)
+        tlb.install(va, page4k(0x9000'0000 + (va - base)));
+    for (const Addr va : outside_4k)
+        tlb.install(va, page4k(0xA000'0000 + (va & (mb2 - 1))));
+    tlb.install(base, {0x1'0000'0000, PageSize::Page2M, true});
+    tlb.install(base - mb2, {0x1'0020'0000, PageSize::Page2M, true});
+    tlb.install(base + mb2, {0x1'0040'0000, PageSize::Page2M, true});
+    tlb.install(gb, {0x40'0000'0000, PageSize::Page1G, true});
+    tlb.install(2 * gb, {0x80'0000'0000, PageSize::Page1G, true});
+
+    // Three 4KB, one 2MB and one 1GB entry, each in L1 and L2.
+    EXPECT_EQ(tlb.invalidateRange(base, mb2), 10u);
+    for (const Addr va : inside)
+        EXPECT_FALSE(tlb.holds(va)) << std::hex << va;
+    for (const Addr va : outside_4k) {
+        const auto r = tlb.lookup(va);
+        EXPECT_TRUE(r.hit) << std::hex << va;
+        EXPECT_EQ(r.translation.size, PageSize::Page4K) << std::hex << va;
+    }
+    for (const Addr va : {base - mb2 + 0x123, base + mb2 + mb2 - 1}) {
+        const auto r = tlb.lookup(va);
+        EXPECT_TRUE(r.hit) << std::hex << va;
+        EXPECT_EQ(r.translation.size, PageSize::Page2M) << std::hex << va;
+    }
+    const auto r1g = tlb.lookup(2 * gb + 0x1234);
+    EXPECT_TRUE(r1g.hit);
+    EXPECT_EQ(r1g.translation.size, PageSize::Page1G);
+    // Only the dropped 1GB page covered this address.
+    EXPECT_FALSE(tlb.lookup(gb + 7 * mb2).hit);
+}
+
 // ------------------------------------------ POM-TLB partial invalidation
 
 TEST(PomTlbCoherence, PartialInvalidationPreservesSurvivorLruRanks)

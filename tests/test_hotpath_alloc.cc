@@ -7,6 +7,8 @@
  * per-access path perform ZERO heap allocations:
  *
  *   - SetAssocCache access/fill/contains (packed arrays),
+ *   - TlbHierarchy lookup/install/invalidateRange (the AssocCache
+ *     probes and key-range shootdowns),
  *   - hashWays, the cuckoo tables' d-way hash pass (pure arithmetic),
  *   - cuckoo find + probeAddrs into a reused caller buffer,
  *   - MemoryHierarchy batchAccess/issueBatch/drain (pooled PendingTxns,
@@ -35,6 +37,7 @@
 #include "common/rng.hh"
 #include "mem/cache.hh"
 #include "mem/hierarchy.hh"
+#include "mmu/tlb.hh"
 #include "pt/cuckoo.hh"
 #include "sim/config.hh"
 #include "sim/sched.hh"
@@ -107,6 +110,33 @@ TEST(HotPathAlloc, SetAssocCacheSteadyStateIsAllocationFree)
                 (void)cache.contains(a);
             }
         }
+    });
+    EXPECT_EQ(allocs, 0u);
+}
+
+TEST(HotPathAlloc, TlbLookupInstallAndShootdownAreAllocationFree)
+{
+    TlbHierarchy tlb;
+    const Addr span = Addr{64} << 20;
+    auto pass = [&] {
+        for (Addr va = 0; va < span; va += 0x5000) {
+            if (!tlb.lookup(va).hit) {
+                const bool huge = (va >> 21) % 3 == 0;
+                tlb.install(va, {va + 0x1'0000'0000,
+                                 huge ? PageSize::Page2M : PageSize::Page4K,
+                                 true});
+            }
+        }
+        for (Addr va = 0; va < span; va += 0x20'0000) {
+            tlb.invalidateRange(va + 0x3000, 0x1000);
+            if ((va >> 21) % 4 == 0)
+                tlb.invalidateRange(va, 0x20'0000);
+        }
+    };
+    pass();
+    const std::uint64_t allocs = allocationsDuring([&] {
+        for (int round = 0; round < 4; ++round)
+            pass();
     });
     EXPECT_EQ(allocs, 0u);
 }

@@ -3,11 +3,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <set>
+#include <string>
+#include <vector>
+
+#include "common/rng.hh"
 #include "mmu/assoc_cache.hh"
 #include "mmu/cwc.hh"
 #include "mmu/pom_tlb.hh"
 #include "mmu/tlb.hh"
 #include "mmu/walk_caches.hh"
+#include "pt/cwt.hh"
 #include "tests/test_util.hh"
 
 namespace necpt
@@ -61,6 +68,263 @@ TEST(AssocCache, SetAssociativeRespectsSets)
     EXPECT_NE(cache.peek(0), nullptr);
     EXPECT_NE(cache.peek(4), nullptr);
 }
+
+// ------------------------------------ AssocCache key-range invalidation
+
+namespace
+{
+
+/**
+ * Brute-force model of AssocCache: one {key, value, tick, valid}
+ * record per line, set `key % sets`, and an invalidation that visits
+ * every line. Victims are the first invalid way of the set, else the
+ * smallest tick (ties to the lowest way), where an invalid line keeps
+ * the tick it had when it was dropped.
+ */
+class RefCache
+{
+  public:
+    static constexpr std::size_t npos = ~std::size_t{0};
+
+    RefCache(std::size_t capacity, std::size_t ways)
+        : assoc(ways == 0 ? capacity : ways), sets(capacity / assoc),
+          lines(capacity)
+    {}
+
+    std::size_t
+    lineOf(std::uint64_t key) const
+    {
+        const std::size_t base = setOf(key) * assoc;
+        for (std::size_t i = base; i < base + assoc; ++i)
+            if (lines[i].valid && lines[i].key == key)
+                return i;
+        return npos;
+    }
+
+    bool
+    find(std::uint64_t key)
+    {
+        const std::size_t i = lineOf(key);
+        if (i == npos) {
+            ++misses;
+            return false;
+        }
+        lines[i].tick = ++tick;
+        ++hits;
+        return true;
+    }
+
+    /** @return the line written. */
+    std::size_t
+    insert(std::uint64_t key, std::uint64_t value)
+    {
+        std::size_t victim = lineOf(key);
+        if (victim == npos) {
+            const std::size_t base = setOf(key) * assoc;
+            victim = base;
+            for (std::size_t i = base; i < base + assoc; ++i) {
+                const Line &l = lines[i];
+                const Line &v = lines[victim];
+                if ((!l.valid && v.valid)
+                    || (l.valid == v.valid && l.tick < v.tick))
+                    victim = i;
+            }
+        }
+        lines[victim] = {key, value, ++tick, true};
+        return victim;
+    }
+
+    std::size_t
+    invalidate(std::uint64_t lo, std::uint64_t hi)
+    {
+        std::size_t count = 0;
+        for (Line &l : lines) {
+            if (l.valid && l.key >= lo && l.key <= hi) {
+                l.valid = false;
+                ++count;
+            }
+        }
+        return count;
+    }
+
+    std::size_t setOf(std::uint64_t key) const { return key % sets; }
+    std::uint64_t valueAt(std::size_t i) const { return lines[i].value; }
+
+    const std::size_t assoc;
+    const std::size_t sets;
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+
+  private:
+    struct Line
+    {
+        std::uint64_t key = 0;
+        std::uint64_t value = 0;
+        std::uint64_t tick = 0;
+        bool valid = false;
+    };
+
+    std::vector<Line> lines;
+    std::uint64_t tick = 0;
+};
+
+struct CacheGeom
+{
+    const char *name;
+    std::size_t capacity;
+    std::size_t ways; //!< 0 = fully associative
+};
+
+/**
+ * Drives an AssocCache and a RefCache with the same operations and
+ * compares them. A present key must sit in the same line in both —
+ * the line is read from the address peek() returns, relative to the
+ * first key inserted — so the test pins which line every insert
+ * replaces, not just which keys survive.
+ */
+class CacheDiff
+{
+  public:
+    using Dut = AssocCache<std::uint64_t, std::uint64_t>;
+
+    explicit CacheDiff(const CacheGeom &g)
+        : dut(g.capacity, g.ways), ref(g.capacity, g.ways)
+    {}
+
+    void
+    find(std::uint64_t key)
+    {
+        const std::uint64_t *v = dut.find(key);
+        ASSERT_EQ(v != nullptr, ref.find(key)) << "key " << key;
+    }
+
+    /** Insert into both; checks the line written and what it held. */
+    void
+    insert(std::uint64_t key)
+    {
+        const std::uint64_t value = key * 7 + ++inserts;
+        dut.insert(key, value);
+        const std::size_t line = ref.insert(key, value);
+        if (!line0)
+            line0 = dut.peek(key) - line;
+        ever.insert(key);
+        ASSERT_NE(dut.peek(key), nullptr);
+        ASSERT_EQ(static_cast<std::size_t>(dut.peek(key) - line0), line)
+            << "key " << key << " landed in another line";
+    }
+
+    /** Compare the whole observable state over every key ever seen. */
+    void
+    compareAll() const
+    {
+        for (const std::uint64_t key : ever)
+            compareKey(key);
+        ASSERT_EQ(dut.stats().hits(), ref.hits);
+        ASSERT_EQ(dut.stats().misses(), ref.misses);
+    }
+
+    void
+    compareKey(std::uint64_t key) const
+    {
+        const std::uint64_t *v = dut.peek(key);
+        const std::size_t line = ref.lineOf(key);
+        ASSERT_EQ(v != nullptr, line != RefCache::npos) << "key " << key;
+        if (v) {
+            ASSERT_EQ(static_cast<std::size_t>(v - line0), line)
+                << "key " << key;
+            ASSERT_EQ(*v, ref.valueAt(line)) << "key " << key;
+        }
+    }
+
+    Dut dut;
+    RefCache ref;
+    std::set<std::uint64_t> ever;
+
+  private:
+    const std::uint64_t *line0 = nullptr;
+    std::uint64_t inserts = 0;
+};
+
+class AssocCacheInvalidate : public ::testing::TestWithParam<CacheGeom>
+{};
+
+} // namespace
+
+TEST_P(AssocCacheInvalidate, KeyRangeMatchesReference)
+{
+    const CacheGeom g = GetParam();
+    const std::size_t assoc = g.ways == 0 ? g.capacity : g.ways;
+    const std::size_t sets = g.capacity / assoc;
+    // A universe of 3x the capacity keeps every set contended.
+    const std::uint64_t universe = 3 * g.capacity + 5;
+
+    for (const std::uint64_t width :
+         {std::uint64_t{1}, std::uint64_t{sets - 1}, std::uint64_t{sets},
+          std::uint64_t{sets + 1}, std::uint64_t{512}}) {
+        if (width == 0)
+            continue;
+        SCOPED_TRACE("range of " + std::to_string(width) + " keys");
+        CacheDiff diff(g);
+        Rng rng(0xC0FFEE + width);
+        // Probe keys lie above the universe and are never reused, so
+        // each probe insert misses and has to pick a victim.
+        std::uint64_t next_probe = universe;
+
+        for (int round = 0; round < 40; ++round) {
+            for (std::size_t op = 0; op < 2 * g.capacity; ++op) {
+                const std::uint64_t key = rng.below(universe);
+                if (rng.below(3) == 0)
+                    diff.find(key);
+                else
+                    diff.insert(key);
+                if (::testing::Test::HasFatalFailure())
+                    return;
+            }
+
+            // Some ranges run past the universe into the probe keys.
+            const std::uint64_t lo = rng.below(universe + width);
+            const std::uint64_t hi = lo + width - 1;
+            ASSERT_EQ(diff.dut.invalidateKeys(lo, hi),
+                      diff.ref.invalidate(lo, hi))
+                << "range [" << lo << ", " << hi << "]";
+            diff.compareAll();
+            if (::testing::Test::HasFatalFailure())
+                return;
+
+            // The next `assoc` misses into every set the range maps to
+            // pick their victims by the survivors' ranks and the dropped
+            // lines' stale ticks.
+            std::vector<std::size_t> touched;
+            for (std::uint64_t k = lo; k <= hi && touched.size() < sets;
+                 ++k)
+                touched.push_back(diff.ref.setOf(k));
+            for (const std::size_t set : touched) {
+                for (std::size_t i = 0; i < assoc; ++i) {
+                    while (diff.ref.setOf(next_probe) != set)
+                        ++next_probe;
+                    diff.insert(next_probe++);
+                    if (::testing::Test::HasFatalFailure())
+                        return;
+                }
+            }
+            diff.compareAll();
+            if (::testing::Test::HasFatalFailure())
+                return;
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, AssocCacheInvalidate,
+    ::testing::Values(CacheGeom{"L2Tlb_85x12", 1020, 12},
+                      CacheGeom{"Sets16x4", 64, 4},
+                      CacheGeom{"Sets8x4", 32, 4},
+                      CacheGeom{"FullyAssoc4", 4, 0},
+                      CacheGeom{"FullyAssoc24", 24, 0},
+                      CacheGeom{"Sets2x2", 4, 2}),
+    [](const ::testing::TestParamInfo<CacheGeom> &param_info) {
+        return std::string(param_info.param.name);
+    });
 
 // ------------------------------------------------------------------ TLB
 
@@ -141,6 +405,28 @@ TEST(Pwc, LevelsOutsideRangeIgnored)
     EXPECT_FALSE(pwc.lookup(1, 0x1000));
 }
 
+TEST(Pwc, InvalidateRangeDropsTheFilledPrefixAtEveryLevel)
+{
+    // Fill each level's entry for va and for the entries on either
+    // side of it; a 4KB range at va lies under exactly one per level.
+    PageWalkCache pwc(1, 4, 32);
+    const Addr va = 0x7123'4567'8000ULL;
+    for (int l = 1; l <= 4; ++l) {
+        const Addr span = Addr{1} << (12 + 9 * (l - 1));
+        pwc.fill(l, va - span);
+        pwc.fill(l, va);
+        pwc.fill(l, va + span);
+    }
+    EXPECT_EQ(pwc.invalidateRange(va + 0x10, 0x1000 - 0x10), 4u);
+    for (int l = 1; l <= 4; ++l) {
+        SCOPED_TRACE("level " + std::to_string(l));
+        const Addr span = Addr{1} << (12 + 9 * (l - 1));
+        EXPECT_FALSE(pwc.lookup(l, va));
+        EXPECT_TRUE(pwc.lookup(l, va - span));
+        EXPECT_TRUE(pwc.lookup(l, va + span));
+    }
+}
+
 // ----------------------------------------------------------- NTLB / STC
 
 TEST(Ntlb, CachesGpaPageTranslations)
@@ -162,6 +448,22 @@ TEST(Stc, TenEntriesLru)
     // The two oldest fell out.
     EXPECT_EQ(stc.lookup(0x0), nullptr);
     EXPECT_NE(stc.lookup(11 * 4096), nullptr);
+}
+
+TEST(Ntlb, InvalidateRangeDropsTheFilledGpaPage)
+{
+    NestedTlb ntlb(24);
+    const Addr gpa = 0x8'1234'5000ULL;
+    ntlb.fill(gpa - 0x1000, 0xA000);
+    ntlb.fill(gpa + 0x234, 0xB000);
+    ntlb.fill(gpa + 0x1000, 0xC000);
+    // One byte at the page's end overlaps it and nothing else.
+    EXPECT_EQ(ntlb.invalidateRange(gpa + 0xFFF, 1), 1u);
+    EXPECT_EQ(ntlb.lookup(gpa), nullptr);
+    ASSERT_NE(ntlb.lookup(gpa - 1), nullptr);
+    EXPECT_EQ(*ntlb.lookup(gpa - 1), 0xA000u);
+    ASSERT_NE(ntlb.lookup(gpa + 0x1000), nullptr);
+    EXPECT_EQ(*ntlb.lookup(gpa + 0x1000), 0xC000u);
 }
 
 // ------------------------------------------------------------------ CWC
@@ -186,6 +488,32 @@ TEST(Cwc, FillThenHit)
     ASSERT_TRUE(payload.has_value());
     EXPECT_EQ(*payload, 0xDEADu);
     EXPECT_EQ(cwc.stats(PageSize::Page2M).hits(), 1u);
+}
+
+TEST(Cwc, InvalidateRangeDropsTheCwtEntryKeyAtEveryLevel)
+{
+    // Fill through CuckooWalkTable::entryKey, the key a walk fills
+    // the CWC with: the entry covering va and its two neighbours. A
+    // page-sized range at va must drop exactly that entry per level.
+    BumpAllocator alloc;
+    CuckooWalkCache cwc({8, 8, 8});
+    const Addr va = 0x5A5A'5A5A'5000ULL;
+    for (const PageSize level : all_page_sizes) {
+        const CuckooWalkTable cwt(alloc, level);
+        const std::uint64_t key = cwt.entryKey(va);
+        cwc.fill(level, key - 1, 1);
+        cwc.fill(level, key, 2);
+        cwc.fill(level, key + 1, 3);
+    }
+    EXPECT_EQ(cwc.invalidateRange(va, 0x1000), 3u);
+    for (const PageSize level : all_page_sizes) {
+        SCOPED_TRACE("level " + std::to_string(static_cast<int>(level)));
+        const CuckooWalkTable cwt(alloc, level);
+        const std::uint64_t key = cwt.entryKey(va);
+        EXPECT_FALSE(cwc.lookup(level, key).has_value());
+        EXPECT_EQ(cwc.lookup(level, key - 1).value_or(0), 1u);
+        EXPECT_EQ(cwc.lookup(level, key + 1).value_or(0), 3u);
+    }
 }
 
 // ------------------------------------------------- Adaptive controller
