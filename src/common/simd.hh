@@ -1,12 +1,14 @@
 /**
  * @file
- * The one SIMD kernel: the packed-tag cache-way scan behind
- * SetAssocCache::findWay, which every simulated memory access runs.
+ * The one SIMD kernel: the key-row scan behind every AssocCache probe
+ * — the data caches on every simulated memory access, and the TLBs and
+ * walk caches on every translation.
  *
- * Its scalar fallback is bit-identical to the vector path, so
- * simulation results never depend on the host ISA. AVX2 is used when
- * the compiler targets it (`__AVX2__`); nothing here emits runtime
- * dispatch — the build decides once.
+ * findKeyScalar is the reference loop and is always compiled; findKey
+ * returns the same index on every input, so simulation results never
+ * depend on the host ISA. AVX2 is used when the compiler targets it
+ * (`__AVX2__`); nothing here emits runtime dispatch — the build decides
+ * once.
  */
 
 #ifndef NECPT_COMMON_SIMD_HH
@@ -26,53 +28,36 @@ namespace necpt
 namespace simd
 {
 
-/**
- * Lowest index i in [0, n) with (meta[i] & valid_bit) and
- * tags[i] == tag, or -1. The layout matches SetAssocCache: a
- * contiguous uint64 tag row and a parallel meta byte row whose bit 7
- * is the valid flag.
- */
+/** Lowest index i in [0, n) with row[i] == key, or -1. */
 inline int
-findTagScalar(const std::uint64_t *tags, const std::uint8_t *meta,
-              int n, std::uint64_t tag, std::uint8_t valid_bit)
+findKeyScalar(const std::uint64_t *row, int n, std::uint64_t key)
 {
     for (int i = 0; i < n; ++i)
-        if ((meta[i] & valid_bit) && tags[i] == tag)
+        if (row[i] == key)
             return i;
     return -1;
 }
 
+/** findKeyScalar, four keys per 256-bit compare where AVX2 is on. */
 inline int
-findTag(const std::uint64_t *tags, const std::uint8_t *meta, int n,
-        std::uint64_t tag, std::uint8_t valid_bit = 0x80)
+findKey(const std::uint64_t *row, int n, std::uint64_t key)
 {
 #if NECPT_SIMD_AVX2
     const __m256i needle =
-        _mm256_set1_epi64x(static_cast<long long>(tag));
+        _mm256_set1_epi64x(static_cast<long long>(key));
     int i = 0;
     for (; i + 4 <= n; i += 4) {
-        const __m256i row = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(tags + i));
-        unsigned eq = static_cast<unsigned>(_mm256_movemask_pd(
-            _mm256_castsi256_pd(_mm256_cmpeq_epi64(row, needle))));
-        if (!eq)
-            continue;
-        // Fold the four meta valid bits into the low lane bits. assoc
-        // rows are at least 4-aligned in count here, so the 4-byte
-        // load never crosses the row end.
-        unsigned vm = 0;
-        for (int b = 0; b < 4; ++b)
-            vm |= ((meta[i + b] & valid_bit) ? 1u : 0u) << b;
-        eq &= vm;
+        const __m256i keys = _mm256_loadu_si256(
+            reinterpret_cast<const __m256i *>(row + i));
+        const unsigned eq = static_cast<unsigned>(_mm256_movemask_pd(
+            _mm256_castsi256_pd(_mm256_cmpeq_epi64(keys, needle))));
         if (eq)
             return i + __builtin_ctz(eq);
     }
-    for (; i < n; ++i)
-        if ((meta[i] & valid_bit) && tags[i] == tag)
-            return i;
-    return -1;
+    const int tail = findKeyScalar(row + i, n - i, key);
+    return tail < 0 ? -1 : i + tail;
 #else
-    return findTagScalar(tags, meta, n, tag, valid_bit);
+    return findKeyScalar(row, n, key);
 #endif
 }
 

@@ -13,28 +13,23 @@ CuckooWalkCache::CuckooWalkCache(
             levels[s] = std::make_unique<Level>(capacity[s]);
 }
 
-std::optional<std::uint64_t>
+bool
 CuckooWalkCache::lookup(PageSize level, std::uint64_t entry_key)
 {
     Level *cache = levels[static_cast<int>(level)].get();
-    if (!cache) {
-        stats_[static_cast<int>(level)].miss();
-        return std::nullopt;
-    }
-    if (std::uint64_t *payload = cache->find(entry_key)) {
+    if (cache && cache->find(entry_key)) {
         stats_[static_cast<int>(level)].hit();
-        return *payload;
+        return true;
     }
     stats_[static_cast<int>(level)].miss();
-    return std::nullopt;
+    return false;
 }
 
 void
-CuckooWalkCache::fill(PageSize level, std::uint64_t entry_key,
-                      std::uint64_t payload)
+CuckooWalkCache::fill(PageSize level, std::uint64_t entry_key)
 {
     if (Level *cache = levels[static_cast<int>(level)].get())
-        cache->insert(entry_key, payload);
+        cache->insert(entry_key, true);
 }
 
 std::size_t
@@ -51,16 +46,6 @@ CuckooWalkCache::invalidateRange(Addr base, std::uint64_t bytes)
         count += cache->invalidateKeys(base >> shift, last >> shift);
     }
     return count;
-}
-
-void
-CuckooWalkCache::resetStats()
-{
-    for (int s = 0; s < num_page_sizes; ++s) {
-        stats_[s].reset();
-        if (levels[s])
-            levels[s]->resetStats();
-    }
 }
 
 } // namespace necpt

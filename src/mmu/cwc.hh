@@ -24,7 +24,6 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <optional>
 
 #include "common/stats.hh"
 #include "mmu/assoc_cache.hh"
@@ -48,15 +47,14 @@ class CuckooWalkCache
         Cycles latency_cycles = 4);
 
     /**
-     * Look up the cached CWT entry covering @p entry_key at @p level.
-     * @return the 8-byte payload, or nullopt on miss.
+     * Is the CWT entry @p entry_key of @p level cached? The CWC records
+     * residency only: a walk reads the entry's descriptors through the
+     * coherent software CWT.
      */
-    std::optional<std::uint64_t> lookup(PageSize level,
-                                        std::uint64_t entry_key);
+    bool lookup(PageSize level, std::uint64_t entry_key);
 
     /** Install a fetched CWT entry. */
-    void fill(PageSize level, std::uint64_t entry_key,
-              std::uint64_t payload);
+    void fill(PageSize level, std::uint64_t entry_key);
 
     /**
      * Shootdown receive side: drop every cached CWT entry whose
@@ -79,10 +77,15 @@ class CuckooWalkCache
         return stats_[static_cast<int>(level)];
     }
 
-    void resetStats();
+    void
+    resetStats()
+    {
+        for (HitMiss &s : stats_)
+            s.reset();
+    }
 
   private:
-    using Level = AssocCache<std::uint64_t, std::uint64_t>;
+    using Level = AssocCache<bool>;
     std::array<std::unique_ptr<Level>, num_page_sizes> levels;
     std::array<HitMiss, num_page_sizes> stats_;
     Cycles latency_;

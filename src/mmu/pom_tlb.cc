@@ -11,86 +11,47 @@ constexpr std::uint64_t entry_bytes = 16; //!< tag + translation
 }
 
 PomTlb::PomTlb(RegionAllocator &allocator, std::uint64_t sets, int ways)
-    : hash(0x90D71B), num_sets(sets), num_ways(ways)
+    : hash(0x90D71B), num_sets(sets), set_bits(floorLog2(sets)),
+      num_ways(ways),
+      entries(sets * static_cast<std::uint64_t>(ways),
+              static_cast<std::size_t>(ways))
 {
     NECPT_ASSERT(isPowerOf2(sets));
     bytes = num_sets * static_cast<std::uint64_t>(num_ways) * entry_bytes;
     base = allocator.allocRegion(bytes);
-    entries.assign(num_sets * num_ways, Entry{});
 }
 
 Addr
-PomTlb::probeAddr(Addr va) const
+PomTlb::setAddr(std::uint64_t key) const
 {
-    // With the perfect size predictor a probe reads one set; charge the
-    // set's base line. Miss probes use the 4KB key's set.
-    for (auto size : all_page_sizes) {
-        const auto key = keyOf(va, size);
-        const Entry *base_entry = &entries[setOf(key) * num_ways];
-        for (int w = 0; w < num_ways; ++w)
-            if (base_entry[w].valid && base_entry[w].vpn == key)
-                return base + setOf(key) * num_ways * entry_bytes;
-    }
-    return base + setOf(keyOf(va, PageSize::Page4K)) * num_ways
-        * entry_bytes;
+    return base + (key & (num_sets - 1)) * num_ways * entry_bytes;
 }
 
 PomTlb::Result
 PomTlb::lookup(Addr va)
 {
     // Perfect size prediction: the matching size's set is probed
-    // directly, one reference (Section 9.6 methodology).
+    // directly, one reference (Section 9.6 methodology). A miss probe
+    // reads the 4KB key's set.
     for (auto size : all_page_sizes) {
-        const auto key = keyOf(va, size);
-        Entry *base_entry = &entries[setOf(key) * num_ways];
-        for (int w = 0; w < num_ways; ++w) {
-            Entry &e = base_entry[w];
-            if (e.valid && e.vpn == key) {
-                e.lru = ++tick;
-                stats_.hit();
-                return {true, e.translation, probeAddr(va)};
-            }
+        const auto key = keyOf(pageNumber(va, size), size);
+        if (const Translation *t = entries.find(key)) {
+            stats_.hit();
+            return {true, *t, setAddr(key)};
         }
     }
     stats_.miss();
-    return {false, {}, probeAddr(va)};
+    return {false, {},
+            setAddr(keyOf(pageNumber(va, PageSize::Page4K),
+                          PageSize::Page4K))};
 }
 
 void
 PomTlb::install(Addr va, const Translation &translation)
 {
-    const auto key = keyOf(va, translation.size);
-    Entry *base_entry = &entries[setOf(key) * num_ways];
-    Entry *victim = &base_entry[0];
-    for (int w = 0; w < num_ways; ++w) {
-        Entry &e = base_entry[w];
-        if (e.valid && e.vpn == key) {
-            e.translation = translation;
-            e.lru = ++tick;
-            return;
-        }
-        if (!e.valid) {
-            victim = &e;
-            break;
-        }
-        if (e.lru < victim->lru)
-            victim = &e;
-    }
-    *victim = {key, translation, ++tick, true};
-}
-
-bool
-PomTlb::invalidateKey(std::uint64_t key)
-{
-    Entry *base_entry = &entries[setOf(key) * num_ways];
-    for (int w = 0; w < num_ways; ++w) {
-        Entry &e = base_entry[w];
-        if (e.valid && e.vpn == key) {
-            e.valid = false;
-            return true;
-        }
-    }
-    return false;
+    entries.insert(keyOf(pageNumber(va, translation.size),
+                         translation.size),
+                   translation);
 }
 
 std::size_t
@@ -102,9 +63,8 @@ PomTlb::invalidateRange(Addr base_va, std::uint64_t range_bytes)
         const auto lo = pageNumber(base_va, size);
         const auto hi = pageNumber(last, size);
         for (std::uint64_t vpn = lo; vpn <= hi; ++vpn) {
-            count += invalidateKey(
-                         (vpn << 2) | static_cast<std::uint64_t>(size))
-                ? 1 : 0;
+            const auto key = keyOf(vpn, size);
+            count += entries.invalidateKeys(key, key);
         }
     }
     return count;

@@ -7,18 +7,24 @@
  * misses fall back to a full page walk. Per the paper's methodology we
  * model a perfect page-size predictor, so a probe costs a single
  * reference.
+ *
+ * The entries live in one AssocCache. An entry's set is a hash of its
+ * size-tagged VPN, and its key carries that set index in its low
+ * log2(sets) bits, below the size-tagged VPN: the array's power-of-two
+ * set rule then selects the hashed set, and the key still names one
+ * entry. Guest VAs stay below 2^48, so a key stays below 2^58 at the
+ * default 2^20 sets.
  */
 
 #ifndef NECPT_MMU_POM_TLB_HH
 #define NECPT_MMU_POM_TLB_HH
 
 #include <cstdint>
-#include <unordered_map>
-#include <vector>
 
 #include "common/bitops.hh"
 #include "common/hash.hh"
 #include "common/stats.hh"
+#include "mmu/assoc_cache.hh"
 #include "pt/pte.hh"
 
 namespace necpt
@@ -38,7 +44,8 @@ class PomTlb
     PomTlb(RegionAllocator &allocator, std::uint64_t sets = 1ULL << 20,
            int ways = 4);
 
-    /** Functional lookup; on hit also reports the entry's address. */
+    /** Functional lookup; hit or miss, also reports the address of the
+     *  set the probe fetches. */
     struct Result
     {
         bool hit = false;
@@ -47,14 +54,11 @@ class PomTlb
     };
     Result lookup(Addr va);
 
-    /** Entry address that a probe for @p va fetches (hit or miss). */
-    Addr probeAddr(Addr va) const;
-
     /** Install a completed walk's translation. */
     void install(Addr va, const Translation &translation);
 
     /** Shootdown receive side: invalidate every entry overlapping
-     *  [base, base+bytes). Walks the affected sets page by page —
+     *  [base, base+bytes). Visits the affected sets page by page —
      *  never the whole array. Survivors keep their LRU ranks. */
     std::size_t invalidateRange(Addr base, std::uint64_t bytes);
 
@@ -63,37 +67,26 @@ class PomTlb
     std::uint64_t structureBytes() const { return bytes; }
 
   private:
-    struct Entry
+    /** The size-tagged VPN (a 2MB translation occupies one entry) above
+     *  its hashed set index. */
+    std::uint64_t
+    keyOf(std::uint64_t vpn, PageSize size) const
     {
-        std::uint64_t vpn = 0; //!< size-tagged VPN key
-        Translation translation;
-        std::uint64_t lru = 0;
-        bool valid = false;
-    };
-
-    /** Invalidate the entry keyed exactly @p key, LRU-preserving. */
-    bool invalidateKey(std::uint64_t key);
-
-    /** Size-aware key: a 2MB translation occupies one entry. */
-    static std::uint64_t
-    keyOf(Addr va, PageSize size)
-    {
-        return (pageNumber(va, size) << 2)
-            | static_cast<std::uint64_t>(size);
+        const std::uint64_t tag =
+            vpn << 2 | static_cast<std::uint64_t>(size);
+        return tag << set_bits | (hash(tag) & (num_sets - 1));
     }
 
-    std::uint64_t setOf(std::uint64_t key) const
-    {
-        return hash(key) & (num_sets - 1);
-    }
+    /** The DRAM address of @p key's set: a probe reads the set. */
+    Addr setAddr(std::uint64_t key) const;
 
     HashFunction hash;
     Addr base;
     std::uint64_t num_sets;
+    int set_bits;
     int num_ways;
     std::uint64_t bytes;
-    std::vector<Entry> entries;
-    std::uint64_t tick = 0;
+    AssocCache<Translation> entries;
     HitMiss stats_;
 };
 

@@ -80,15 +80,4 @@ TlbHierarchy::holds(Addr va) const
     return false;
 }
 
-void
-TlbHierarchy::resetStats()
-{
-    l1_stats.reset();
-    l2_stats.reset();
-    for (int s = 0; s < num_page_sizes; ++s) {
-        l1[s]->resetStats();
-        l2[s]->resetStats();
-    }
-}
-
 } // namespace necpt

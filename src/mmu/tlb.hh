@@ -19,6 +19,7 @@
 #include <memory>
 
 #include "common/bitops.hh"
+#include "common/stats.hh"
 #include "mmu/assoc_cache.hh"
 #include "pt/pte.hh"
 
@@ -82,12 +83,17 @@ class TlbHierarchy
     /// @{
     const HitMiss &l1Stats() const { return l1_stats; }
     const HitMiss &l2Stats() const { return l2_stats; }
-    void resetStats();
+    void
+    resetStats()
+    {
+        l1_stats.reset();
+        l2_stats.reset();
+    }
     /// @}
 
   private:
     /** One page size's entries: VPN -> frame base. */
-    using SizeTlb = AssocCache<std::uint64_t, Addr>;
+    using SizeTlb = AssocCache<Addr>;
 
     TlbConfig cfg;
     std::array<std::unique_ptr<SizeTlb>, num_page_sizes> l1;

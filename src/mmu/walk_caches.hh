@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "common/bitops.hh"
+#include "common/stats.hh"
 #include "mmu/assoc_cache.hh"
 
 namespace necpt
@@ -58,6 +59,7 @@ class PageWalkCache
     {
         for (int l = min_lvl; l <= max_lvl; ++l)
             caches.push_back(std::make_unique<Level>(entries_per_level));
+        stats_.resize(caches.size());
     }
 
     /** Is the level-@p level entry for @p va cached? */
@@ -66,7 +68,13 @@ class PageWalkCache
     {
         if (level < min_lvl || level > max_lvl)
             return false;
-        return caches[level - min_lvl]->find(prefix(va, level)) != nullptr;
+        const int i = level - min_lvl;
+        if (caches[i]->find(prefix(va, level))) {
+            stats_[i].hit();
+            return true;
+        }
+        stats_[i].miss();
+        return false;
     }
 
     /** Record the level-@p level entry for @p va. */
@@ -97,21 +105,17 @@ class PageWalkCache
     int minLevel() const { return min_lvl; }
     int maxLevel() const { return max_lvl; }
 
-    const HitMiss &
-    stats(int level) const
-    {
-        return caches[level - min_lvl]->stats();
-    }
+    const HitMiss &stats(int level) const { return stats_[level - min_lvl]; }
 
     void
     resetStats()
     {
-        for (auto &c : caches)
-            c->resetStats();
+        for (HitMiss &s : stats_)
+            s.reset();
     }
 
   private:
-    using Level = AssocCache<std::uint64_t, bool>;
+    using Level = AssocCache<bool>;
 
     /** VA bits [47 : index-low-bit(level)] uniquely name the entry. */
     static std::uint64_t
@@ -124,6 +128,7 @@ class PageWalkCache
     int max_lvl;
     Cycles latency_;
     std::vector<std::unique_ptr<Level>> caches;
+    std::vector<HitMiss> stats_;
 };
 
 /**
@@ -142,7 +147,12 @@ class FrameCache
     Addr *
     lookup(Addr gpa)
     {
-        return cache.find(gpa >> 12);
+        Addr *frame = cache.find(gpa >> 12);
+        if (frame)
+            stats_.hit();
+        else
+            stats_.miss();
+        return frame;
     }
 
     void
@@ -161,13 +171,14 @@ class FrameCache
     }
 
     Cycles latency() const { return latency_; }
-    const HitMiss &stats() const { return cache.stats(); }
-    void resetStats() { cache.resetStats(); }
+    const HitMiss &stats() const { return stats_; }
+    void resetStats() { stats_.reset(); }
     std::size_t capacity() const { return cache.capacity(); }
 
   private:
-    AssocCache<std::uint64_t, Addr> cache;
+    AssocCache<Addr> cache;
     Cycles latency_;
+    HitMiss stats_;
 };
 
 /** Nested TLB: guest page-table pages (Figure 2). */

@@ -176,7 +176,7 @@ NestedEcptWalker::refillGuestCwc(Addr gva, const EcptProbePlan &gplan,
             background.push_back(hpa);
         }
 
-        gcwc.fill(level, cwt->entryKey(gva), 1);
+        gcwc.fill(level, cwt->entryKey(gva));
     }
 }
 

@@ -26,9 +26,9 @@ consultLevel(const EcptPageTable &pt, CuckooWalkCache &cwc, Addr va,
     const bool is_pte = level == PageSize::Page4K;
     const bool is_pmd = level == PageSize::Page2M;
 
-    auto cached = cwc.lookup(level, cwt->entryKey(va));
+    const bool cached = cwc.lookup(level, cwt->entryKey(va));
     if (options.adaptive && (is_pte || is_pmd))
-        options.adaptive->record(options.now, level, cached.has_value());
+        options.adaptive->record(options.now, level, cached);
 
     if (!cached) {
         missed = true;
@@ -185,9 +185,8 @@ collectCwcRefills(const EcptPageTable &pt, CuckooWalkCache &cwc, Addr va,
         // Hardware fetches the (2-way) CWT entry...
         cwt->entryProbeAddrs(va, fetch_addrs);
         // ...and installs it. The CWC records residency; descriptor
-        // bits are read through the coherent software CWT at use time,
-        // so the stored value is just a marker.
-        cwc.fill(level, cwt->entryKey(va), 1);
+        // bits are read through the coherent software CWT at use time.
+        cwc.fill(level, cwt->entryKey(va));
     }
 }
 

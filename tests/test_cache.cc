@@ -105,6 +105,9 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_pair(4096ULL, 2),
                       std::make_pair(8192ULL, 4),
                       std::make_pair(32768ULL, 8),
-                      std::make_pair(65536ULL, 16)));
+                      std::make_pair(65536ULL, 16),
+                      // 48 sets: a set count that is not a power of
+                      // two indexes by modulo, like a 3-core L3.
+                      std::make_pair(12288ULL, 4)));
 
 } // namespace necpt

@@ -34,7 +34,7 @@ struct PlanFixture : public ::testing::Test
             const CuckooWalkTable *cwt = pt.cwtOf(level);
             if (!cwt || !cwc.caches(level))
                 continue;
-            cwc.fill(level, cwt->entryKey(va), 1);
+            cwc.fill(level, cwt->entryKey(va));
         }
     }
 
@@ -107,7 +107,7 @@ TEST_F(PlanFixture, PudHitPmdMissGivesPartialWalkInMixedRegion)
     pt.map(0x1000, 0xA000, PageSize::Page4K);
     pt.map(0x40'0000, 0xC0'0000, PageSize::Page2M);
     const CuckooWalkTable *pud = pt.cwtOf(PageSize::Page1G);
-    cwc.fill(PageSize::Page1G, pud->entryKey(0x1000), 1);
+    cwc.fill(PageSize::Page1G, pud->entryKey(0x1000));
     const auto plan = planEcptWalk(pt, cwc, 0x1000, {});
     EXPECT_EQ(plan.kind, WalkKind::Partial);
     EXPECT_EQ(plan.way_mask[static_cast<int>(PageSize::Page1G)], 0u);
@@ -123,7 +123,7 @@ TEST_F(PlanFixture, UniformRegionPinsSizeFromPudAlone)
     // dependence (the mechanism behind the paper's cheap host walks).
     pt.map(0x1000, 0xA000, PageSize::Page4K);
     const CuckooWalkTable *pud = pt.cwtOf(PageSize::Page1G);
-    cwc.fill(PageSize::Page1G, pud->entryKey(0x1000), 1);
+    cwc.fill(PageSize::Page1G, pud->entryKey(0x1000));
     const auto plan = planEcptWalk(pt, cwc, 0x1000, {});
     EXPECT_EQ(plan.kind, WalkKind::Size);
     EXPECT_EQ(plan.way_mask[static_cast<int>(PageSize::Page2M)], 0u);
