@@ -110,7 +110,7 @@ MemoryHierarchy::batchAccess(AddrSpan addrs, Cycles now, int core)
     return result;
 }
 
-TxnId
+void
 MemoryHierarchy::issueBatch(AddrSpan addrs, Cycles now, int core,
                             TxnCallback cb)
 {
@@ -125,7 +125,6 @@ MemoryHierarchy::issueBatch(AddrSpan addrs, Cycles now, int core,
         slots.emplace_back();
     }
     PendingTxn &txn = slots[slot];
-    txn.id = next_txn_id++;
     txn.core = core;
     txn.issued = now;
     txn.completes = now;
@@ -229,14 +228,10 @@ MemoryHierarchy::issueBatch(AddrSpan addrs, Cycles now, int core,
 
     result.latency = finish - now;
     txn.completes = finish;
-    const TxnId id = txn.id;
     live_by_core[static_cast<std::size_t>(core)].push_back(slot);
-    completions.push_back(CompletionKey{finish, id, slot});
+    completions.push_back(CompletionKey{finish, next_issued++, slot});
     std::push_heap(completions.begin(), completions.end(),
                    CompletesLater{});
-    if (completion_sink)
-        completion_sink(finish);
-    return id;
 }
 
 Cycles
@@ -249,7 +244,7 @@ MemoryHierarchy::nextCompletionCycle() const
 void
 MemoryHierarchy::drainUntil(Cycles upto)
 {
-    // The completion heap pops in (completes, id) order — the same
+    // The completion heap pops in (completes, issue order) — the same
     // canonical order the old scanning implementation selected — and
     // transactions a callback issues land on the heap mid-loop, so
     // they drain in this very call when due by @p upto.

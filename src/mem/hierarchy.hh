@@ -14,7 +14,10 @@
  * of MMU requests — issued in waves bounded by the walker issue width,
  * misses bounded by the L2 MSHR count, the batch complete when the
  * slowest member returns — and registers a completion that fires when
- * the simulation reaches that cycle (drainUntil()/drainAll()). MSHR
+ * the simulation reaches that cycle (drainUntil()/drainAll()). The
+ * completion heap is the one record of pending transactions: the event
+ * scheduler reads its front through the CompletionSource interface
+ * and pumps each due cycle once. MSHR
  * occupancy and DRAM bank busy-intervals persist across transactions,
  * so a batch issued while another is still in flight queues behind the
  * resources the earlier one holds. This is how the simulator charges
@@ -109,7 +112,7 @@ struct MemHierarchyConfig
 /**
  * Owning facade over all cache levels and DRAM.
  */
-class MemoryHierarchy
+class MemoryHierarchy final : public CompletionSource
 {
   public:
     MemoryHierarchy(const MemHierarchyConfig &config, int cores);
@@ -151,41 +154,21 @@ class MemoryHierarchy
      * everything issued earlier); @p cb fires when the simulation
      * drains past the completion cycle. An empty @p addrs completes at
      * @p now with a zero result.
-     *
-     * @return the transaction id (also passed back through @p cb's
-     *         BatchResult bookkeeping if needed by the caller).
      */
-    TxnId issueBatch(AddrSpan addrs, Cycles now, int core,
-                     TxnCallback cb = nullptr);
+    void issueBatch(AddrSpan addrs, Cycles now, int core,
+                    TxnCallback cb = nullptr);
 
-    TxnId
+    void
     issueBatch(std::initializer_list<Addr> addrs, Cycles now, int core,
                TxnCallback cb = nullptr)
     {
-        return issueBatch(AddrSpan(addrs.begin(), addrs.size()), now,
-                          core, cb);
+        issueBatch(AddrSpan(addrs.begin(), addrs.size()), now, core, cb);
     }
 
-    /**
-     * Notified at issue time with each new transaction's (already
-     * known) completion cycle. The event loop schedules exactly one
-     * completion event per transaction instead of polling
-     * nextCompletionCycle() and re-arming on every earlier arrival —
-     * the pump churn that dominated overlapped-walk wall-clock.
-     * Non-owning; nullptr detaches.
-     */
-    using CompletionSink = FunctionRef<void(Cycles)>;
-    void setCompletionSink(CompletionSink sink) { completion_sink = sink; }
-
-    /** Any transactions issued but not yet drained? */
-    bool hasPending() const { return !completions.empty(); }
-
-    /** Earliest completion cycle among pending transactions. */
-    Cycles nextCompletionCycle() const;
-
-    /** Fire (in completion order) every transaction that completes at
-     *  or before @p upto — including ones its callbacks issue. */
-    void drainUntil(Cycles upto);
+    // CompletionSource: the completion heap's front, and its drain.
+    bool hasPending() const override { return !completions.empty(); }
+    Cycles nextCompletionCycle() const override;
+    void drainUntil(Cycles upto) override;
 
     /** Drain every pending transaction regardless of cycle. */
     void drainAll();
@@ -237,7 +220,6 @@ class MemoryHierarchy
     /** One issued-but-not-drained transaction. */
     struct PendingTxn
     {
-        TxnId id = invalid_txn;
         int core = 0;
         Cycles issued = 0;
         Cycles completes = 0;
@@ -249,7 +231,6 @@ class MemoryHierarchy
     };
 
     MemHierarchyConfig cfg;
-    CompletionSink completion_sink;
     FaultPlan *fault_plan = nullptr;
     TraceBuffer *tracer_ = nullptr;
     std::vector<std::unique_ptr<SetAssocCache>> l1s;
@@ -265,10 +246,11 @@ class MemoryHierarchy
      *    slots go on the issuing core's free list, so miss_done
      *    capacity survives and steady-state issue/drain never
      *    allocates);
-     *  - @ref completions is a min-heap of (completes, id) over the
-     *    live slots — drainUntil() pops it instead of scanning, and
-     *    the heap order IS the canonical completion order, so the
-     *    drain sequence is unchanged from the scanning implementation;
+     *  - @ref completions is a min-heap of (completes, issue order)
+     *    over the live slots — drainUntil() pops it instead of
+     *    scanning, the heap order IS the canonical completion order,
+     *    and the event scheduler reads its front to pump the next
+     *    due cycle;
      *  - @ref live_by_core lists each core's in-flight slots, so
      *    issueBatch()'s MSHR seed walks only the issuing core's
      *    transactions instead of everyone's.
@@ -279,7 +261,7 @@ class MemoryHierarchy
     struct CompletionKey
     {
         Cycles completes = 0;
-        TxnId id = invalid_txn;
+        std::uint64_t issued = 0; //!< issue order: same-cycle tie-break
         std::uint32_t slot = 0;
     };
 
@@ -291,14 +273,14 @@ class MemoryHierarchy
         {
             if (a.completes != b.completes)
                 return a.completes > b.completes;
-            return a.id > b.id;
+            return a.issued > b.issued;
         }
     };
 
     std::vector<CompletionKey> completions;
     std::vector<std::vector<std::uint32_t>> live_by_core;
     std::vector<std::vector<std::uint32_t>> free_by_core;
-    TxnId next_txn_id = 1;
+    std::uint64_t next_issued = 0;
 
     /** issueBatch() working sets, reused across calls (capacity
      *  retained; issueBatch never recurses). */

@@ -6,10 +6,12 @@
  * A transaction is one parallel group of MMU requests (a walk phase or
  * a background refill burst). The hierarchy schedules every member
  * access at issue time — the wave/MSHR/DRAM-bank math is deterministic
- * — and records the completion cycle; callers either drain completions
- * synchronously (the legacy batchAccess() path) or let the simulator's
- * event loop pump them at the right simulated time, which is what lets
- * independent walks overlap and contend for MSHRs and DRAM banks.
+ * — and records the completion cycle on its completion heap; callers
+ * either drain completions synchronously (the legacy batchAccess()
+ * path) or let the event scheduler pump them at the right simulated
+ * time, reading that heap through the CompletionSource interface,
+ * which is what lets independent walks overlap and contend for MSHRs
+ * and DRAM banks.
  *
  * Address groups cross the interface as AddrSpan views over
  * caller-owned scratch buffers, and completion callbacks are
@@ -33,12 +35,6 @@ namespace necpt
 
 struct BatchResult;
 
-/** Handle for an issued (possibly still in-flight) transaction. */
-using TxnId = std::uint64_t;
-
-/** Sentinel: no transaction. */
-constexpr TxnId invalid_txn = 0;
-
 /** Non-owning view of a parallel request group's byte addresses. */
 using AddrSpan = std::span<const Addr>;
 
@@ -49,6 +45,29 @@ using AddrSpan = std::span<const Addr>;
  */
 using TxnCallback = FunctionRef<void(const BatchResult &batch,
                                      Cycles done)>;
+
+/**
+ * Issued transactions not yet drained, as the event scheduler reads
+ * them (MemoryHierarchy is the source; tests substitute fakes). The
+ * earliest completion cycle is read in place, in O(1) and without
+ * allocating, so the pending set is recorded once, by the source.
+ */
+class CompletionSource
+{
+  public:
+    virtual ~CompletionSource() = default;
+
+    /** Any transactions issued but not yet drained? */
+    virtual bool hasPending() const = 0;
+
+    /** Earliest completion cycle among pending transactions; only
+     *  valid when hasPending(). */
+    virtual Cycles nextCompletionCycle() const = 0;
+
+    /** Fire (in completion order) every transaction that completes at
+     *  or before @p upto — including ones its callbacks issue. */
+    virtual void drainUntil(Cycles upto) = 0;
+};
 
 } // namespace necpt
 

@@ -63,7 +63,7 @@ PomTlbWalker::translate(Addr gva, Cycles now)
     result.translation = walked.translation;
     // The fallback walk's cycles are part of this walk's latency: fold
     // its ledger so our bins conserve the combined total.
-    ledger_.fold(fallback.lastWalkLedger());
+    ledger_.fold(walked.ledger);
     finishWalk(result, now, t + walked.latency,
                1 + walked.mem_accesses);
     // The fallback walker recorded its own stats; fold its traffic into

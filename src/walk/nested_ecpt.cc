@@ -389,10 +389,6 @@ class NestedEcptWalker::Machine : public WalkMachine
         // Invalid here means churn unmapped the page mid-walk (see
         // abortUnmapped); the retire-time coherence check replays.
         w.finishWalk(result, startCycle(), t, fg_requests, &ledger);
-        // Snapshot attribution before finish() fires the continuation:
-        // completion handlers read the machine, not the walker's
-        // transient last-walk ledger.
-        setAttrLedger(w.lastWalkLedger());
         finish(std::move(result), t);
     }
 
@@ -403,7 +399,6 @@ class NestedEcptWalker::Machine : public WalkMachine
     {
         WalkResult result;
         w.finishWalk(result, startCycle(), t, fg_requests, &ledger);
-        setAttrLedger(w.lastWalkLedger());
         finish(std::move(result), t);
     }
 

@@ -57,6 +57,8 @@ struct WalkResult
     Translation translation; //!< effective gVA -> hPA mapping
     Cycles latency = 0;      //!< L2-TLB-miss to completion
     int mem_accesses = 0;    //!< foreground MMU requests issued
+    /** Where the latency went: the bins sum exactly to it. */
+    CycleLedger ledger;
 };
 
 /** Charge one memory-latency decomposition into a ledger. The split
@@ -228,11 +230,6 @@ class Walker
      */
     int coreIndex() const { return core; }
 
-    /** The folded ledger of the most recently finished walk (valid
-     *  after any finishWalk; composite walkers fold it into their own
-     *  ledger to keep nested walks conserving). */
-    const CycleLedger &lastWalkLedger() const { return last_ledger_; }
-
     /** Attach the walk-level event tracer (null detaches; default). */
     void setTracer(TraceBuffer *tracer) { tracer_ = tracer; }
     TraceBuffer *tracer() const { return tracer_; }
@@ -403,7 +400,10 @@ class Walker
      * cycle ledger (the walker's own, or @p walk_ledger for designs
      * whose machines carry one each) into the attr.* aggregates. The
      * fold asserts conservation: the ledger's bins must sum exactly to
-     * the walk's latency.
+     * the walk's latency. The ledger moves into @p result, which
+     * carries it to whoever reads the walk (stall accounting, the
+     * critical-path recorder, a composite walker folding a nested
+     * walk into its own).
      */
     void
     finishWalk(WalkResult &result, Cycles start, Cycles end,
@@ -422,10 +422,10 @@ class Walker
             stats_.attr_cycles[static_cast<size_t>(c)] += cycles;
             stats_.attr_hist[static_cast<size_t>(c)].sample(cycles);
         }
-        last_ledger_ = led;
+        result.ledger = led;
         led.reset();
         if (traceActive()) {
-            const AttrCause top = last_ledger_.dominant();
+            const AttrCause top = result.ledger.dominant();
             tracer_->span("walk", TraceCat::Walk,
                           static_cast<std::uint32_t>(core), start,
                           result.latency,
@@ -433,7 +433,7 @@ class Walker
                            {"attr_top", 0, attrCauseName(top)},
                            {"attr_top_cycles",
                             static_cast<std::int64_t>(
-                                last_ledger_.bin(top))}});
+                                result.ledger.bin(top))}});
             tracer_->endWalk();
         }
     }
@@ -448,9 +448,6 @@ class Walker
      *  finishWalk() folds and resets, so it is always clean between
      *  walks. */
     CycleLedger ledger_;
-    /** Snapshot of the last finished walk's bins (composite designs
-     *  fold a nested walker's lastWalkLedger into their own). */
-    CycleLedger last_ledger_;
 
   private:
     friend class ImmediateWalkMachine;

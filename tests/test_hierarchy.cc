@@ -231,7 +231,7 @@ TEST(Hierarchy, SyncWrapperMatchesAsyncPath)
     EXPECT_EQ(done, 42u + s.latency);
 }
 
-/** drainUntil fires completions in (cycle, id) order and leaves later
+/** drainUntil fires completions in (cycle, issue) order and leaves later
  *  transactions pending. */
 TEST(Hierarchy, DrainUntilOrdersCompletions)
 {

@@ -17,8 +17,9 @@
  *     machines, per-machine ProbeScratch),
  *   - NestedSystem::ensureResident on resident pages under Nested Radix
  *     and Nested ECPTs (the per-access residency check),
- *   - EventScheduler at/armPump/runNext (inline Handler storage, whose
- *     size and triviality sim/sched.hh also checks at compile time).
+ *   - EventScheduler at/runNext, and its pumps of a completion source
+ *     (inline Handler storage, whose size and triviality sim/sched.hh
+ *     also checks at compile time; the source's front read in place).
  *
  * Each test warms the structure first — pools and scratch buffers are
  * allowed to grow to their high-water mark — then snapshots the global
@@ -27,9 +28,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdlib>
+#include <functional>
 #include <new>
 #include <vector>
 
@@ -293,16 +296,40 @@ TEST(HotPathAlloc, NestedEcptWalkSteadyStateIsAllocationFree)
 namespace
 {
 
-/** A core's rhythm on the scheduler: each step arms two memory pumps
- *  for the same completion cycle and re-arms itself, like the
- *  simulator's overlapped-walk loop. */
-struct SchedRig
+/** A core's rhythm on the scheduler: each step issues two memory
+ *  transactions completing at the same cycle and re-arms itself, like
+ *  the simulator's overlapped-walk loop. The rig is the scheduler's
+ *  completion source, a min-heap of pending completion cycles. */
+struct SchedRig final : CompletionSource
 {
     EventScheduler sched;
+    std::vector<Cycles> pending;
     std::uint64_t steps = 0;
     std::uint64_t pumps = 0;
 
-    void onPump(double) { ++pumps; }
+    SchedRig() { sched.setCompletionSource(this); }
+
+    void
+    complete(Cycles cycle)
+    {
+        pending.push_back(cycle);
+        std::push_heap(pending.begin(), pending.end(),
+                       std::greater<Cycles>{});
+    }
+
+    bool hasPending() const override { return !pending.empty(); }
+    Cycles nextCompletionCycle() const override { return pending.front(); }
+
+    void
+    drainUntil(Cycles upto) override
+    {
+        ++pumps;
+        while (!pending.empty() && pending.front() <= upto) {
+            std::pop_heap(pending.begin(), pending.end(),
+                          std::greater<Cycles>{});
+            pending.pop_back();
+        }
+    }
 };
 
 struct RigStep
@@ -316,8 +343,8 @@ struct RigStep
     operator()() const
     {
         ++rig->steps;
-        rig->sched.armPump(at + 3);
-        rig->sched.armPump(at + 3);
+        rig->complete(static_cast<Cycles>(at) + 3);
+        rig->complete(static_cast<Cycles>(at) + 3);
         if (left > 0) {
             const double next = at + 1 + core;
             rig->sched.at(next, core, RigStep{rig, core, next, left - 1});
@@ -330,23 +357,24 @@ struct RigStep
 TEST(HotPathAlloc, EventSchedulerSteadyStateIsAllocationFree)
 {
     SchedRig rig;
-    rig.sched.setPumpSink(
-        EventScheduler::PumpSink::bind<&SchedRig::onPump>(&rig));
     auto round = [&rig](double base) {
         for (int core = 0; core < 4; ++core)
             rig.sched.at(base, core, RigStep{&rig, core, base, 100});
         while (!rig.sched.empty())
             rig.sched.runNext();
     };
-    round(0.0); // warm: the heap and the calendar reach capacity
+    round(0.0); // warm: the event heap and the pending heap reach capacity
 
+    const std::uint64_t warm_pumps = rig.pumps;
     const std::uint64_t allocs = allocationsDuring([&] {
         for (int r = 1; r <= 10; ++r)
             round(1e6 * r);
     });
     EXPECT_EQ(allocs, 0u);
     EXPECT_EQ(rig.steps, 11u * 4 * 101);
-    EXPECT_GT(rig.pumps, 0u);
+    // Each round pumps exactly as often as it did warming up.
+    EXPECT_EQ(rig.pumps, 11 * warm_pumps);
+    EXPECT_GT(warm_pumps, 0u);
 }
 
 } // namespace necpt

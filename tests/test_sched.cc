@@ -1,13 +1,15 @@
 /**
  * @file
  * The event scheduler's commit order: closures by (cycle, priority,
- * sequence), and the memory-pump calendar at priority -1, whose
- * same-cycle entries collapse into one fire numbered at commit.
+ * sequence), and the pumps of its completion source at priority -1,
+ * one per due cycle and numbered at commit.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <string>
 #include <vector>
@@ -21,8 +23,9 @@ namespace
 {
 
 /** Everything a test observes: handler runs in order, pump fires, and
- *  the dependency edges the scheduler reports. */
-struct Recorder final : EventEdgeSink
+ *  the dependency edges the scheduler reports. Also the scheduler's
+ *  completion source: a min-heap of pending completion cycles. */
+struct Recorder final : EventEdgeSink, CompletionSource
 {
     struct Edge
     {
@@ -36,12 +39,21 @@ struct Recorder final : EventEdgeSink
     std::vector<std::string> order;
     std::vector<std::uint64_t> running; //!< runningSeq() at each run
     std::vector<Edge> edges;
+    std::vector<Cycles> pending;
 
     Recorder()
     {
         sched.setEdgeSink(this);
-        sched.setPumpSink(
-            EventScheduler::PumpSink::bind<&Recorder::onPump>(this));
+        sched.setCompletionSource(this);
+    }
+
+    /** A transaction completing at @p cycle. */
+    void
+    complete(Cycles cycle)
+    {
+        pending.push_back(cycle);
+        std::push_heap(pending.begin(), pending.end(),
+                       std::greater<Cycles>{});
     }
 
     void
@@ -51,11 +63,19 @@ struct Recorder final : EventEdgeSink
         edges.push_back({seq, parent, cycle, prio});
     }
 
+    bool hasPending() const override { return !pending.empty(); }
+    Cycles nextCompletionCycle() const override { return pending.front(); }
+
     void
-    onPump(double cycle)
+    drainUntil(Cycles upto) override
     {
-        order.push_back("pump@" + std::to_string(static_cast<int>(cycle)));
+        order.push_back("pump@" + std::to_string(upto));
         running.push_back(sched.runningSeq());
+        while (!pending.empty() && pending.front() <= upto) {
+            std::pop_heap(pending.begin(), pending.end(),
+                          std::greater<Cycles>{});
+            pending.pop_back();
+        }
     }
 
     void
@@ -79,6 +99,20 @@ struct Mark
     }
 };
 
+/** A closure that completes every pending transaction ahead of its
+ *  cycle, as a synchronous drainAll() does. */
+struct DrainAll
+{
+    Recorder *rec;
+
+    void
+    operator()() const
+    {
+        rec->order.push_back("drain-all");
+        rec->pending.clear();
+    }
+};
+
 } // namespace
 
 TEST(EventScheduler, OrdersByCycleThenPriorityThenSequence)
@@ -91,7 +125,6 @@ TEST(EventScheduler, OrdersByCycleThenPriorityThenSequence)
     EXPECT_EQ(s.at(10.0, -2, Mark{&rec, "c10p-2"}), 3u);
     EXPECT_EQ(s.at(10.0, 1, Mark{&rec, "c10p1-second"}), 4u);
     EXPECT_EQ(s.at(5.5, 7, Mark{&rec, "c5.5p7"}), 5u);
-    EXPECT_DOUBLE_EQ(s.nextCycle(), 5.5);
     rec.drain();
 
     const std::vector<std::string> want{
@@ -105,21 +138,21 @@ TEST(EventScheduler, OrdersByCycleThenPriorityThenSequence)
 
 TEST(EventScheduler, PumpRunsAfterCoherenceAndBeforeCoresAtSameCycle)
 {
-    // Arming order must not matter: the calendar's priority -1 decides.
+    // Issue order must not matter: the pumps' priority -1 decides.
     Recorder rec;
     EventScheduler &s = rec.sched;
     s.at(50.0, std::numeric_limits<std::int64_t>::max(),
          Mark{&rec, "sample"});
     s.at(50.0, 0, Mark{&rec, "core0"});
-    s.armPump(50.0);
+    rec.complete(50);
     s.at(50.0, -2, Mark{&rec, "round"});
-    s.armPump(40.0);
-    EXPECT_DOUBLE_EQ(s.nextCycle(), 40.0);
+    rec.complete(40);
     rec.drain();
 
     const std::vector<std::string> want{"pump@40", "round", "pump@50",
                                         "core0", "sample"};
     EXPECT_EQ(rec.order, want);
+    EXPECT_TRUE(rec.pending.empty());
 }
 
 TEST(EventScheduler, SameCyclePumpsFireOnceUnderOneSequence)
@@ -127,9 +160,9 @@ TEST(EventScheduler, SameCyclePumpsFireOnceUnderOneSequence)
     Recorder rec;
     EventScheduler &s = rec.sched;
     s.at(5.0, 0, Mark{&rec, "core0"}); // seq 0
-    s.armPump(30.0);
-    s.armPump(30.0);
-    s.armPump(30.0);
+    rec.complete(30);
+    rec.complete(30);
+    rec.complete(30);
     s.at(60.0, 1, Mark{&rec, "core1"}); // seq 1
     rec.drain();
 
@@ -144,6 +177,26 @@ TEST(EventScheduler, SameCyclePumpsFireOnceUnderOneSequence)
     EXPECT_EQ(rec.edges[2].parent, EventScheduler::no_event);
     EXPECT_DOUBLE_EQ(rec.edges[2].cycle, 30.0);
     EXPECT_EQ(rec.edges[2].prio, EventScheduler::pump_prio);
+}
+
+TEST(EventScheduler, PumpsOnlyWhatIsStillPending)
+{
+    // Completions drained ahead of their cycle leave nothing to pump:
+    // no fire, no sequence number, no edge.
+    Recorder rec;
+    EventScheduler &s = rec.sched;
+    EXPECT_TRUE(s.empty());
+    rec.complete(30);
+    rec.complete(40);
+    EXPECT_FALSE(s.empty());
+    s.at(10.0, 0, DrainAll{&rec}); // seq 0
+    s.at(35.0, 0, Mark{&rec, "core0"}); // seq 1
+    rec.drain();
+
+    const std::vector<std::string> want{"drain-all", "core0"};
+    EXPECT_EQ(rec.order, want);
+    EXPECT_EQ(rec.edges.size(), 2u);
+    EXPECT_TRUE(s.empty());
 }
 
 } // namespace necpt
