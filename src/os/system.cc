@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 
 #include "common/error.hh"
 #include "common/fault.hh"
@@ -283,19 +284,31 @@ NestedSystem::balloonOut(Addr gva)
     // covering the frame; a host huge page may also back neighboring
     // gPAs — they simply refault on next use (no data to preserve in
     // this model).
+    constexpr PageSize base = PageSize::Page4K;
     Addr gpa = info.old_guest.pa;
     const Addr end = gpa + pageBytes(info.old_guest.size);
     while (gpa < end) {
         const Translation h = host_pt->lookup(gpa);
-        if (!h.valid) {
-            gpa = pageBase(gpa, PageSize::Page4K)
-                + pageBytes(PageSize::Page4K);
+        if (h.valid) {
+            const Addr hpage = pageBase(gpa, h.size);
+            host_pt->unmap(hpage, h.size);
+            host_pool->freeFrame(h.pa, h.size);
+            gpa = hpage + pageBytes(h.size);
             continue;
         }
-        const Addr hpage = pageBase(gpa, h.size);
-        host_pt->unmap(hpage, h.size);
-        host_pool->freeFrame(h.pa, h.size);
-        gpa = hpage + pageBytes(h.size);
+        // Unbacked: one query covers the rest of this table block, and
+        // the walk steps straight to its next backed page or past the
+        // block. (Only a 4KB guest page ends inside a block, and it is
+        // done after its one page.)
+        gpa += pageBytes(base);
+        const int in_block = static_cast<int>(
+            pageNumber(gpa, base) % PageTable::block_pages);
+        if (gpa >= end || in_block == 0)
+            continue;
+        const int left = PageTable::block_pages - in_block;
+        const std::uint32_t backed = host_pt->mappedMask(gpa, left);
+        gpa += static_cast<Addr>(backed ? std::countr_zero(backed) : left)
+            * pageBytes(base);
     }
     return info;
 }

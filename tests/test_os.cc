@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <map>
 #include <ostream>
 #include <sstream>
@@ -717,6 +718,79 @@ INSTANTIATE_TEST_SUITE_P(
         PrefaultCase{"EcptGuestThp", PtKind::Ecpt, PtKind::Ecpt, true,
                      false},
         PrefaultCase{"HybridHost", PtKind::Radix, PtKind::Ecpt, false,
+                     false}),
+    caseName<PrefaultCase>);
+
+class BalloonOut : public ::testing::TestWithParam<PrefaultCase>
+{};
+
+/**
+ * Ballooning a guest 2MB page out over a host range that is only
+ * partly backed releases the same host frames, in the same order, as
+ * releasing the range page by page with one host lookup per 4KB page:
+ * the frames either host pool hands out next come back identical.
+ */
+TEST_P(BalloonOut, FreesWhatThePerPageLoopFrees)
+{
+    const PrefaultCase &c = GetParam();
+    auto cfg = smallSystem(c.guest, c.host, false);
+    cfg.guest_thp = c.guest_thp;
+    cfg.host_thp = c.host_thp;
+    cfg.guest_thp_coverage = 1.0;
+    // The backed 4KB pages of the guest page: block edges, a run over
+    // a block boundary, one whole block and the page's last page.
+    constexpr int backed[] = {0,  1,  7,  8,  13, 15, 16,  40,  64,  65,
+                              66, 67, 68, 69, 70, 71, 255, 256, 511};
+    NestedSystem fast(cfg), ref(cfg);
+    Addr gpa = 0;
+    for (NestedSystem *sys : {&fast, &ref}) {
+        const Addr base = sys->mmapRegion(4ULL << 20, true);
+        for (const int page : backed)
+            sys->ensureResident(base + static_cast<Addr>(page) * 4096);
+        const Translation g = sys->guestTranslate(base);
+        ASSERT_EQ(g.size, PageSize::Page2M);
+        ASSERT_TRUE(gpa == 0 || gpa == g.pa);
+        gpa = g.pa;
+    }
+    const std::uint64_t used = fast.hostPool().usedBytes();
+    auto hostTable = [&c](NestedSystem &sys) -> PageTable & {
+        if (c.host == PtKind::Ecpt)
+            return *sys.hostEcpt();
+        return *sys.hostRadix();
+    };
+
+    ASSERT_TRUE(fast.balloonOut(fast.vmaRange(0).first).ok);
+    // The reference: every 4KB page asks the host table (the guest
+    // side of the balloon is not compared).
+    PageTable &ref_host = hostTable(ref);
+    for (Addr at = gpa; at < gpa + (2ULL << 20);) {
+        const Translation h = ref_host.lookup(at);
+        if (!h.valid) {
+            at += 4096;
+            continue;
+        }
+        const Addr hpage = pageBase(at, h.size);
+        ref_host.unmap(hpage, h.size);
+        ref.hostPool().freeFrame(h.pa, h.size);
+        at = hpage + pageBytes(h.size);
+    }
+
+    EXPECT_EQ(used - fast.hostPool().usedBytes(),
+              std::size(backed) * 4096);
+    EXPECT_EQ(fast.hostPool().usedBytes(), ref.hostPool().usedBytes());
+    for (Addr at = gpa; at < gpa + (2ULL << 20); at += 4096)
+        ASSERT_FALSE(hostTable(fast).lookup(at).valid) << std::hex << at;
+    for (std::size_t i = 0; i < std::size(backed) + 4; ++i)
+        ASSERT_EQ(fast.hostPool().allocFrame(PageSize::Page4K),
+                  ref.hostPool().allocFrame(PageSize::Page4K))
+            << i;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Hosts, BalloonOut,
+    ::testing::Values(
+        PrefaultCase{"EcptHost", PtKind::Ecpt, PtKind::Ecpt, true, false},
+        PrefaultCase{"RadixHost", PtKind::Radix, PtKind::Radix, true,
                      false}),
     caseName<PrefaultCase>);
 
