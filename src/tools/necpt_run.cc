@@ -86,7 +86,9 @@ usage(const char *prog)
         "  --radix-levels N    4 or 5 (LA57)\n"
         "  --csv FILE          append a CSV row (header if new file)\n"
         "  --json              print the result as JSON, with the\n"
-        "                      host seconds of each phase (host_time)\n"
+        "                      host seconds of each phase (host_time),\n"
+        "                      as the only output on stdout (the text\n"
+        "                      summary goes to stderr)\n"
         "  --stats-json FILE   dump the unified metrics registry\n"
         "                      (every component counter) as JSON\n"
         "  --trace-walks[=N]   record walk-level trace events, every\n"
@@ -264,42 +266,45 @@ run(int argc, char **argv)
         result = sim.run(app_name);
     }
 
-    std::printf("%-22s %-10s\n", result.config.c_str(),
-                result.app.c_str());
-    std::printf("  cycles            %llu\n",
-                (unsigned long long)result.cycles);
-    std::printf("  instructions      %llu  (IPC %.3f)\n",
-                (unsigned long long)result.instructions,
-                result.cycles ? static_cast<double>(result.instructions)
-                        / result.cycles : 0.0);
-    std::printf("  MMU busy cycles   %llu  (%.1f/walk)\n",
-                (unsigned long long)result.mmu_busy_cycles,
-                result.walks ? static_cast<double>(
-                    result.mmu_busy_cycles) / result.walks : 0.0);
-    std::printf("  walks             %llu  (L2 TLB misses %llu)\n",
-                (unsigned long long)result.walks,
-                (unsigned long long)result.l2_tlb_misses);
-    std::printf("  MMU requests      %llu  (RPKI %.1f)\n",
-                (unsigned long long)result.mmu_requests,
-                result.mmu_rpki);
+    // With --json, stdout carries the JSON object alone, so a script
+    // can parse the whole stream; the text summary moves to stderr.
+    std::FILE *const text = json ? stderr : stdout;
+    std::fprintf(text, "%-22s %-10s\n", result.config.c_str(),
+                 result.app.c_str());
+    std::fprintf(text, "  cycles            %llu\n",
+                 (unsigned long long)result.cycles);
+    std::fprintf(text, "  instructions      %llu  (IPC %.3f)\n",
+                 (unsigned long long)result.instructions,
+                 result.cycles ? static_cast<double>(result.instructions)
+                         / result.cycles : 0.0);
+    std::fprintf(text, "  MMU busy cycles   %llu  (%.1f/walk)\n",
+                 (unsigned long long)result.mmu_busy_cycles,
+                 result.walks ? static_cast<double>(
+                     result.mmu_busy_cycles) / result.walks : 0.0);
+    std::fprintf(text, "  walks             %llu  (L2 TLB misses %llu)\n",
+                 (unsigned long long)result.walks,
+                 (unsigned long long)result.l2_tlb_misses);
+    std::fprintf(text, "  MMU requests      %llu  (RPKI %.1f)\n",
+                 (unsigned long long)result.mmu_requests,
+                 result.mmu_rpki);
     if (params.max_outstanding_walks > 1)
-        std::printf("  in-flight walks   %.2f avg, %llu peak\n",
-                    result.walk_inflight_avg,
-                    (unsigned long long)result.walk_inflight_max);
+        std::fprintf(text, "  in-flight walks   %.2f avg, %llu peak\n",
+                     result.walk_inflight_avg,
+                     (unsigned long long)result.walk_inflight_max);
     if (params.walk_coalescing) {
         const auto it = result.metrics.find("walk.coalesced");
         const double merged =
             it != result.metrics.end() ? it->second : 0.0;
-        std::printf("  coalesced walks   %.0f  (%.1f%% of walks)\n",
-                    merged,
-                    result.walks ? 100.0 * merged
-                            / static_cast<double>(result.walks)
-                                 : 0.0);
+        std::fprintf(text, "  coalesced walks   %.0f  (%.1f%% of walks)\n",
+                     merged,
+                     result.walks ? 100.0 * merged
+                             / static_cast<double>(result.walks)
+                                  : 0.0);
     }
     if (result.step_avg[0] > 0)
-        std::printf("  step accesses     %.1f / %.1f / %.1f\n",
-                    result.step_avg[0], result.step_avg[1],
-                    result.step_avg[2]);
+        std::fprintf(text, "  step accesses     %.1f / %.1f / %.1f\n",
+                     result.step_avg[0], result.step_avg[1],
+                     result.step_avg[2]);
     if (result.walks) {
         // Top-3 attribution causes: where walk cycles actually went.
         struct Share { double share = 0; const char *name = nullptr; };
@@ -317,13 +322,13 @@ run(int argc, char **argv)
                       return a.share > b.share;
                   });
         if (!shares.empty()) {
-            std::printf("  walk cycles go to");
+            std::fprintf(text, "  walk cycles go to");
             const std::size_t top = std::min<std::size_t>(3,
                                                           shares.size());
             for (std::size_t i = 0; i < top; ++i)
-                std::printf("%s %s %.1f%%", i ? "," : "",
-                            shares[i].name, 100.0 * shares[i].share);
-            std::printf("\n");
+                std::fprintf(text, "%s %s %.1f%%", i ? "," : "",
+                             shares[i].name, 100.0 * shares[i].share);
+            std::fprintf(text, "\n");
         }
     }
     if (params.churn.enabled()) {
@@ -331,18 +336,18 @@ run(int argc, char **argv)
             const auto it = result.metrics.find(name);
             return it == result.metrics.end() ? 0.0 : it->second;
         };
-        std::printf("  churn ops         %.0f  (%s)\n",
-                    metric("churn.ops"),
-                    churnSpecToString(params.churn).c_str());
-        std::printf("  shootdown rounds  %.0f  (%.0f invalidations, "
-                    "%.0f entries dropped)\n",
-                    metric("shootdown.rounds"),
-                    metric("shootdown.invalidations"),
-                    metric("shootdown.entries.dropped"));
-        std::printf("  round latency     %.0f cycles mean  "
-                    "(%.0f walk replays)\n",
-                    metric("shootdown.latency.mean"),
-                    metric("shootdown.walk_replays"));
+        std::fprintf(text, "  churn ops         %.0f  (%s)\n",
+                     metric("churn.ops"),
+                     churnSpecToString(params.churn).c_str());
+        std::fprintf(text, "  shootdown rounds  %.0f  (%.0f invalidations, "
+                     "%.0f entries dropped)\n",
+                     metric("shootdown.rounds"),
+                     metric("shootdown.invalidations"),
+                     metric("shootdown.entries.dropped"));
+        std::fprintf(text, "  round latency     %.0f cycles mean  "
+                     "(%.0f walk replays)\n",
+                     metric("shootdown.latency.mean"),
+                     metric("shootdown.walk_replays"));
     }
 
     if (!csv_path.empty()) {
@@ -395,7 +400,7 @@ run(int argc, char **argv)
                      timeseries->series().size());
     }
     if (critical_path)
-        std::printf("%s", critical_path->report().c_str());
+        std::fprintf(text, "%s", critical_path->report().c_str());
     return 0;
 }
 

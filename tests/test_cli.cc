@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <iterator>
 #include <ostream>
@@ -42,13 +43,15 @@ struct CliCase
     }
 };
 
-/** Run @p tool with @p args under the extra environment @p env;
- *  @return (exit status, merged output). */
+/** Run @p tool with @p args under the extra environment @p env, its
+ *  stderr redirected by @p stderr_to;
+ *  @return (exit status, output: merged with stderr by default). */
 std::pair<int, std::string>
 runCli(const std::string &tool, const std::string &args,
-       const std::string &env)
+       const std::string &env, const std::string &stderr_to = "2>&1")
 {
-    const std::string cmd = env + " \"" + tool + "\" " + args + " 2>&1";
+    const std::string cmd =
+        env + " \"" + tool + "\" " + args + " " + stderr_to;
     std::FILE *pipe = popen(cmd.c_str(), "r");
     if (!pipe)
         return {-1, "popen failed"};
@@ -211,6 +214,31 @@ TEST(NecptRun, CoresShareTheL3AndDramLikeTheGrids)
     necpt::configureSharedResources(shared, params.cores);
     EXPECT_EQ(cli_cycles, necpt::runSim(shared, params, "GUPS").cycles);
     EXPECT_NE(cli_cycles, necpt::runSim(one_share, params, "GUPS").cycles);
+}
+
+/** With --json, stdout is the JSON object and nothing else: the text
+ *  summary and the --critical-path report go to stderr, so the whole
+ *  stream parses. */
+TEST(NecptRun, JsonIsTheWholeStdout)
+{
+    const auto [code, out] = runCli(
+        NECPT_RUN_PATH,
+        "--config \"Nested ECPTs\" --app GUPS --warmup 1 --measure 1 "
+        "--scale 1024 --json --critical-path --quiet",
+        "", "2>/dev/null");
+    ASSERT_EQ(code, 0) << out;
+    const std::string path = "test_cli_stdout.json";
+    {
+        std::ofstream file(path);
+        file << out;
+    }
+    const int parsed = std::system(
+        ("python3 -c 'import json, sys; json.load(open(sys.argv[1]))' "
+         + path)
+            .c_str());
+    std::remove(path.c_str());
+    EXPECT_TRUE(WIFEXITED(parsed) && WEXITSTATUS(parsed) == 0) << out;
+    EXPECT_NE(out.find("\"host_time\""), std::string::npos) << out;
 }
 
 /** Every core count the Simulator accepts (1-8) runs to exit 0. The

@@ -8,10 +8,10 @@
 The command's standard output goes to --out. Peak RSS is the largest
 resident set of the command, resource.getrusage(RUSAGE_CHILDREN)
 .ru_maxrss (KiB on Linux). Prints the peak, the wall time and, when
-the last line of the output is a JSON object with "host_time" (as
-necpt-run --json prints after its summary), its per-phase host
-seconds. Exit 0 when the command exits 0 within the bound, 1
-otherwise.
+the last line of the output is a JSON object with "host_time" (under
+--json, necpt-run prints that object as its whole standard output and
+its text summary on standard error), its per-phase host seconds. Exit
+0 when the command exits 0 within the bound, 1 otherwise.
 """
 
 import argparse
