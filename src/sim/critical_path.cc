@@ -12,13 +12,8 @@ const char *
 simEventKindName(SimEventKind kind)
 {
     switch (kind) {
-      case SimEventKind::EvUnknown: return "unknown";
       case SimEventKind::EvStep: return "step";
-      case SimEventKind::EvPump: return "pump";
       case SimEventKind::EvRetire: return "retire";
-      case SimEventKind::EvChurn: return "churn";
-      case SimEventKind::EvRound: return "round";
-      case SimEventKind::EvSample: return "sample";
     }
     return "?";
 }
@@ -28,74 +23,75 @@ CriticalPathRecorder::CriticalPathRecorder(int cores, int top_k)
       top_k_(top_k > 0 ? top_k : 1)
 {}
 
-void
-CriticalPathRecorder::onEvent(std::uint64_t seq, std::uint64_t parent,
-                              double cycle, std::int64_t, std::uint8_t kind)
+CriticalPathRecorder::CoreState &
+CriticalPathRecorder::state(int core)
 {
-    // Attached before the first at() call, so seq indexes nodes_ densely.
-    NECPT_ASSERT(seq == nodes_.size());
-    nodes_.push_back(Node{parent, cycle, kind});
+    NECPT_ASSERT(core >= 0
+                 && static_cast<std::size_t>(core) < cores_.size());
+    return cores_[static_cast<std::size_t>(core)];
 }
 
 void
-CriticalPathRecorder::noteWalk(std::uint64_t seq, int core,
-                               const CycleLedger &led,
+CriticalPathRecorder::stepScheduled(int core, double at)
+{
+    CoreState &cs = state(core);
+    cs.pending = cs.started ? cs.latest.then(at, SimEventKind::EvStep)
+                            : Spine{at, at};
+}
+
+void
+CriticalPathRecorder::stepRuns(int core)
+{
+    CoreState &cs = state(core);
+    cs.latest = cs.pending;
+    cs.started = true;
+}
+
+void
+CriticalPathRecorder::noteWalk(int core, const CycleLedger &led,
                                std::uint64_t latency)
 {
-    if (core < 0 || static_cast<std::size_t>(core) >= cores_.size())
-        return;
-    CoreState &cs = cores_[static_cast<std::size_t>(core)];
+    CoreState &cs = state(core);
     ++cs.walks;
     cs.walk_cycles += latency;
     if (led.total() > 0)
         ++cs.dominant_walks[static_cast<int>(led.dominant())];
-    if (seq != no_parent)
-        cs.tail = seq;
 }
 
 void
-CriticalPathRecorder::noteStall(std::uint64_t seq, int core,
-                                double cycles, const CycleLedger &led)
+CriticalPathRecorder::retire(int core, const Spine &issue, double at,
+                             const CycleLedger &led,
+                             std::uint64_t latency)
+{
+    state(core).latest = issue.then(at, SimEventKind::EvRetire);
+    noteWalk(core, led, latency);
+}
+
+void
+CriticalPathRecorder::noteStall(int core, double at, double cycles,
+                                const CycleLedger &led)
 {
     if (cycles <= 0)
         return;
-    if (core < 0 || static_cast<std::size_t>(core) >= cores_.size())
-        return;
-    CoreState &cs = cores_[static_cast<std::size_t>(core)];
+    CoreState &cs = state(core);
     cs.stall_cycles += cycles;
     ++cs.stall_episodes;
-    Stall s;
-    s.cycles = cycles;
-    s.seq = seq;
-    s.cause = led.total() > 0 ? static_cast<int>(led.dominant()) : -1;
-    if (seq != no_parent && seq < nodes_.size())
-        s.at = nodes_[seq].cycle;
-    keepTopStall(cs, s);
-}
-
-void
-CriticalPathRecorder::noteCoreEvent(std::uint64_t seq, int core)
-{
-    if (core < 0 || static_cast<std::size_t>(core) >= cores_.size())
+    const Stall s{cycles, at,
+                  led.total() > 0 ? static_cast<int>(led.dominant())
+                                  : -1};
+    // Longest first, then earliest; an equal stall stays behind the
+    // ones recorded before it.
+    const auto later = std::find_if(
+        cs.top_stalls.begin(), cs.top_stalls.end(),
+        [&s](const Stall &e) {
+            return e.cycles != s.cycles ? e.cycles < s.cycles
+                                        : e.at > s.at;
+        });
+    if (later - cs.top_stalls.begin() >= top_k_)
         return;
-    if (seq != no_parent)
-        cores_[static_cast<std::size_t>(core)].tail = seq;
-}
-
-void
-CriticalPathRecorder::keepTopStall(CoreState &cs, const Stall &s)
-{
-    cs.top_stalls.push_back(s);
-    std::sort(cs.top_stalls.begin(), cs.top_stalls.end(),
-              [](const Stall &a, const Stall &b) {
-                  if (a.cycles != b.cycles)
-                      return a.cycles > b.cycles;
-                  if (a.at != b.at)
-                      return a.at < b.at;
-                  return a.seq < b.seq;
-              });
+    cs.top_stalls.insert(later, s);
     if (cs.top_stalls.size() > static_cast<std::size_t>(top_k_))
-        cs.top_stalls.resize(static_cast<std::size_t>(top_k_));
+        cs.top_stalls.pop_back();
 }
 
 namespace
@@ -129,44 +125,20 @@ CriticalPathRecorder::report() const
     out += std::to_string(top_k_);
     out += " stalls)\n";
 
-    constexpr int num_kinds = 7;
+    constexpr int num_kinds = num_sim_event_kinds;
     for (std::size_t core = 0; core < cores_.size(); ++core) {
         const CoreState &cs = cores_[core];
         out += "core " + std::to_string(core) + ":";
-        if (cs.tail == no_parent || cs.tail >= nodes_.size()) {
+        if (!cs.started) {
             out += " no recorded events\n";
             continue;
         }
 
-        // Walk the spine: the chain of scheduling edges ending at the
-        // core's last issue/retire event. Each edge's duration is
-        // charged to the kind of the event at its head.
-        double by_kind[num_kinds] = {};
-        std::uint64_t edges = 0;
-        std::uint64_t node = cs.tail;
-        const double tail_cycle = nodes_[cs.tail].cycle;
-        double spine_start = nodes_[cs.tail].cycle;
-        while (node != no_parent) {
-            const Node &n = nodes_[node];
-            spine_start = n.cycle;
-            const std::uint64_t parent = n.parent;
-            if (parent == no_parent)
-                break;
-            NECPT_ASSERT(parent < node); // edges point backwards in time
-            const double dt = n.cycle - nodes_[parent].cycle;
-            const int kind =
-                n.kind < num_kinds ? n.kind
-                                   : static_cast<int>(
-                                         SimEventKind::EvUnknown);
-            by_kind[kind] += dt > 0 ? dt : 0;
-            ++edges;
-            node = parent;
-        }
-        const double spine = tail_cycle - spine_start;
-
+        const Spine &path = cs.latest;
+        const double spine = path.end - path.start;
         out += " spine " + fmt1(spine) + " cycles over " +
-               std::to_string(edges) + " edges (ends cycle " +
-               fmt1(tail_cycle) + ")\n";
+               std::to_string(path.edges) + " edges (ends cycle " +
+               fmt1(path.end) + ")\n";
 
         // Kind shares, largest first; deterministic tie-break on the
         // enum order.
@@ -174,20 +146,20 @@ CriticalPathRecorder::report() const
         for (int k = 0; k < num_kinds; ++k)
             order[k] = k;
         std::sort(order, order + num_kinds, [&](int a, int b) {
-            if (by_kind[a] != by_kind[b])
-                return by_kind[a] > by_kind[b];
+            if (path.cycles[a] != path.cycles[b])
+                return path.cycles[a] > path.cycles[b];
             return a < b;
         });
         out += "  spine by event kind:";
         bool any = false;
         for (int i = 0; i < num_kinds; ++i) {
             const int k = order[i];
-            if (by_kind[k] <= 0)
+            if (path.cycles[k] <= 0)
                 continue;
             out += std::string(" ") +
                    simEventKindName(static_cast<SimEventKind>(k)) +
-                   " " + pct(by_kind[k], spine) + " (" +
-                   fmt1(by_kind[k]) + ")";
+                   " " + pct(path.cycles[k], spine) + " (" +
+                   fmt1(path.cycles[k]) + ")";
             any = true;
         }
         if (!any)
@@ -228,7 +200,7 @@ CriticalPathRecorder::report() const
 
         out += "  mlp-cap stalls: " + fmt1(cs.stall_cycles) +
                " cycles over " + std::to_string(cs.stall_episodes) +
-               " episodes (" + pct(cs.stall_cycles, tail_cycle) +
+               " episodes (" + pct(cs.stall_cycles, path.end) +
                " of core time)\n";
         for (std::size_t i = 0; i < cs.top_stalls.size(); ++i) {
             const Stall &s = cs.top_stalls[i];

@@ -14,6 +14,10 @@
  * pure function of its inputs — the property the sweep engine's
  * byte-identical-at-any---jobs contract rests on.
  *
+ * The scheduler only orders events: it does not know what an event
+ * does or which event caused it. Whoever needs causality (the
+ * critical-path recorder) keeps it in the state the events share.
+ *
  * Handlers are stored inline: an event closure must be trivially
  * copyable and fit handler_bytes (both checked at compile time), which
  * every simulator event satisfies by capturing a pointer to long-lived
@@ -41,23 +45,6 @@
 
 namespace necpt
 {
-
-/**
- * Observer for the scheduler's event-dependency graph. When attached,
- * every scheduled event is reported together with the sequence number
- * of the event whose handler scheduled it (its parent) — the edges of
- * the run's happens-because DAG, which the critical-path analyzer
- * walks backwards to explain end-to-end latency. @c kind is an opaque
- * caller-defined tag (the simulator passes SimEventKind).
- */
-class EventEdgeSink
-{
-  public:
-    virtual ~EventEdgeSink() = default;
-    virtual void onEvent(std::uint64_t seq, std::uint64_t parent,
-                         double cycle, std::int64_t priority,
-                         std::uint8_t kind) = 0;
-};
 
 /**
  * A (cycle, priority, sequence)-ordered run queue of closures, plus
@@ -104,72 +91,33 @@ class EventScheduler
         void (*invoke)(const void *) = nullptr;
     };
 
-    /**
-     * Enqueue @p fn at @p cycle with tie-break priority @p prio.
-     * @p kind is an opaque tag forwarded to the edge sink (unused —
-     * one dead branch — when no sink is attached).
-     * @return the event's sequence number.
-     */
-    std::uint64_t
-    at(double cycle, std::int64_t prio, Handler fn,
-       std::uint8_t kind = 0)
-    {
-        return after(running_seq, cycle, prio, fn, kind);
-    }
-
-    /**
-     * at(), reporting @p parent to the edge sink as the event this one
-     * depends on, in place of the running event: for work an earlier
-     * event set in motion and the running one merely finished, such as
-     * a walk that a step issued and a completion pump completed.
-     */
-    std::uint64_t
-    after(std::uint64_t parent, double cycle, std::int64_t prio,
-          Handler fn, std::uint8_t kind = 0)
+    /** Enqueue @p fn at @p cycle with tie-break priority @p prio. */
+    void
+    at(double cycle, std::int64_t prio, Handler fn)
     {
         // A closure at the pumps' priority would be order-ambiguous
         // against a pump at the same cycle.
         NECPT_ASSERT(prio != pump_prio);
-        const std::uint64_t seq = next_seq++;
-        heap.push_back(Event{cycle, prio, seq, fn});
+        heap.push_back(Event{cycle, prio, next_seq++, fn});
         std::push_heap(heap.begin(), heap.end(), After{});
-        if (edges)
-            edges->onEvent(seq, parent, cycle, prio, kind);
-        return seq;
     }
 
     /**
-     * Attach (or detach, with nullptr) the dependency observer. Attach
-     * before the first at() call so sinks can index nodes by seq.
-     */
-    void setEdgeSink(EventEdgeSink *sink) { edges = sink; }
-
-    /**
-     * Pump the pending completions of @p source (nullptr detaches),
-     * reporting each pump to the edge sink with tag @p kind.
+     * Pump the pending completions of @p source (nullptr detaches).
      *
      * The source's earliest completion cycle is read in place, so a
      * completion is never recorded twice. When it is the next thing
      * due — after same-cycle events below priority -1, before those
      * above — runNext() fires one source->drainUntil(cycle), which
      * drains every completion due by then, so a cycle gets one pump
-     * however many transactions complete in it. A pump draws its
-     * sequence number when it commits, which no other event can
-     * observe: priority -1 is pump-exclusive, so a sequence comparison
-     * against a pump never happens, and numbering at commit keeps every
-     * other event's relative order.
+     * however many transactions complete in it. Priority -1 is
+     * pump-exclusive, so a pump needs no sequence number.
      */
     void
-    setCompletionSource(CompletionSource *source, std::uint8_t kind = 0)
+    setCompletionSource(CompletionSource *source)
     {
         completions = source;
-        pump_kind = kind;
     }
-
-    /** Sequence of the event currently executing (no_event outside a
-     *  handler) — the parent assigned to events scheduled now. */
-    static constexpr std::uint64_t no_event = ~0ULL;
-    std::uint64_t runningSeq() const { return running_seq; }
 
     bool
     empty() const
@@ -187,15 +135,13 @@ class EventScheduler
     {
         NECPT_ASSERT(!empty());
         if (pumpNext()) {
-            firePump();
+            completions->drainUntil(completions->nextCompletionCycle());
             return;
         }
         std::pop_heap(heap.begin(), heap.end(), After{});
-        Event ev = heap.back();
+        const Event ev = heap.back();
         heap.pop_back();
-        running_seq = ev.seq;
         ev.fn();
-        running_seq = no_event;
     }
 
   private:
@@ -237,27 +183,9 @@ class EventScheduler
         return due < e.cycle || (due == e.cycle && pump_prio < e.prio);
     }
 
-    /** Drain every completion due at the earliest pending cycle, under
-     *  a sequence number drawn now. */
-    void
-    firePump()
-    {
-        const Cycles due = completions->nextCompletionCycle();
-        const std::uint64_t seq = next_seq++;
-        if (edges)
-            edges->onEvent(seq, no_event, static_cast<double>(due),
-                           pump_prio, pump_kind);
-        running_seq = seq;
-        completions->drainUntil(due);
-        running_seq = no_event;
-    }
-
     std::vector<Event> heap;
     CompletionSource *completions = nullptr;
-    std::uint8_t pump_kind = 0;
     std::uint64_t next_seq = 0;
-    std::uint64_t running_seq = no_event;
-    EventEdgeSink *edges = nullptr;
 };
 
 } // namespace necpt

@@ -223,17 +223,18 @@ Simulator::runWith(const std::string &label,
      */
     struct Loop
     {
-        /** Walk-completion callee for one core (persistent: machines
-         *  hold a FunctionRef to it). */
+        /** Walk-completion callee for one slot of a core's walk table
+         *  (persistent: machines hold a FunctionRef to it). */
         struct DoneHandler
         {
             Loop *loop = nullptr;
             int core = 0;
+            int slot = 0;
 
             void
             operator()(WalkMachine &done) const
             {
-                loop->walkDone(core, done);
+                loop->walkDone(core, slot, done);
             }
         };
 
@@ -246,19 +247,18 @@ Simulator::runWith(const std::string &label,
             std::uint64_t accesses = 0; //!< issued (walk may still fly)
             double measure_start_cycle = 0.0;
             std::uint64_t measure_start_instr = 0;
-            /** Overlap mode: in-flight walk machines and the completion
-             *  watermark their data accesses have pushed the core to. */
-            std::vector<WalkMachinePtr> machines;
+            /** Overlap mode: the in-flight walks (same-page misses
+             *  park on them under walk_coalescing), each slot's
+             *  completion callee, and the completion watermark the
+             *  walks' data accesses have pushed the core to. */
+            WalkCoalescer walks;
+            std::vector<DoneHandler> done;
             bool parked = false;
             double watermark = 0.0;
             /** MLP-cap stall accounting: when the park began, and the
              *  cycles this core has spent parked in total. */
             double park_start = 0.0;
             double stall_cycles = 0.0;
-            /** Walk-MSHR (walk_coalescing): one entry per in-flight
-             *  walk; same-page misses park here instead of walking. */
-            WalkCoalescer coalescer;
-            DoneHandler done;
         };
 
         struct StepEv
@@ -272,9 +272,9 @@ Simulator::runWith(const std::string &label,
         {
             Loop *loop;
             int core;
-            WalkMachine *mp;
-            double end;
-            void operator()() const { loop->retire(core, mp, end); }
+            int slot;
+            double at;
+            void operator()() const { loop->retire(core, slot, at); }
         };
 
         struct ChurnEv
@@ -298,13 +298,6 @@ Simulator::runWith(const std::string &label,
             double at;
             void operator()() const { loop->sampleFire(at); }
         };
-
-        /** Scheduler edge-sink tag for an event class. */
-        static constexpr std::uint8_t
-        evk(SimEventKind kind)
-        {
-            return static_cast<std::uint8_t>(kind);
-        }
 
         Simulator &sim;
         std::vector<CoreState> cores{};
@@ -351,8 +344,7 @@ Simulator::runWith(const std::string &label,
             if (coresActive()) {
                 const double next =
                     at + static_cast<double>(src.period());
-                sched.at(next, coherence_prio, ChurnEv{this, idx, next},
-                         evk(SimEventKind::EvChurn));
+                sched.at(next, coherence_prio, ChurnEv{this, idx, next});
             }
         }
 
@@ -385,8 +377,7 @@ Simulator::runWith(const std::string &label,
             sched.at(static_cast<double>(round.completion),
                      coherence_prio,
                      RoundDoneEv{this,
-                                 static_cast<double>(round.completion)},
-                     evk(SimEventKind::EvRound));
+                                 static_cast<double>(round.completion)});
         }
 
         void
@@ -420,11 +411,20 @@ Simulator::runWith(const std::string &label,
                     at
                     + static_cast<double>(
                           sim.params.timeseries->interval());
-                sched.at(next, sample_prio, SampleEv{this, next},
-                         evk(SimEventKind::EvSample));
+                sched.at(next, sample_prio, SampleEv{this, next});
             }
         }
         /// @}
+
+        /** Schedule core @p core's next step at @p at (the caller
+         *  is the core's running event, or the run's start). */
+        void
+        scheduleStep(int core, double at)
+        {
+            sched.at(at, core, StepEv{this, core});
+            if (sim.params.critical_path)
+                sim.params.critical_path->stepScheduled(core, at);
+        }
 
         /** One step = one workload access on one core. */
         void
@@ -438,8 +438,7 @@ Simulator::runWith(const std::string &label,
             if (params.tracer)
                 params.tracer->setNow(static_cast<Cycles>(cs.cycle));
             if (params.critical_path)
-                params.critical_path->noteCoreEvent(sched.runningSeq(),
-                                                    core);
+                params.critical_path->stepRuns(core);
 
             if (cs.accesses == params.warmup_accesses && !stats_reset) {
                 // Warm-up fault-ins may have left elastic resizes in
@@ -478,9 +477,8 @@ Simulator::runWith(const std::string &label,
                     sim.tlb[core]->install(access.vaddr, translation);
                     if (params.critical_path) {
                         // Serialized walks complete inside the step.
-                        params.critical_path->noteWalk(
-                            sched.runningSeq(), core, walk.ledger,
-                            walk.latency);
+                        params.critical_path->noteWalk(core, walk.ledger,
+                                                       walk.latency);
                     }
                 }
 
@@ -494,23 +492,21 @@ Simulator::runWith(const std::string &label,
                     * data_exposure;
 
                 if (cs.accesses < total)
-                    sched.at(cs.cycle, core, StepEv{this, core},
-                             evk(SimEventKind::EvStep));
+                    scheduleStep(core, cs.cycle);
                 return;
             }
 
             // Walk-MSHR merge: a walk for this 4KB page is already in
-            // flight — park on its coalescer entry instead of walking
-            // again. The waiter's TLB install + data access happen when
-            // the primary retires; it neither counts toward the MLP cap
+            // flight — park on its entry instead of walking again. The
+            // waiter's TLB install + data access happen when the
+            // primary retires; it neither counts toward the MLP cap
             // nor parks the core (merging is the parallelism win).
             if (params.walk_coalescing) {
                 const Addr page = WalkCoalescer::pageOf(access.vaddr);
-                if (WalkCoalescer::Entry *e = cs.coalescer.find(page)) {
+                if (WalkCoalescer::Entry *e = cs.walks.find(page)) {
                     e->waiters.push_back({access.vaddr, cs.cycle});
                     if (cs.accesses < total)
-                        sched.at(cs.cycle, core, StepEv{this, core},
-                                 evk(SimEventKind::EvStep));
+                        scheduleStep(core, cs.cycle);
                     return;
                 }
             }
@@ -518,24 +514,19 @@ Simulator::runWith(const std::string &label,
             // Overlap mode, L2-TLB miss: issue a resumable walk and
             // keep going. The access's data fetch rides on the
             // completion.
-            WalkMachinePtr m = sim.walkers[core]->startWalk(
-                access.vaddr, static_cast<Cycles>(cs.cycle));
-            if (params.walk_coalescing)
-                cs.coalescer.open(WalkCoalescer::pageOf(access.vaddr),
-                                  m.get());
-            if (sim.coherence)
-                m->setCoherenceEpoch(sim.coherence->epoch());
-            m->setIssueEvent(sched.runningSeq());
-            WalkMachine &machine = *m;
-            cs.machines.push_back(std::move(m));
-            const int inflight = static_cast<int>(cs.machines.size());
+            const int slot = cs.walks.open(sim.walkers[core]->startWalk(
+                access.vaddr, static_cast<Cycles>(cs.cycle)));
+            WalkCoalescer::Entry &walk = cs.walks.at(slot);
+            walk.epoch = sim.coherence ? sim.coherence->epoch() : 0;
+            if (params.critical_path)
+                walk.issue = params.critical_path->running(core);
+            const int inflight = static_cast<int>(cs.walks.size());
             inflight_peak = std::max<std::uint64_t>(inflight_peak, inflight);
-            machine.onDone(cs.done);
+            walk.machine->onDone(cs.done[static_cast<std::size_t>(slot)]);
 
             if (cs.accesses < total) {
                 if (inflight < params.max_outstanding_walks) {
-                    sched.at(cs.cycle, core, StepEv{this, core},
-                             evk(SimEventKind::EvStep));
+                    scheduleStep(core, cs.cycle);
                 } else {
                     cs.parked = true;
                     cs.park_start = cs.cycle;
@@ -548,39 +539,35 @@ Simulator::runWith(const std::string &label,
          *  access's data fetch, and the slot release all happen at the
          *  simulated time the walk finished, and the machine can be
          *  retired there because its own frames are long off the
-         *  stack. The retire depends on the step that issued the walk,
-         *  not on the pump (or replay) whose drain finished it, so the
-         *  critical path runs through the walk's whole latency. */
+         *  stack. */
         void
-        walkDone(int core, WalkMachine &done)
+        walkDone(int core, int slot, WalkMachine &done)
         {
             const double end = static_cast<double>(done.endCycle());
-            const std::uint64_t seq = sched.after(
-                done.issueEvent(), end, core,
-                RetireEv{this, core, &done, end},
-                evk(SimEventKind::EvRetire));
-            if (sim.params.critical_path) {
-                // The retire event completes this walk: annotate it
-                // with the walk's ledger so the report can say which
-                // cause dominated the chain.
-                sim.params.critical_path->noteWalk(
-                    seq, core, done.result().ledger,
-                    done.result().latency);
-            }
+            sched.at(end, core, RetireEv{this, core, slot, end});
         }
 
+        /** Retire the walk in slot @p slot of core @p core's table,
+         *  scheduled at its end cycle @p at. */
         void
-        retire(int core, WalkMachine *mp, double end)
+        retire(int core, int slot, double at)
         {
             // Machines are pinned to their core's arena: the machine
             // this retire releases recycles into the same core's
             // walker pool.
             NECPT_ASSERT(sim.walkers[core]->coreIndex() == core);
-            if (sim.params.critical_path)
-                sim.params.critical_path->noteCoreEvent(
-                    sched.runningSeq(), core);
             CoreState &owner = cores[core];
-            Translation tr = mp->result().translation;
+            WalkCoalescer::Entry &walk = owner.walks.at(slot);
+            const WalkMachine &m = *walk.machine;
+            // The retire depends on the step that issued the walk, not
+            // on the pump (or replay) whose drain finished it, so the
+            // critical path runs through the walk's whole latency.
+            if (sim.params.critical_path)
+                sim.params.critical_path->retire(
+                    core, walk.issue, at, m.result().ledger,
+                    m.result().latency);
+            Translation tr = m.result().translation;
+            double end = at;
             // An invalidation overlapping this walk's VA landed while
             // it was in flight: whatever the walk read may be stale.
             // Replay against the mutated tables (refaulting first if
@@ -588,12 +575,11 @@ Simulator::runWith(const std::string &label,
             // latency — the hardware would observe the same race via
             // its page-walk coherence checks and redo the walk.
             if (sim.coherence
-                && sim.coherence->invalidatedSince(
-                    mp->va(), mp->coherenceEpoch())) {
+                && sim.coherence->invalidatedSince(m.va(), walk.epoch)) {
                 sim.coherence->noteWalkReplay();
-                sim.sys->ensureResident(mp->va());
+                sim.sys->ensureResident(m.va());
                 const WalkResult replay = sim.walkers[core]->translate(
-                    mp->va(), static_cast<Cycles>(end));
+                    m.va(), static_cast<Cycles>(end));
                 tr = replay.translation;
                 end += static_cast<double>(replay.latency);
                 if (sim.params.tracer) {
@@ -609,8 +595,8 @@ Simulator::runWith(const std::string &label,
             // its page mid-walk, and the shootdown ring is
             // conservative, so the replay above must have repaired it.
             NECPT_ASSERT(tr.valid);
-            sim.tlb[core]->install(mp->va(), tr);
-            const Addr hpa = tr.apply(mp->va());
+            sim.tlb[core]->install(m.va(), tr);
+            const Addr hpa = tr.apply(m.va());
             const AccessResult data = sim.mem->access(
                 hpa, static_cast<Cycles>(end), Requester::Core, core);
             owner.watermark = std::max(
@@ -625,34 +611,22 @@ Simulator::runWith(const std::string &label,
             // install: the primary installed the same 4K page at this
             // very cycle just above, so repeating it would only touch
             // the LRU state it already owns.
-            if (sim.params.walk_coalescing) {
-                WalkCoalescer::Entry *entry =
-                    owner.coalescer.byPrimary(mp);
-                NECPT_ASSERT(entry != nullptr);
-                if (!entry->waiters.empty()) {
-                    for (const WalkCoalescer::Waiter &w :
-                         entry->waiters) {
-                        const AccessResult wd = sim.mem->access(
-                            tr.apply(w.va), static_cast<Cycles>(end),
-                            Requester::Core, core);
-                        owner.watermark = std::max(
-                            owner.watermark,
-                            end + static_cast<double>(wd.latency)
-                                      * data_exposure);
-                        sim.walkers[core]->recordCoalescedWalk(
-                            static_cast<Cycles>(
-                                std::max(0.0, end - w.issue_cycle)));
-                    }
-                    sim.walkers[core]->noteCoalesceFanout(
-                        entry->waiters.size());
+            if (!walk.waiters.empty()) {
+                for (const WalkCoalescer::Waiter &w : walk.waiters) {
+                    const AccessResult wd = sim.mem->access(
+                        tr.apply(w.va), static_cast<Cycles>(end),
+                        Requester::Core, core);
+                    owner.watermark = std::max(
+                        owner.watermark,
+                        end + static_cast<double>(wd.latency)
+                                  * data_exposure);
+                    sim.walkers[core]->recordCoalescedWalk(
+                        static_cast<Cycles>(
+                            std::max(0.0, end - w.issue_cycle)));
                 }
-                owner.coalescer.close(entry);
+                sim.walkers[core]->noteCoalesceFanout(
+                    walk.waiters.size());
             }
-            // Dropping the pointer recycles the machine into its
-            // walker's pool.
-            std::erase_if(owner.machines, [mp](const WalkMachinePtr &wm) {
-                return wm.get() == mp;
-            });
             if (owner.parked) {
                 owner.parked = false;
                 owner.cycle = std::max(owner.cycle, end);
@@ -661,13 +635,12 @@ Simulator::runWith(const std::string &label,
                     owner.stall_cycles += stalled;
                     if (sim.params.critical_path) {
                         sim.params.critical_path->noteStall(
-                            sched.runningSeq(), core, stalled,
-                            mp->result().ledger);
+                            core, at, stalled, m.result().ledger);
                     }
                 }
-                sched.at(owner.cycle, core, StepEv{this, core},
-                         evk(SimEventKind::EvStep));
+                scheduleStep(core, owner.cycle);
             }
+            owner.walks.close(slot);
         }
     };
 
@@ -684,16 +657,15 @@ Simulator::runWith(const std::string &label,
         Loop::CoreState &cs = loop.cores[core];
         cs.workload = factory(0xB0B + static_cast<std::uint64_t>(core));
         cs.workload->setup(*sys);
-        cs.done = Loop::DoneHandler{&loop, core};
+        cs.walks = WalkCoalescer(params.max_outstanding_walks);
+        for (int slot = 0; slot < params.max_outstanding_walks; ++slot)
+            cs.done.push_back(Loop::DoneHandler{&loop, core, slot});
     }
     // Memory completions pump straight from the hierarchy's completion
     // heap, at priority -1: walks resume after same-cycle coherence
     // events and before any core steps. Serialized walks drain inside
     // their own step, so this only ever finds overlapped walks' work.
-    loop.sched.setCompletionSource(mem.get(),
-                                   Loop::evk(SimEventKind::EvPump));
-    if (params.critical_path)
-        loop.sched.setEdgeSink(params.critical_path);
+    loop.sched.setCompletionSource(mem.get());
     // Fault the whole dataset in before warm-up, like the real
     // applications do at initialization (Section 8 measures steady
     // state after the region of interest is reached).
@@ -713,16 +685,14 @@ Simulator::runWith(const std::string &label,
     // order advances the earliest core, lowest index first on ties —
     // the legacy interleaving.
     for (int core = 0; core < params.cores; ++core)
-        loop.sched.at(0.0, core, Loop::StepEv{&loop, core},
-                      Loop::evk(SimEventKind::EvStep));
+        loop.scheduleStep(core, 0.0);
     // Churn daemons wake for the first time one period in; each firing
     // re-arms itself while any core still issues accesses.
     for (std::size_t i = 0; i < churn_sources.size(); ++i) {
         const double first =
             static_cast<double>(churn_sources[i]->period());
         loop.sched.at(first, Loop::coherence_prio,
-                      Loop::ChurnEv{&loop, static_cast<int>(i), first},
-                      Loop::evk(SimEventKind::EvChurn));
+                      Loop::ChurnEv{&loop, static_cast<int>(i), first});
     }
     // The sampler ticks every interval at the lowest priority, so each
     // snapshot observes every completed same-cycle event.
@@ -730,15 +700,14 @@ Simulator::runWith(const std::string &label,
         const double first =
             static_cast<double>(params.timeseries->interval());
         loop.sched.at(first, Loop::sample_prio,
-                      Loop::SampleEv{&loop, first},
-                      Loop::evk(SimEventKind::EvSample));
+                      Loop::SampleEv{&loop, first});
     }
 
     while (!loop.sched.empty())
         loop.sched.runNext();
     const HostClock::time_point finished = HostClock::now();
     for (auto &cs : loop.cores)
-        NECPT_ASSERT(cs.machines.empty() && cs.coalescer.empty());
+        NECPT_ASSERT(cs.walks.empty());
     const bool overlap = loop.overlap;
     const std::uint64_t inflight_peak = loop.inflight_peak;
 

@@ -133,10 +133,12 @@ struct SimParams
     TimeSeriesBuffer *timeseries = nullptr;
 
     /**
-     * Event-dependency recorder (null = off). When set, the scheduler
-     * reports every scheduling edge and the Loop annotates walk
-     * retirements and MLP-cap stalls, enabling the per-core
-     * critical-path report (necpt-run --critical-path).
+     * Critical-path recorder (null = off). When set, the Loop tells it
+     * when each core's steps are scheduled and run, which step issued
+     * each overlapped walk, and when walks retire and MLP-cap stalls
+     * end; it sums each core's spine as the run goes for the per-core
+     * critical-path report (necpt-run --critical-path). Its memory is
+     * proportional to cores and in-flight walks, not to run length.
      */
     CriticalPathRecorder *critical_path = nullptr;
 };

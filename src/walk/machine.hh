@@ -8,17 +8,21 @@
  * finish() when the translation is known. The simulator keeps up to
  * SimParams::max_outstanding_walks machines live per core, which is
  * how independent walks overlap and contend for MSHRs and DRAM banks
- * over simulated time.
+ * over simulated time. A machine knows only its walk: what its owner
+ * tracks about the walk in flight (the coherence epoch it issued
+ * under, the event that issued it) lives in the owner's table of
+ * in-flight walks (sim/coalescer.hh), and whether the walk is traced
+ * is decided once at its start and kept by the machine.
  *
  * Machines are pooled: dropping a WalkMachinePtr calls release(),
  * which returns the machine to its walker's free list; the next
  * startWalk() reinit()s a recycled one instead of allocating. The
  * completion continuation is a non-owning FunctionRef — its callee
- * (typically the simulator's per-core retire handler) outlives every
- * walk. A finished machine's result() carries the walk's cycle ledger
- * with its translation and latency, so whoever retires the walk reads
- * its attribution from the same place, however long after the walker
- * has moved on to other walks.
+ * (typically the simulator's handler for the walk's table slot)
+ * outlives every walk. A finished machine's result() carries the
+ * walk's cycle ledger with its translation and latency, so whoever
+ * retires the walk reads its attribution from the same place, however
+ * long after the walker has moved on to other walks.
  *
  * Walkers that still compute synchronously (radix, hybrid, native
  * ECPT) are adapted by ImmediateWalkMachine: the walk runs to
@@ -55,23 +59,6 @@ class WalkMachine
     Addr va() const { return va_; }
     Cycles startCycle() const { return start_; }
     bool done() const { return done_; }
-
-    /// @name Coherence bookkeeping
-    /// The directory epoch when this walk issued (set by the owner;
-    /// stays 0 when the coherence subsystem is off). At retire time
-    /// the simulator asks the directory whether anything overlapping
-    /// the walk's VA was invalidated after this epoch — if so, the
-    /// walk raced a shootdown and replays against the mutated tables.
-    /// @{
-    void setCoherenceEpoch(std::uint64_t e) { coherence_epoch_ = e; }
-    std::uint64_t coherenceEpoch() const { return coherence_epoch_; }
-    /// @}
-
-    /** The owner's handle for the event that issued this walk (the
-     *  simulator's scheduler sequence number): the walk's retire
-     *  depends on it, whichever event's drain finishes the walk. */
-    void setIssueEvent(std::uint64_t seq) { issue_event_ = seq; }
-    std::uint64_t issueEvent() const { return issue_event_; }
 
     /** Completion cycle; only valid once done(). */
     Cycles
@@ -125,8 +112,6 @@ class WalkMachine
         done_ = false;
         result_ = WalkResult{};
         on_done = nullptr;
-        coherence_epoch_ = 0;
-        issue_event_ = 0;
     }
 
     /** Mark the walk complete at @p end and deliver the continuation. */
@@ -149,8 +134,6 @@ class WalkMachine
     Cycles start_;
     Cycles end_ = 0;
     bool done_ = false;
-    std::uint64_t coherence_epoch_ = 0;
-    std::uint64_t issue_event_ = 0;
     WalkResult result_;
     WalkDoneFn on_done;
 };

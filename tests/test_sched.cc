@@ -2,7 +2,7 @@
  * @file
  * The event scheduler's commit order: closures by (cycle, priority,
  * sequence), and the pumps of its completion source at priority -1,
- * one per due cycle and numbered at commit.
+ * one per due cycle.
  */
 
 #include <gtest/gtest.h>
@@ -22,30 +22,16 @@ namespace necpt
 namespace
 {
 
-/** Everything a test observes: handler runs in order, pump fires, and
- *  the dependency edges the scheduler reports. Also the scheduler's
- *  completion source: a min-heap of pending completion cycles. */
-struct Recorder final : EventEdgeSink, CompletionSource
+/** Everything a test observes: handler runs and pump fires, in
+ *  order. Also the scheduler's completion source: a min-heap of
+ *  pending completion cycles. */
+struct Recorder final : CompletionSource
 {
-    struct Edge
-    {
-        std::uint64_t seq;
-        std::uint64_t parent;
-        double cycle;
-        std::int64_t prio;
-    };
-
     EventScheduler sched;
     std::vector<std::string> order;
-    std::vector<std::uint64_t> running; //!< runningSeq() at each run
-    std::vector<Edge> edges;
     std::vector<Cycles> pending;
 
-    Recorder()
-    {
-        sched.setEdgeSink(this);
-        sched.setCompletionSource(this);
-    }
+    Recorder() { sched.setCompletionSource(this); }
 
     /** A transaction completing at @p cycle. */
     void
@@ -56,13 +42,6 @@ struct Recorder final : EventEdgeSink, CompletionSource
                        std::greater<Cycles>{});
     }
 
-    void
-    onEvent(std::uint64_t seq, std::uint64_t parent, double cycle,
-            std::int64_t prio, std::uint8_t) override
-    {
-        edges.push_back({seq, parent, cycle, prio});
-    }
-
     bool hasPending() const override { return !pending.empty(); }
     Cycles nextCompletionCycle() const override { return pending.front(); }
 
@@ -70,7 +49,6 @@ struct Recorder final : EventEdgeSink, CompletionSource
     drainUntil(Cycles upto) override
     {
         order.push_back("pump@" + std::to_string(upto));
-        running.push_back(sched.runningSeq());
         while (!pending.empty() && pending.front() <= upto) {
             std::pop_heap(pending.begin(), pending.end(),
                           std::greater<Cycles>{});
@@ -91,12 +69,7 @@ struct Mark
     Recorder *rec;
     const char *name;
 
-    void
-    operator()() const
-    {
-        rec->order.push_back(name);
-        rec->running.push_back(rec->sched.runningSeq());
-    }
+    void operator()() const { rec->order.push_back(name); }
 };
 
 /** A closure that completes every pending transaction ahead of its
@@ -119,21 +92,18 @@ TEST(EventScheduler, OrdersByCycleThenPriorityThenSequence)
 {
     Recorder rec;
     EventScheduler &s = rec.sched;
-    EXPECT_EQ(s.at(20.0, 0, Mark{&rec, "c20p0"}), 0u);
-    EXPECT_EQ(s.at(10.0, 3, Mark{&rec, "c10p3"}), 1u);
-    EXPECT_EQ(s.at(10.0, 1, Mark{&rec, "c10p1-first"}), 2u);
-    EXPECT_EQ(s.at(10.0, -2, Mark{&rec, "c10p-2"}), 3u);
-    EXPECT_EQ(s.at(10.0, 1, Mark{&rec, "c10p1-second"}), 4u);
-    EXPECT_EQ(s.at(5.5, 7, Mark{&rec, "c5.5p7"}), 5u);
+    s.at(20.0, 0, Mark{&rec, "c20p0"});
+    s.at(10.0, 3, Mark{&rec, "c10p3"});
+    s.at(10.0, 1, Mark{&rec, "c10p1-first"});
+    s.at(10.0, -2, Mark{&rec, "c10p-2"});
+    s.at(10.0, 1, Mark{&rec, "c10p1-second"});
+    s.at(5.5, 7, Mark{&rec, "c5.5p7"});
     rec.drain();
 
     const std::vector<std::string> want{
         "c5.5p7", "c10p-2", "c10p1-first", "c10p1-second", "c10p3",
         "c20p0"};
     EXPECT_EQ(rec.order, want);
-    const std::vector<std::uint64_t> seqs{5, 3, 2, 4, 1, 0};
-    EXPECT_EQ(rec.running, seqs);
-    EXPECT_EQ(s.runningSeq(), EventScheduler::no_event);
 }
 
 TEST(EventScheduler, PumpRunsAfterCoherenceAndBeforeCoresAtSameCycle)
@@ -159,43 +129,32 @@ TEST(EventScheduler, SameCyclePumpsFireOnceUnderOneSequence)
 {
     Recorder rec;
     EventScheduler &s = rec.sched;
-    s.at(5.0, 0, Mark{&rec, "core0"}); // seq 0
+    s.at(5.0, 0, Mark{&rec, "core0"});
     rec.complete(30);
     rec.complete(30);
     rec.complete(30);
-    s.at(60.0, 1, Mark{&rec, "core1"}); // seq 1
+    s.at(60.0, 1, Mark{&rec, "core1"});
     rec.drain();
 
     const std::vector<std::string> want{"core0", "pump@30", "core1"};
     EXPECT_EQ(rec.order, want);
-    // The fire draws the next sequence number when it commits, and
-    // reports itself to the edge sink then, with no parent.
-    ASSERT_EQ(rec.running.size(), 3u);
-    EXPECT_EQ(rec.running[1], 2u);
-    ASSERT_EQ(rec.edges.size(), 3u);
-    EXPECT_EQ(rec.edges[2].seq, 2u);
-    EXPECT_EQ(rec.edges[2].parent, EventScheduler::no_event);
-    EXPECT_DOUBLE_EQ(rec.edges[2].cycle, 30.0);
-    EXPECT_EQ(rec.edges[2].prio, EventScheduler::pump_prio);
 }
 
 TEST(EventScheduler, PumpsOnlyWhatIsStillPending)
 {
-    // Completions drained ahead of their cycle leave nothing to pump:
-    // no fire, no sequence number, no edge.
+    // Completions drained ahead of their cycle leave nothing to pump.
     Recorder rec;
     EventScheduler &s = rec.sched;
     EXPECT_TRUE(s.empty());
     rec.complete(30);
     rec.complete(40);
     EXPECT_FALSE(s.empty());
-    s.at(10.0, 0, DrainAll{&rec}); // seq 0
-    s.at(35.0, 0, Mark{&rec, "core0"}); // seq 1
+    s.at(10.0, 0, DrainAll{&rec});
+    s.at(35.0, 0, Mark{&rec, "core0"});
     rec.drain();
 
     const std::vector<std::string> want{"drain-all", "core0"};
     EXPECT_EQ(rec.order, want);
-    EXPECT_EQ(rec.edges.size(), 2u);
     EXPECT_TRUE(s.empty());
 }
 

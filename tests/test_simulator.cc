@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/error.hh"
 #include "common/metrics.hh"
@@ -190,83 +191,81 @@ TEST(Simulator, OverlappedWalksShowConcurrency)
 
 namespace
 {
-/** Short overlapped-walk runs for the critical-path checks. */
+/** Short runs for the critical-path checks: @p mlp walks in flight
+ *  per core at most. */
 SimParams
-overlapParams(int cores)
+spineParams(int cores, int mlp)
 {
     SimParams params;
     params.cores = cores;
     params.warmup_accesses = 2'000;
     params.measure_accesses = 20'000;
     params.scale_denominator = 256;
-    params.max_outstanding_walks = 4;
+    params.max_outstanding_walks = mlp;
     return params;
 }
 
-/** A recorder that also counts the completion pumps it is told of. */
-class PumpCounter : public CriticalPathRecorder
+/** One core's spine, read back from the report. */
+struct CoreSpine
 {
-  public:
-    using CriticalPathRecorder::CriticalPathRecorder;
-
-    void
-    onEvent(std::uint64_t seq, std::uint64_t parent, double cycle,
-            std::int64_t priority, std::uint8_t kind) override
-    {
-        if (kind == static_cast<std::uint8_t>(SimEventKind::EvPump))
-            ++pumps;
-        CriticalPathRecorder::onEvent(seq, parent, cycle, priority, kind);
-    }
-
-    std::uint64_t pumps = 0;
+    double spine = 0;
+    double ends = 0;
+    std::string kinds; //!< the "spine by event kind:" line's tail
 };
-} // namespace
 
-/** Overlapped Nested ECPTs walks finish inside completion pumps, which
- *  have no parent. Each retire depends on the step that issued its
- *  walk, so every core's spine still runs back to the start of the
- *  run rather than stopping at the pump. */
-TEST(CriticalPath, OverlappedWalkSpinesSpanTheRun)
+/** The per-core spines of a Nested ECPTs GUPS run under @p params. */
+std::vector<CoreSpine>
+runSpines(SimParams params)
 {
-    SimParams params = overlapParams(2);
     CriticalPathRecorder recorder(params.cores);
     params.critical_path = &recorder;
     runSim(makeConfig(ConfigId::NestedEcpt), params, "GUPS");
 
     const std::string report = recorder.report();
     std::istringstream lines(report);
+    std::vector<CoreSpine> spines;
+    const std::string kinds_head = "  spine by event kind:";
     std::string line;
-    int cores = 0;
     while (std::getline(lines, line)) {
         int core = 0;
-        double spine = 0, ends = 0;
+        CoreSpine s;
         if (std::sscanf(line.c_str(),
                         "core %d: spine %lf cycles over %*s edges "
                         "(ends cycle %lf)",
-                        &core, &spine, &ends)
-            != 3)
-            continue;
-        ++cores;
-        EXPECT_GT(spine, 0.5 * ends) << line;
+                        &core, &s.spine, &s.ends)
+            == 3) {
+            EXPECT_EQ(core, static_cast<int>(spines.size())) << report;
+            spines.push_back(s);
+        } else if (line.rfind(kinds_head, 0) == 0 && !spines.empty()) {
+            spines.back().kinds = line.substr(kinds_head.size());
+        }
     }
-    EXPECT_EQ(cores, params.cores) << report;
+    EXPECT_EQ(spines.size(), static_cast<std::size_t>(params.cores))
+        << report;
+    return spines;
+}
+} // namespace
+
+/** Overlapped Nested ECPTs walks finish inside completion pumps, which
+ *  no core event depends on. Each retire depends on the step that
+ *  issued its walk, so every core's spine still runs back to the start
+ *  of the run rather than stopping at the pump. */
+TEST(CriticalPath, OverlappedWalkSpinesSpanTheRun)
+{
+    for (const CoreSpine &s : runSpines(spineParams(2, 4)))
+        EXPECT_GT(s.spine, 0.5 * s.ends) << s.kinds;
 }
 
-/** Walks that finish at issue drain their memory transactions inside
- *  the step, so the scheduler has nothing to pump; overlapped Nested
- *  ECPTs walks do leave it completions to pump. */
-TEST(CriticalPath, PumpsOnlyWhereCompletionsArePending)
+/** Serialized walks finish inside the step that issued them, so each
+ *  core's spine is its chain of steps from cycle 0 to its last step. */
+TEST(CriticalPath, SerializedSpineCoversTheRun)
 {
-    SimParams params = overlapParams(1);
-    PumpCounter hybrid(params.cores);
-    params.critical_path = &hybrid;
-    runSim(makeConfig(ConfigId::NestedHybrid), params, "GUPS");
-    EXPECT_EQ(hybrid.pumps, 0u);
-
-    PumpCounter ecpt(params.cores);
-    params.critical_path = &ecpt;
-    runSim(makeConfig(ConfigId::NestedEcpt), params, "GUPS");
-    EXPECT_GT(ecpt.pumps, 0u);
+    for (const CoreSpine &s : runSpines(spineParams(2, 1))) {
+        EXPECT_GT(s.ends, 0.0);
+        EXPECT_DOUBLE_EQ(s.spine, s.ends);
+        EXPECT_EQ(s.kinds.rfind(" step 100.0% (", 0), 0u) << s.kinds;
+        EXPECT_EQ(s.kinds.find("retire"), std::string::npos) << s.kinds;
+    }
 }
 
 TEST(Simulator, InvalidOutstandingWalksRejected)
