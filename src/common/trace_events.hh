@@ -98,7 +98,7 @@ class TraceBuffer
   public:
     static constexpr std::size_t default_capacity = 1 << 16;
 
-    /** Disabled buffer: every emit is a no-op, beginWalk() is false. */
+    /** Disabled buffer: every emit is a no-op, sampleWalk() is false. */
     TraceBuffer() = default;
 
     /**
@@ -114,26 +114,23 @@ class TraceBuffer
 
     bool enabled() const { return !ring.empty(); }
 
-    /// @name Walk gating
-    /// Walkers bracket each translate() with beginWalk()/endWalk();
-    /// probe/CWC/mem events are emitted only while the walk is active,
-    /// which is how `--trace-walks=N` keeps hot paths quiet.
+    /// @name Walk sampling
+    /// Each walk asks once, at its start, whether it is traced, and
+    /// keeps the answer: its span, probe, CWC and mem events are
+    /// emitted only if so, which is how `--trace-walks=N` keeps hot
+    /// paths quiet. The buffer has no notion of a current walk, since
+    /// overlapped walks are in flight together.
     /// @{
     bool
-    beginWalk()
+    sampleWalk()
     {
-        if (!enabled() || sample == 0) {
-            walk_active = false;
-        } else {
-            walk_active = (walk_seq % sample) == 0;
-            ++walk_seq;
-            walks_sampled += walk_active;
-        }
-        return walk_active;
+        if (!enabled() || sample == 0)
+            return false;
+        const bool sampled = walk_seq++ % sample == 0;
+        walks_sampled += sampled;
+        return sampled;
     }
 
-    void endWalk() { walk_active = false; }
-    bool walkActive() const { return walk_active; }
     std::uint64_t walksSampled() const { return walks_sampled; }
     /// @}
 
@@ -233,7 +230,6 @@ class TraceBuffer
     std::uint64_t sample = 1;
     std::uint64_t walk_seq = 0;
     std::uint64_t walks_sampled = 0;
-    bool walk_active = false;
 
     std::uint32_t pid_ = 0;
     Cycles now_ = 0;

@@ -97,7 +97,8 @@ MemoryHierarchy::access(Addr addr, Cycles now, Requester requester,
 }
 
 BatchResult
-MemoryHierarchy::batchAccess(AddrSpan addrs, Cycles now, int core)
+MemoryHierarchy::batchAccess(AddrSpan addrs, Cycles now, int core,
+                             bool traced)
 {
     BatchResult result;
     if (addrs.empty())
@@ -105,14 +106,14 @@ MemoryHierarchy::batchAccess(AddrSpan addrs, Cycles now, int core)
     auto capture = [&result](const BatchResult &batch, Cycles) {
         result = batch;
     };
-    issueBatch(addrs, now, core, capture);
+    issueBatch(addrs, now, core, capture, traced);
     drainAll();
     return result;
 }
 
 void
 MemoryHierarchy::issueBatch(AddrSpan addrs, Cycles now, int core,
-                            TxnCallback cb)
+                            TxnCallback cb, bool traced)
 {
     std::vector<std::uint32_t> &free_list =
         free_by_core[static_cast<std::size_t>(core)];
@@ -193,9 +194,8 @@ MemoryHierarchy::issueBatch(AddrSpan addrs, Cycles now, int core,
         }
         finish = std::max(finish, done);
 
-        // Per-request resolution events for traced walks only: the
-        // walker has already marked this walk via its sampling gate.
-        if (tracer_ && tracer_->walkActive())
+        // Per-request resolution events for sampled walks only.
+        if (traced && tracer_)
             tracer_->span("mem.req", TraceCat::Mem,
                           static_cast<std::uint32_t>(core), issue,
                           r.latency,

@@ -133,8 +133,10 @@ class MemoryHierarchy final : public CompletionSource
      *                before returning
      * @param now     issue cycle
      * @param core    issuing core
+     * @param traced  the issuing walk is sampled: trace each request
      */
-    BatchResult batchAccess(AddrSpan addrs, Cycles now, int core);
+    BatchResult batchAccess(AddrSpan addrs, Cycles now, int core,
+                            bool traced = false);
 
     BatchResult
     batchAccess(std::initializer_list<Addr> addrs, Cycles now, int core)
@@ -153,10 +155,12 @@ class MemoryHierarchy final : public CompletionSource
      * transactions of this core*, DRAM bank busy-intervals shared with
      * everything issued earlier); @p cb fires when the simulation
      * drains past the completion cycle. An empty @p addrs completes at
-     * @p now with a zero result.
+     * @p now with a zero result. @p traced: the issuing walk is
+     * sampled, so each request is traced with the level that served
+     * it.
      */
     void issueBatch(AddrSpan addrs, Cycles now, int core,
-                    TxnCallback cb = nullptr);
+                    TxnCallback cb = nullptr, bool traced = false);
 
     void
     issueBatch(std::initializer_list<Addr> addrs, Cycles now, int core,
@@ -201,9 +205,10 @@ class MemoryHierarchy final : public CompletionSource
      *  the average-latency DRAM model smooths over. */
     void setFaultPlan(FaultPlan *plan) { fault_plan = plan; }
 
-    /** Attach the event tracer: MMU requests of traced walks are
-     *  recorded with the level that serviced them; injected latency
-     *  spikes are recorded unconditionally. Null detaches. */
+    /** Attach the event tracer: MMU requests of traced walks (the
+     *  batches issued with @c traced set) are recorded with the level
+     *  that serviced them; injected latency spikes are recorded
+     *  unconditionally. Null detaches. */
     void setTracer(TraceBuffer *tracer) { tracer_ = tracer; }
 
     /**

@@ -113,13 +113,13 @@ RadixPageTable::lookup(Addr va) const
 }
 
 Translation
-RadixPageTable::walk(Addr va, std::vector<RadixStep> &steps) const
+RadixPageTable::walk(Addr va, RadixSteps &steps) const
 {
     return descend(va, &steps);
 }
 
 Translation
-RadixPageTable::descend(Addr va, std::vector<RadixStep> *steps) const
+RadixPageTable::descend(Addr va, RadixSteps *steps) const
 {
     const Node *node = root_.get();
     for (int level = top_level; level >= 1; --level) {

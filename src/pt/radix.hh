@@ -14,10 +14,11 @@
 #define NECPT_PT_RADIX_HH
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
+#include "common/log.hh"
 #include "pt/page_table.hh"
 
 namespace necpt
@@ -29,6 +30,36 @@ struct RadixStep
     Addr entry_addr;  //!< physical address of the entry fetched
     int level;        //!< 4 (PGD) down to 1 (PTE)
     bool leaf;        //!< true when this entry mapped the page
+};
+
+/**
+ * The entries one walk fetches, top level first: at most one per level
+ * of a 5-level tree, held inline so that a walk never allocates.
+ */
+class RadixSteps
+{
+  public:
+    static constexpr std::size_t capacity = 5;
+
+    void
+    push_back(const RadixStep &step)
+    {
+        NECPT_ASSERT(count < capacity);
+        steps[count++] = step;
+    }
+
+    void clear() { count = 0; }
+    std::size_t size() const { return count; }
+
+    const RadixStep *begin() const { return steps.data(); }
+    const RadixStep *end() const { return steps.data() + count; }
+    const RadixStep &operator[](std::size_t i) const { return steps[i]; }
+    const RadixStep &front() const { return steps[0]; }
+    const RadixStep &back() const { return steps[count - 1]; }
+
+  private:
+    std::array<RadixStep, capacity> steps{};
+    std::size_t count = 0;
 };
 
 /**
@@ -66,7 +97,7 @@ class RadixPageTable final : public PageTable
      * Functional lookup that also reports every entry address a hardware
      * walker would touch, top level first (the walk chain of Figure 1).
      */
-    Translation walk(Addr va, std::vector<RadixStep> &steps) const;
+    Translation walk(Addr va, RadixSteps &steps) const;
 
     /** Physical address of the root node (the CR3 contents). */
     Addr root() const;
@@ -109,7 +140,7 @@ class RadixPageTable final : public PageTable
 
     /** The walk behind lookup() and walk(); records each entry fetched
      *  into @p steps when non-null. */
-    Translation descend(Addr va, std::vector<RadixStep> *steps) const;
+    Translation descend(Addr va, RadixSteps *steps) const;
 
     /** True when no leaf mapping lives anywhere under @p node. */
     static bool subtreeEmpty(const Node *node);

@@ -9,7 +9,7 @@ WalkResult
 AgilePagingWalker::translate(Addr gva, Cycles now)
 {
     WalkResult result;
-    std::vector<RadixStep> gsteps;
+    RadixSteps gsteps;
     RadixPageTable *gtable = sys.guestRadix();
     NECPT_ASSERT(gtable != nullptr);
     const Translation guest = gtable->walk(gva, gsteps);
@@ -77,7 +77,7 @@ WalkResult
 FlatNestedWalker::translate(Addr gva, Cycles now)
 {
     WalkResult result;
-    std::vector<RadixStep> gsteps;
+    RadixSteps gsteps;
     RadixPageTable *gtable = sys.guestRadix();
     FlatPageTable *flat = sys.hostFlat();
     NECPT_ASSERT(gtable && flat);

@@ -52,7 +52,7 @@ WalkResult
 HybridWalker::translate(Addr gva, Cycles now)
 {
     WalkResult result;
-    std::vector<RadixStep> gsteps;
+    RadixSteps gsteps;
     RadixPageTable *gtable = sys.guestRadix();
     NECPT_ASSERT(gtable != nullptr);
     const Translation guest = gtable->walk(gva, gsteps);

@@ -8,7 +8,7 @@ namespace necpt
 WalkResult
 NativeEcptWalker::translate(Addr gva, Cycles now)
 {
-    const bool tracing = traceBegin();
+    const bool tracing = sampleWalk();
     WalkResult result;
     EcptPageTable *table = sys.guestEcpt();
     NECPT_ASSERT(table != nullptr);
@@ -43,7 +43,8 @@ NativeEcptWalker::translate(Addr gva, Cycles now)
     appendPlannedProbes(*table, gva, plan, probe_buf);
     const Cycles t1 = t;
     const BatchResult br =
-        executeProbePhase(mem, core, stats_, 0, probe_buf, t, &ledger_);
+        executeProbePhase(mem, core, stats_, 0, probe_buf, t, &ledger_,
+                          tracing);
     t += br.latency;
     if (tracing) {
         const auto core_id = static_cast<std::uint32_t>(core);
@@ -61,11 +62,11 @@ NativeEcptWalker::translate(Addr gva, Cycles now)
     refill_buf.clear();
     collectCwcRefills(*table, cwc, gva, plan, options, refill_buf);
     if (!refill_buf.empty())
-        backgroundAccess(refill_buf, t);
+        backgroundAccess(refill_buf, t, tracing);
 
     result.translation = sys.fullTranslate(gva);
     NECPT_ASSERT(result.translation.valid);
-    finishWalk(result, now, t, br.requests);
+    finishWalk(result, now, t, br.requests, tracing);
     return result;
 }
 

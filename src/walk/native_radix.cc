@@ -8,9 +8,9 @@ namespace necpt
 WalkResult
 NativeRadixWalker::translate(Addr gva, Cycles now)
 {
-    const bool tracing = traceBegin();
+    const bool tracing = sampleWalk();
     WalkResult result;
-    std::vector<RadixStep> steps;
+    RadixSteps steps;
     RadixPageTable *table = sys.guestRadix();
     NECPT_ASSERT(table != nullptr);
     const Translation t9n = table->walk(gva, steps);
@@ -40,7 +40,7 @@ NativeRadixWalker::translate(Addr gva, Cycles now)
     }
 
     result.translation = t9n;
-    finishWalk(result, now, t, accesses);
+    finishWalk(result, now, t, accesses, tracing);
     return result;
 }
 

@@ -135,7 +135,8 @@ NestedEcptWalker::planStep1Host(Addr gpa, Cycles t)
 
 void
 NestedEcptWalker::refillGuestCwc(Addr gva, const EcptProbePlan &gplan,
-                                 Cycles t, std::vector<Addr> &background)
+                                 Cycles t, std::vector<Addr> &background,
+                                 bool traced)
 {
     EcptPageTable &guest = *sys.guestEcpt();
     EcptPageTable &host = *sys.hostEcpt();
@@ -155,7 +156,7 @@ NestedEcptWalker::refillGuestCwc(Addr gva, const EcptProbePlan &gplan,
         for (Addr gcwt_gpa : gcwt_scratch) {
             Addr hpa;
             Addr *cached = feat.stc ? stc.lookup(gcwt_gpa) : nullptr;
-            if (feat.stc && traceActive())
+            if (feat.stc && traced)
                 tracer_->instant(cached ? "stc.hit" : "stc.miss",
                                  TraceCat::Cwc,
                                  static_cast<std::uint32_t>(core), t,
@@ -222,7 +223,7 @@ class NestedEcptWalker::Machine : public WalkMachine
     void
     start()
     {
-        tracing = w.traceBegin();
+        tracing = w.sampleWalk();
         EcptPageTable &guest = *w.sys.guestEcpt();
         EcptPageTable &host = *w.sys.hostEcpt();
         const Addr gva = va();
@@ -262,7 +263,8 @@ class NestedEcptWalker::Machine : public WalkMachine
                               hopts, scratch.background);
         }
         w.mem.issueBatch(scratch.probes, t, w.core,
-                         TxnCallback::bind<&Machine::afterStep1>(this));
+                         TxnCallback::bind<&Machine::afterStep1>(this),
+                         tracing);
     }
 
   private:
@@ -286,7 +288,7 @@ class NestedEcptWalker::Machine : public WalkMachine
 
         // Background: refill missed gCWC levels (the STC's reason to
         // be).
-        w.refillGuestCwc(va(), gplan, t, scratch.background);
+        w.refillGuestCwc(va(), gplan, t, scratch.background, tracing);
 
         // ---- Step 2: fetch the gECPT candidates at host addresses ----
         scratch.probes.clear();
@@ -295,7 +297,8 @@ class NestedEcptWalker::Machine : public WalkMachine
             scratch.probes.push_back(h.apply(slot_gpa));
         }
         w.mem.issueBatch(scratch.probes, t, w.core,
-                         TxnCallback::bind<&Machine::afterStep2>(this));
+                         TxnCallback::bind<&Machine::afterStep2>(this),
+                         tracing);
     }
 
     void
@@ -347,7 +350,8 @@ class NestedEcptWalker::Machine : public WalkMachine
         scratch.probes.clear();
         appendPlannedProbes(host, gpa_data, h3plan, scratch.probes);
         w.mem.issueBatch(scratch.probes, t, w.core,
-                         TxnCallback::bind<&Machine::afterStep3>(this));
+                         TxnCallback::bind<&Machine::afterStep3>(this),
+                         tracing);
     }
 
     void
@@ -381,14 +385,16 @@ class NestedEcptWalker::Machine : public WalkMachine
             w.mem.issueBatch(
                 scratch.background, t, w.core,
                 TxnCallback::bind<&NestedEcptWalker::noteBackground>(
-                    &w));
+                    &w),
+                tracing);
         }
 
         WalkResult result;
         result.translation = w.sys.fullTranslate(va());
         // Invalid here means churn unmapped the page mid-walk (see
         // abortUnmapped); the retire-time coherence check replays.
-        w.finishWalk(result, startCycle(), t, fg_requests, &ledger);
+        w.finishWalk(result, startCycle(), t, fg_requests, tracing,
+                     &ledger);
         finish(std::move(result), t);
     }
 
@@ -398,11 +404,14 @@ class NestedEcptWalker::Machine : public WalkMachine
     abortUnmapped()
     {
         WalkResult result;
-        w.finishWalk(result, startCycle(), t, fg_requests, &ledger);
+        w.finishWalk(result, startCycle(), t, fg_requests, tracing,
+                     &ledger);
         finish(std::move(result), t);
     }
 
     NestedEcptWalker &w;
+    /** Is this walk sampled for the trace? Decided once, at start(),
+     *  since other walks from this walker are in flight with it. */
     bool tracing = false;
     Cycles t = 0;
     int fg_requests = 0;

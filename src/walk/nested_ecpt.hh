@@ -145,9 +145,10 @@ class NestedEcptWalker : public Walker
      * Handle gCWC refills: translate the gCWT entry addresses (via the
      * STC in the Advanced design, via full host probe traffic in the
      * Plain design) and append the fetch traffic to @p background.
+     * A @p traced walk records its STC hits and misses.
      */
     void refillGuestCwc(Addr gva, const EcptProbePlan &gplan, Cycles t,
-                        std::vector<Addr> &background);
+                        std::vector<Addr> &background, bool traced);
 
     /** Per-level CWC hit/miss instants for a traced walk's plan. */
     void tracePlan(const char *cache, const CuckooWalkCache &cwc,

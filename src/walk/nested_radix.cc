@@ -10,7 +10,7 @@ NestedRadixWalker::hostWalk(Addr gpa, Cycles &t, int &accesses)
 {
     // Make sure the backing exists (functional fault-in), then walk.
     const Translation host = sys.hostTranslate(gpa);
-    std::vector<RadixStep> steps;
+    RadixSteps steps;
     RadixPageTable *table = sys.hostRadix();
     NECPT_ASSERT(table != nullptr);
     table->walk(gpa, steps);
@@ -31,9 +31,9 @@ NestedRadixWalker::hostWalk(Addr gpa, Cycles &t, int &accesses)
 WalkResult
 NestedRadixWalker::translate(Addr gva, Cycles now)
 {
-    const bool tracing = traceBegin();
+    const bool tracing = sampleWalk();
     WalkResult result;
-    std::vector<RadixStep> gsteps;
+    RadixSteps gsteps;
     RadixPageTable *gtable = sys.guestRadix();
     NECPT_ASSERT(gtable != nullptr);
     const Translation guest = gtable->walk(gva, gsteps);
@@ -92,7 +92,7 @@ NestedRadixWalker::translate(Addr gva, Cycles now)
                       {{"level", 0}});
 
     result.translation = sys.fullTranslate(gva);
-    finishWalk(result, now, t, accesses);
+    finishWalk(result, now, t, accesses, tracing);
     return result;
 }
 

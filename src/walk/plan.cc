@@ -161,9 +161,9 @@ chargeProbePhase(WalkerStats &stats, int step, const BatchResult &batch,
 BatchResult
 executeProbePhase(MemoryHierarchy &mem, int core, WalkerStats &stats,
                   int step, AddrSpan addrs, Cycles now,
-                  CycleLedger *ledger)
+                  CycleLedger *ledger, bool traced)
 {
-    const BatchResult br = mem.batchAccess(addrs, now, core);
+    const BatchResult br = mem.batchAccess(addrs, now, core, traced);
     chargeProbePhase(stats, step, br, ledger);
     return br;
 }

@@ -108,11 +108,13 @@ void chargeProbePhase(WalkerStats &stats, int step,
  * @p now, drain it, and charge the statistics (the legacy walker
  * timing; resumable walk machines issue the same transaction through
  * MemoryHierarchy::issueBatch and charge on completion instead).
+ * @p traced: the walk is sampled, so its requests are traced.
  */
 BatchResult executeProbePhase(MemoryHierarchy &mem, int core,
                               WalkerStats &stats, int step,
                               AddrSpan addrs, Cycles now,
-                              CycleLedger *ledger = nullptr);
+                              CycleLedger *ledger = nullptr,
+                              bool traced = false);
 
 /// @}
 

@@ -50,7 +50,7 @@ ShadowPagingWalker::translate(Addr gva, Cycles now)
     charge(AttrCause::Probe, pwc.latency());
     int accesses = 0;
 
-    std::vector<RadixStep> steps;
+    RadixSteps steps;
     Translation t9n = shadow->walk(gva, steps);
     if (!t9n.valid) {
         // Shadow fault: the hypervisor walks the guest and host tables

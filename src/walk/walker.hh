@@ -358,11 +358,12 @@ class Walker
     }
 
     /** Background traffic (CWC/CWT refills): consumes bandwidth and
-     *  cache space but does not extend the walk. */
+     *  cache space but does not extend the walk. @p traced: the walk
+     *  is sampled, so its requests are traced. */
     void
-    backgroundAccess(AddrSpan addrs, Cycles now)
+    backgroundAccess(AddrSpan addrs, Cycles now, bool traced = false)
     {
-        BatchResult r = mem.batchAccess(addrs, now, core);
+        BatchResult r = mem.batchAccess(addrs, now, core, traced);
         stats_.mmu_requests.inc(static_cast<std::uint64_t>(r.requests));
     }
 
@@ -373,8 +374,8 @@ class Walker
      * of the L-1 table). Returns top+2 when nothing is cached.
      */
     static int
-    pwcSkipLevel(PageWalkCache &pwc, const std::vector<RadixStep> &steps,
-                 Addr va, int min_cached_level = 2)
+    pwcSkipLevel(PageWalkCache &pwc, const RadixSteps &steps, Addr va,
+                 int min_cached_level = 2)
     {
         int skip_through = 7; // above any supported tree
         for (const RadixStep &step : steps) {
@@ -387,13 +388,12 @@ class Walker
     }
 
     /**
-     * Sampling gate, called at the top of translate(): decides whether
-     * this walk's events are recorded (see TraceBuffer::beginWalk).
+     * Sampling gate, called once at the start of each walk: decides
+     * whether this walk's events are recorded (see
+     * TraceBuffer::sampleWalk). The walk keeps the answer and passes
+     * it to whatever emits on its behalf.
      */
-    bool traceBegin() { return tracer_ && tracer_->beginWalk(); }
-
-    /** Is the current walk being traced? The hot-path check. */
-    bool traceActive() const { return tracer_ && tracer_->walkActive(); }
+    bool sampleWalk() { return tracer_ && tracer_->sampleWalk(); }
 
     /**
      * Record a finished walk in the common statistics and fold its
@@ -403,11 +403,12 @@ class Walker
      * the walk's latency. The ledger moves into @p result, which
      * carries it to whoever reads the walk (stall accounting, the
      * critical-path recorder, a composite walker folding a nested
-     * walk into its own).
+     * walk into its own). A @p traced (sampled) walk also records its
+     * span.
      */
     void
     finishWalk(WalkResult &result, Cycles start, Cycles end,
-               int foreground_accesses,
+               int foreground_accesses, bool traced = false,
                CycleLedger *walk_ledger = nullptr)
     {
         result.latency = end - start;
@@ -424,7 +425,7 @@ class Walker
         }
         result.ledger = led;
         led.reset();
-        if (traceActive()) {
+        if (traced) {
             const AttrCause top = result.ledger.dominant();
             tracer_->span("walk", TraceCat::Walk,
                           static_cast<std::uint32_t>(core), start,
@@ -434,7 +435,6 @@ class Walker
                            {"attr_top_cycles",
                             static_cast<std::int64_t>(
                                 result.ledger.bin(top))}});
-            tracer_->endWalk();
         }
     }
 

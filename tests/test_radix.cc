@@ -37,7 +37,7 @@ TEST(Radix, WalkDepthPerPageSize)
            PageSize::Page2M);
     pt.map(0x80'0000'0000ULL, 0x3'4000'0000, PageSize::Page1G);
 
-    std::vector<RadixStep> steps;
+    RadixSteps steps;
     pt.walk(0x0000'0123, steps);
     EXPECT_EQ(steps.size(), 4u); // Figure 1: up to 4 references
     EXPECT_TRUE(steps.back().leaf);
@@ -59,7 +59,7 @@ TEST(Radix, StepAddressesLiveInAllocatedNodes)
     BumpAllocator alloc(0x5000'0000);
     RadixPageTable pt(alloc);
     pt.map(0x1000, 0x9000, PageSize::Page4K);
-    std::vector<RadixStep> steps;
+    RadixSteps steps;
     pt.walk(0x1000, steps);
     EXPECT_EQ(steps[0].entry_addr, pt.root() + radixIndex(0x1000, 4) * 8);
     for (const RadixStep &step : steps) {
@@ -121,7 +121,7 @@ TEST(Radix, FiveLevelTreeWalksOneExtraStep)
     EXPECT_EQ(pt5.topLevel(), 5);
     pt4.map(0x7000'1000, 0xA000, PageSize::Page4K);
     pt5.map(0x7000'1000, 0xA000, PageSize::Page4K);
-    std::vector<RadixStep> s4, s5;
+    RadixSteps s4, s5;
     ASSERT_TRUE(pt4.walk(0x7000'1000, s4).valid);
     ASSERT_TRUE(pt5.walk(0x7000'1000, s5).valid);
     EXPECT_EQ(s4.size(), 4u);

@@ -5,11 +5,15 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
+#include <string>
 #include <thread>
 
 #include "common/trace_events.hh"
 #include "exec/engine.hh"
+#include "sim/config.hh"
+#include "sim/simulator.hh"
 
 namespace necpt
 {
@@ -34,8 +38,7 @@ TEST(TraceBuffer, DisabledBufferIsInert)
     // a default-constructed buffer is a no-op and records nothing.
     TraceBuffer t;
     EXPECT_FALSE(t.enabled());
-    EXPECT_FALSE(t.beginWalk());
-    EXPECT_FALSE(t.walkActive());
+    EXPECT_FALSE(t.sampleWalk());
     t.span("walk", TraceCat::Walk, 0, 10, 5);
     t.instant("probe", TraceCat::Probe, 0, 10);
     EXPECT_EQ(t.size(), 0u);
@@ -59,18 +62,43 @@ TEST(TraceBuffer, RingOverwritesOldest)
 TEST(TraceBuffer, WalkSampling)
 {
     TraceBuffer t(64, 2); // every 2nd walk
-    EXPECT_TRUE(t.beginWalk());
-    EXPECT_TRUE(t.walkActive());
-    t.endWalk();
-    EXPECT_FALSE(t.beginWalk());
-    EXPECT_TRUE(t.beginWalk());
-    t.endWalk();
+    EXPECT_TRUE(t.sampleWalk());
+    EXPECT_FALSE(t.sampleWalk());
+    EXPECT_TRUE(t.sampleWalk());
     EXPECT_EQ(t.walksSampled(), 2u);
 
     // sample_every == 0 disables walks without disabling the buffer.
     TraceBuffer none(64, 0);
     EXPECT_TRUE(none.enabled());
-    EXPECT_FALSE(none.beginWalk());
+    EXPECT_FALSE(none.sampleWalk());
+}
+
+/** Overlapped walks are in flight together, so each keeps its own
+ *  sampling decision: every sampled walk records one whole-walk span
+ *  and one span per step, however the walks interleave. */
+TEST(TraceBuffer, OverlappedWalksKeepTheirSpans)
+{
+    for (std::uint64_t every : {1u, 3u}) {
+        TraceBuffer t(TraceBuffer::default_capacity, every);
+        SimParams params;
+        params.warmup_accesses = 0;
+        params.measure_accesses = 400;
+        params.scale_denominator = 256;
+        params.max_outstanding_walks = 4;
+        params.tracer = &t;
+        runSim(makeConfig(ConfigId::NestedEcpt), params, "GUPS");
+
+        std::map<std::string, std::uint64_t> spans;
+        for (std::size_t i = 0; i < t.size(); ++i)
+            if (t.event(i).ph == 'X')
+                ++spans[t.event(i).name];
+        EXPECT_EQ(t.dropped(), 0u);
+        EXPECT_GT(t.walksSampled(), 0u);
+        for (const char *name :
+             {"walk", "walk.step1", "walk.step2", "walk.step3"})
+            EXPECT_EQ(spans[name], t.walksSampled())
+                << name << " at --trace-walks=" << every;
+    }
 }
 
 TEST(TraceBuffer, ArgsAreCappedAtFour)
@@ -139,14 +167,12 @@ syntheticTracedJobs(int n)
         spec.fn = [](const JobContext &ctx) {
             JobOutput out;
             out.sim.cycles = static_cast<Cycles>(ctx.seed % 1000);
-            if (ctx.tracer) {
-                ctx.tracer->beginWalk();
+            if (ctx.tracer && ctx.tracer->sampleWalk()) {
                 for (int e = 0; e < 8; ++e)
                     ctx.tracer->instant(
                         "probe", TraceCat::Probe, 0,
                         static_cast<Cycles>(ctx.seed % 97 + e),
                         {{"way", e}});
-                ctx.tracer->endWalk();
             }
             return out;
         };
