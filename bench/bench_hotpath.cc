@@ -3,7 +3,8 @@
  * Hot-path component micro-benchmarks (wall clock).
  *
  * Tight loops over the structures the per-access translation path is
- * made of — the packed set-associative cache, the elastic cuckoo
+ * made of — the packed set-associative cache (an L2 shape that fits a
+ * host L2, and the 8-core L3, which does not), the elastic cuckoo
  * table's find and probe-address generation, and its one-pass d-way
  * hash (hashWays) — plus the machine-build step every run pays first, prefault
  * (host ns per prefaulted page), reported as operations per second and
@@ -112,6 +113,51 @@ cacheFill()
     });
 }
 
+/** The 8-core machine's shared L3: 16MB, 16-way, 16384 sets. */
+const CacheConfig l3_8core{"l3", 16 * 1024 * 1024, 16, 56, 20};
+
+Sample
+l3AccessHit()
+{
+    // Every line of a 16MB region is resident, one set's worth per
+    // set, and lookups pick lines at random: each one reads a random
+    // set of an array larger than a host L2, as walk probes do.
+    SetAssocCache cache(l3_8core);
+    const Addr span = l3_8core.size_bytes;
+    for (Addr a = 0; a < span; a += 64)
+        cache.fill(a);
+    Rng rng(0x13);
+    const std::uint64_t ops = 20'000'000;
+    return measure("setassoc_l3_access_hit", ops, [&] {
+        std::uint64_t hits = 0;
+        for (std::uint64_t i = 0; i < ops; ++i)
+            hits += cache.access(rng.below(span), Requester::Mmu);
+        g_sink = hits;
+    });
+}
+
+Sample
+l3FillEvict()
+{
+    // Random lines of a 64GB range: nearly every lookup misses and
+    // fills, choosing a victim in a random set.
+    SetAssocCache cache(l3_8core);
+    Rng rng(0x31);
+    const Addr span = 64ULL << 30;
+    const std::uint64_t ops = 10'000'000;
+    return measure("setassoc_l3_fill_evict", ops, [&] {
+        std::uint64_t misses = 0;
+        for (std::uint64_t i = 0; i < ops; ++i) {
+            const Addr a = rng.below(span);
+            if (!cache.access(a, Requester::Mmu)) {
+                cache.fill(a);
+                ++misses;
+            }
+        }
+        g_sink = misses;
+    });
+}
+
 Sample
 cuckooFind()
 {
@@ -206,6 +252,8 @@ main()
     std::vector<Sample> samples;
     samples.push_back(cacheAccess());
     samples.push_back(cacheFill());
+    samples.push_back(l3AccessHit());
+    samples.push_back(l3FillEvict());
     samples.push_back(cuckooFind());
     samples.push_back(cuckooProbeAddrs());
     samples.push_back(hashWaysPass());

@@ -1,8 +1,8 @@
 /**
  * @file
- * The one SIMD kernel: the key-row scan behind every AssocCache probe
- * — the data caches on every simulated memory access, and the TLBs and
- * walk caches on every translation.
+ * The SIMD kernels: the tag-row scans behind every AssocCache probe
+ * — the data caches' 32-bit rows on every simulated memory access, and
+ * the TLBs' and walk caches' 64-bit rows on every translation.
  *
  * findKeyScalar is the reference loop and is always compiled; findKey
  * returns the same index on every input, so simulation results never
@@ -29,8 +29,9 @@ namespace simd
 {
 
 /** Lowest index i in [0, n) with row[i] == key, or -1. */
+template <typename T>
 inline int
-findKeyScalar(const std::uint64_t *row, int n, std::uint64_t key)
+findKeyScalar(const T *row, int n, T key)
 {
     for (int i = 0; i < n; ++i)
         if (row[i] == key)
@@ -51,6 +52,28 @@ findKey(const std::uint64_t *row, int n, std::uint64_t key)
             reinterpret_cast<const __m256i *>(row + i));
         const unsigned eq = static_cast<unsigned>(_mm256_movemask_pd(
             _mm256_castsi256_pd(_mm256_cmpeq_epi64(keys, needle))));
+        if (eq)
+            return i + __builtin_ctz(eq);
+    }
+    const int tail = findKeyScalar(row + i, n - i, key);
+    return tail < 0 ? -1 : i + tail;
+#else
+    return findKeyScalar(row, n, key);
+#endif
+}
+
+/** findKeyScalar, eight keys per 256-bit compare where AVX2 is on. */
+inline int
+findKey(const std::uint32_t *row, int n, std::uint32_t key)
+{
+#if NECPT_SIMD_AVX2
+    const __m256i needle = _mm256_set1_epi32(static_cast<int>(key));
+    int i = 0;
+    for (; i + 8 <= n; i += 8) {
+        const __m256i keys = _mm256_loadu_si256(
+            reinterpret_cast<const __m256i *>(row + i));
+        const unsigned eq = static_cast<unsigned>(_mm256_movemask_ps(
+            _mm256_castsi256_ps(_mm256_cmpeq_epi32(keys, needle))));
         if (eq)
             return i + __builtin_ctz(eq);
     }

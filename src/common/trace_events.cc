@@ -98,7 +98,8 @@ writeChromeTrace(const std::string &path,
             writeEvent(os, e, first);
         }
     }
-    os << "\n],\"displayTimeUnit\":\"ns\"}\n";
+    os << "\n],\"displayTimeUnit\":\"ns\",\"otherData\":{\"dropped_events\":"
+       << dropped << "}}\n";
 
     if (dropped > 0)
         warn("trace ring overflow: %llu oldest event(s) overwritten; "

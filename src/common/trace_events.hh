@@ -248,10 +248,12 @@ struct TraceLane
  * Events keep each buffer's emission order; lanes are concatenated in
  * the order given (submission order for sweeps), so the bytes are a
  * pure function of the lane contents. @p canonical drops events
- * tagged non-deterministic (engine wall-clock spans).
+ * tagged non-deterministic (engine wall-clock spans). The document's
+ * `otherData.dropped_events` counts the events every lane's ring
+ * overwrote, so a reader can tell a whole trace from a tail.
  *
- * @return success (warns, via the log sink, when events were dropped
- *         to ring overflow).
+ * @return success (also warns, via the log sink, when events were
+ *         dropped to ring overflow).
  */
 bool writeChromeTrace(const std::string &path,
                       const std::vector<TraceLane> &lanes,

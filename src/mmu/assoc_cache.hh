@@ -6,18 +6,34 @@
  * POM-TLB store their lines here; fully associative when built with a
  * single set.
  *
- * Lines are stored as parallel arrays: a packed key array (one row of
- * `ways` keys per set), the payloads, and the LRU ticks. An all-ones
- * key marks an invalid line, so a probe scans one key row
- * (simd::findKey) and a range invalidation reads 8 bytes per line.
- * The array counts no hits or misses: each owner counts its own.
+ * Each set keeps its tags and its LRU ticks side by side in one row,
+ * 64-byte aligned, so an 8-way set of the data caches is one host
+ * cache line; the payloads sit in an array of their own. An all-ones
+ * tag marks an invalid line, so a probe scans one tag row
+ * (simd::findKey). The array counts no hits or misses: each owner
+ * counts its own.
+ *
+ * One implementation serves two tag widths:
+ *  - 64-bit (the default; every MMU structure): a tag is the whole
+ *    key and a tick is 64 bits, 16 bytes of state per line.
+ *  - 32-bit (the data caches): a tag is `key / sets` (a shift for a
+ *    power-of-two set count) and a tick is 32 bits, 8 bytes per line.
+ *    The row a tag sits in gives the set, so (set, tag) names the key
+ *    exactly, for every key below keyLimit(). Before the counter would
+ *    wrap, every set's ticks are renumbered 1..ways in their (tick,
+ *    way) order, stale ticks of invalid lines included, and the
+ *    counter restarts above them; relative order is all a victim
+ *    choice reads, so every later victim is the one 64-bit ticks pick.
  */
 
 #ifndef NECPT_MMU_ASSOC_CACHE_HH
 #define NECPT_MMU_ASSOC_CACHE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <new>
+#include <type_traits>
 #include <vector>
 
 #include "common/bitops.hh"
@@ -31,15 +47,34 @@ namespace necpt
  * Keys are unsigned 64-bit integers; a key's set is its low bits for a
  * power-of-two set count and `key % sets` otherwise. Callers' keys
  * (VPNs, radix prefixes, gPA pages, CWT entry keys, line numbers,
- * POM-TLB set-tagged keys) stay below 2^59, far from empty_key.
+ * POM-TLB set-tagged keys) stay below 2^59, far from a 64-bit array's
+ * keyLimit(); the data caches' line numbers stay below a 32-bit
+ * array's, which the machine checks once when it is built.
  * @tparam ValueT payload
+ * @tparam TagT tag and tick width: std::uint64_t or std::uint32_t
  */
-template <typename ValueT>
+template <typename ValueT, typename TagT = std::uint64_t>
 class AssocCache
 {
+    static_assert(std::is_same_v<TagT, std::uint64_t>
+                      || std::is_same_v<TagT, std::uint32_t>,
+                  "tags are 64 or 32 bits");
+
   public:
-    /** The key of an invalid line; no caller key reaches it. */
-    static constexpr std::uint64_t empty_key = ~std::uint64_t{0};
+    /** The tag of an invalid line; no key's tag reaches it. */
+    static constexpr TagT empty_tag = ~TagT{0};
+
+    /**
+     * One past the largest key an array of @p sets sets can hold:
+     * every key but the all-ones one for 64-bit tags, and for 32-bit
+     * tags every key whose `key / sets` stays below the all-ones tag.
+     */
+    static constexpr std::uint64_t
+    keyLimit(std::size_t sets)
+    {
+        return whole_keys ? ~std::uint64_t{0}
+                          : std::uint64_t{empty_tag} * sets;
+    }
 
     /**
      * @param capacity total entries
@@ -53,28 +88,39 @@ class AssocCache
         sets = capacity / assoc;
         NECPT_ASSERT(sets >= 1);
         pow2_sets = isPowerOf2(sets);
-        keys.assign(sets * assoc, empty_key);
+        set_shift = pow2_sets ? static_cast<unsigned>(floorLog2(sets)) : 0;
+        rows.reset(static_cast<TagT *>(::operator new[](
+            2 * sets * assoc * sizeof(TagT), row_align)));
+        for (std::size_t set = 0; set < sets; ++set) {
+            std::fill_n(tagRow(set), assoc, empty_tag);
+            std::fill_n(tickRow(set), assoc, TagT{0});
+        }
         values = std::make_unique<ValueT[]>(sets * assoc);
-        ticks.assign(sets * assoc, 0);
+        if constexpr (!whole_keys)
+            ranks.resize(assoc);
     }
 
     /** Find @p key; refreshes its recency. */
     ValueT *
     find(std::uint64_t key)
     {
-        const std::size_t line = lineOf(key);
-        if (line == npos)
+        const std::size_t set = setOf(key);
+        const int way = wayOf(set, key);
+        if (way < 0)
             return nullptr;
-        ticks[line] = ++tick;
-        return &values[line];
+        tickRow(set)[way] = nextTick();
+        return &values[set * assoc + static_cast<std::size_t>(way)];
     }
 
     /** Probe without a recency update. */
     const ValueT *
     peek(std::uint64_t key) const
     {
-        const std::size_t line = lineOf(key);
-        return line == npos ? nullptr : &values[line];
+        const std::size_t set = setOf(key);
+        const int way = wayOf(set, key);
+        return way < 0
+            ? nullptr
+            : &values[set * assoc + static_cast<std::size_t>(way)];
     }
 
     /**
@@ -86,26 +132,30 @@ class AssocCache
     void
     insert(std::uint64_t key, const ValueT &value)
     {
-        NECPT_ASSERT(key != empty_key);
-        const std::size_t base = setOf(key) * assoc;
-        std::size_t line = base;
-        std::uint64_t line_rank = ~std::uint64_t{0};
-        for (std::size_t i = base; i < base + assoc; ++i) {
-            if (keys[i] == key) {
-                values[i] = value;
-                ticks[i] = ++tick;
+        const std::size_t set = setOf(key);
+        const TagT tag = tagOf(key);
+        NECPT_ASSERT(tag != empty_tag);
+        TagT *tags = tagRow(set);
+        TagT *ticks = tickRow(set);
+        ValueT *vals = &values[set * assoc];
+        std::size_t way = 0;
+        std::uint64_t way_rank = ~std::uint64_t{0};
+        for (std::size_t i = 0; i < assoc; ++i) {
+            if (tags[i] == tag) {
+                vals[i] = value;
+                ticks[i] = nextTick();
                 return;
             }
             // Bit 63 puts every valid line after every invalid one;
             // ticks count finds and inserts, so they never reach it.
-            const std::uint64_t rank =
-                ticks[i] | std::uint64_t{keys[i] != empty_key} << 63;
-            line = rank < line_rank ? i : line;
-            line_rank = rank < line_rank ? rank : line_rank;
+            const std::uint64_t rank = std::uint64_t{ticks[i]}
+                | std::uint64_t{tags[i] != empty_tag} << 63;
+            way = rank < way_rank ? i : way;
+            way_rank = rank < way_rank ? rank : way_rank;
         }
-        keys[line] = key;
-        values[line] = value;
-        ticks[line] = ++tick;
+        tags[way] = tag;
+        vals[way] = value;
+        ticks[way] = nextTick();
     }
 
     /**
@@ -115,39 +165,69 @@ class AssocCache
      *
      * A key lives only in its one set, so a range of fewer keys than
      * sets visits just the set of each of its keys; a wider range
-     * covers every set and sweeps the key array once.
+     * covers every set and sweeps every tag row once.
      * @return number of lines invalidated.
      */
     std::size_t
     invalidateKeys(std::uint64_t lo, std::uint64_t hi)
     {
-        NECPT_ASSERT(lo <= hi && hi < empty_key);
+        NECPT_ASSERT(lo <= hi && hi < keyLimit(sets));
         const std::uint64_t width = hi - lo;
         std::size_t count = 0;
         if (width < sets - 1) {
-            // hi < empty_key, so key never wraps.
+            // hi < keyLimit, so key never wraps.
             for (std::uint64_t key = lo; key <= hi; ++key) {
-                const std::size_t line = lineOf(key);
-                if (line != npos) {
-                    keys[line] = empty_key;
+                const std::size_t set = setOf(key);
+                const int way = wayOf(set, key);
+                if (way >= 0) {
+                    tagRow(set)[way] = empty_tag;
                     ++count;
                 }
             }
             return count;
         }
-        // empty_key - lo > width, so invalid lines never match.
-        for (std::uint64_t &k : keys) {
-            const bool hit = k - lo <= width;
-            k = hit ? empty_key : k;
-            count += hit;
+        for (std::size_t set = 0; set < sets; ++set) {
+            TagT *tags = tagRow(set);
+            for (std::size_t i = 0; i < assoc; ++i) {
+                const bool hit = tags[i] != empty_tag
+                    && keyOf(set, tags[i]) - lo <= width;
+                tags[i] = hit ? empty_tag : tags[i];
+                count += hit;
+            }
         }
         return count;
     }
 
-    std::size_t capacity() const { return keys.size(); }
+    std::size_t capacity() const { return sets * assoc; }
+
+    /**
+     * Move the LRU counter forward to @p value. Victim choices read
+     * only the order of ticks, so none changes; a test reaches the
+     * renumbering this way without 2^32 operations.
+     */
+    void
+    skipTicksTo(TagT value)
+    {
+        NECPT_ASSERT(value >= tick);
+        tick = value;
+    }
 
   private:
-    static constexpr std::size_t npos = ~std::size_t{0};
+    /** A 64-bit tag is the whole key; a narrower one drops the set. */
+    static constexpr bool whole_keys =
+        std::is_same_v<TagT, std::uint64_t>;
+
+    static constexpr std::align_val_t row_align{64};
+
+    /** Frees the rows with the alignment they were allocated with. */
+    struct RowsDeleter
+    {
+        void
+        operator()(TagT *rows) const
+        {
+            ::operator delete[](rows, row_align);
+        }
+    };
 
     std::size_t
     setOf(std::uint64_t key) const
@@ -156,25 +236,85 @@ class AssocCache
                                                   : key % sets);
     }
 
-    /** Index of the line holding @p key, or npos. */
-    std::size_t
-    lineOf(std::uint64_t key) const
+    TagT
+    tagOf(std::uint64_t key) const
     {
-        const std::size_t base = setOf(key) * assoc;
-        const int way =
-            simd::findKey(&keys[base], static_cast<int>(assoc), key);
-        return way < 0 ? npos : base + static_cast<std::size_t>(way);
+        if constexpr (whole_keys)
+            return key;
+        else
+            return static_cast<TagT>(pow2_sets ? key >> set_shift
+                                               : key / sets);
+    }
+
+    /** The key a valid line of @p set with @p tag holds. */
+    std::uint64_t
+    keyOf(std::size_t set, TagT tag) const
+    {
+        if constexpr (whole_keys)
+            return tag;
+        else
+            return pow2_sets ? std::uint64_t{tag} << set_shift | set
+                             : std::uint64_t{tag} * sets + set;
+    }
+
+    TagT *tagRow(std::size_t set) const { return &rows[2 * assoc * set]; }
+    TagT *tickRow(std::size_t set) const { return tagRow(set) + assoc; }
+
+    /** The way of @p set holding @p key, or -1. */
+    int
+    wayOf(std::size_t set, std::uint64_t key) const
+    {
+        return simd::findKey(tagRow(set), static_cast<int>(assoc),
+                             tagOf(key));
+    }
+
+    /** The next LRU tick; a 32-bit counter renumbers before it wraps. */
+    TagT
+    nextTick()
+    {
+        if constexpr (!whole_keys) {
+            if (tick == empty_tag) [[unlikely]]
+                renumberTicks();
+        }
+        return ++tick;
+    }
+
+    /**
+     * Renumber every set's ticks 1..ways in their (tick, way) order,
+     * invalid lines included, and restart the counter above them. A
+     * victim is the invalid line, else the valid one, that is first in
+     * that order, and every later tick is larger than every renumbered
+     * one, as it would be with ticks that never wrap.
+     */
+    void
+    renumberTicks()
+    {
+        for (std::size_t set = 0; set < sets; ++set) {
+            TagT *row = tickRow(set);
+            for (std::size_t i = 0; i < assoc; ++i) {
+                TagT r = 1;
+                for (std::size_t j = 0; j < assoc; ++j)
+                    r += row[j] < row[i] || (row[j] == row[i] && j < i);
+                ranks[i] = r;
+            }
+            std::copy(ranks.begin(), ranks.end(), row);
+        }
+        tick = static_cast<TagT>(assoc);
     }
 
     std::size_t assoc;
     std::size_t sets;
-    /** sets is a power of two: setOf masks instead of dividing. */
+    /** sets is a power of two: setOf masks and tagOf shifts. */
     bool pow2_sets;
-    std::vector<std::uint64_t> keys;
+    unsigned set_shift;
+    /** Per set, `assoc` tags then `assoc` ticks. */
+    std::unique_ptr<TagT[], RowsDeleter> rows;
     /** Not a vector: vector<bool> has no addressable elements. */
     std::unique_ptr<ValueT[]> values;
-    std::vector<std::uint64_t> ticks;
-    std::uint64_t tick = 0;
+    TagT tick = 0;
+    /** renumberTicks' scratch, one set's new ticks (32-bit tags only),
+     *  so a renumbering allocates nothing. */
+    std::vector<TagT> ranks;
 };
 
 } // namespace necpt

@@ -131,6 +131,20 @@ Simulator::buildMachine(std::uint64_t footprint, const std::string &app)
         scfg.guest_phys_bytes = guest_need;
     if (scfg.host_phys_bytes < guest_need + (2ULL << 30))
         scfg.host_phys_bytes = guest_need + (2ULL << 30);
+    // Every simulated access carries a guest- or host-physical
+    // address, and each data cache tags lines below its address limit.
+    const std::uint64_t phys_bytes =
+        std::max(scfg.guest_phys_bytes, scfg.host_phys_bytes);
+    for (const CacheConfig *level :
+         {&cfg.memory.l1, &cfg.memory.l2, &cfg.memory.l3}) {
+        const std::uint64_t limit = SetAssocCache::addressLimit(*level);
+        if (phys_bytes > limit)
+            throw ConfigError(strfmt(
+                "%s tags cover %llu bytes of physical memory, the "
+                "machine has %llu",
+                level->name.c_str(), (unsigned long long)limit,
+                (unsigned long long)phys_bytes));
+    }
     // Coverage is app-dependent (Section 9.1 / Figures 12, 14).
     scfg.guest_thp_coverage = appGuestThpCoverage(app);
     scfg.host_thp_coverage = appHostThpCoverage(app);

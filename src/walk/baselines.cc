@@ -8,6 +8,7 @@ namespace necpt
 WalkResult
 AgilePagingWalker::translate(Addr gva, Cycles now)
 {
+    const bool traced = sampleWalk();
     WalkResult result;
     RadixSteps gsteps;
     RadixPageTable *gtable = sys.guestRadix();
@@ -35,29 +36,41 @@ AgilePagingWalker::translate(Addr gva, Cycles now)
     }
 
     result.translation = sys.fullTranslate(gva);
-    finishWalk(result, now, t, accesses);
+    finishWalk(result, now, t, accesses, traced);
     return result;
 }
 
 WalkResult
 PomTlbWalker::translate(Addr gva, Cycles now)
 {
+    // One sample per TLB miss: the fallback walker has no tracer of
+    // its own, so a traced walk records the fallback as one span.
+    const bool traced = sampleWalk();
     // One in-DRAM probe (cacheable in L2/L3 like data). The probe IS
     // the POM-TLB lookup, so its whole latency is the tlb cause.
     Cycles t = now;
     const PomTlb::Result probe = pom.lookup(gva);
     t += seqAccessAs(AttrCause::Tlb, probe.entry_addr, t);
+    if (traced)
+        tracer_->span("pom.lookup", TraceCat::Walk,
+                      static_cast<std::uint32_t>(core), now, t - now,
+                      {{"hit", probe.hit}});
 
     if (probe.hit) {
         WalkResult result;
         result.translation = probe.translation;
-        finishWalk(result, now, t, 1);
+        finishWalk(result, now, t, 1, traced);
         return result;
     }
 
     // Fall back to a full nested radix walk, then install.
     WalkResult walked = fallback.translate(gva, t);
     pom.install(gva, walked.translation);
+    if (traced)
+        tracer_->span("pom.fallback", TraceCat::Walk,
+                      static_cast<std::uint32_t>(core), t,
+                      walked.latency,
+                      {{"accesses", walked.mem_accesses}});
 
     WalkResult result;
     result.translation = walked.translation;
@@ -65,7 +78,7 @@ PomTlbWalker::translate(Addr gva, Cycles now)
     // its ledger so our bins conserve the combined total.
     ledger_.fold(walked.ledger);
     finishWalk(result, now, t + walked.latency,
-               1 + walked.mem_accesses);
+               1 + walked.mem_accesses, traced);
     // The fallback walker recorded its own stats; fold its traffic into
     // ours and neutralize the double count of busy cycles.
     stats_.mmu_requests.inc(
@@ -76,6 +89,7 @@ PomTlbWalker::translate(Addr gva, Cycles now)
 WalkResult
 FlatNestedWalker::translate(Addr gva, Cycles now)
 {
+    const bool traced = sampleWalk();
     WalkResult result;
     RadixSteps gsteps;
     RadixPageTable *gtable = sys.guestRadix();
@@ -119,7 +133,7 @@ FlatNestedWalker::translate(Addr gva, Cycles now)
     ++accesses;
 
     result.translation = sys.fullTranslate(gva);
-    finishWalk(result, now, t, accesses);
+    finishWalk(result, now, t, accesses, traced);
     return result;
 }
 

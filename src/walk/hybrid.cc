@@ -6,7 +6,8 @@ namespace necpt
 {
 
 Translation
-HybridWalker::hostProbe(Addr gpa, int row, Cycles &t, int &accesses)
+HybridWalker::hostProbe(Addr gpa, int row, Cycles &t, int &accesses,
+                        bool traced)
 {
     EcptPageTable &host = *sys.hostEcpt();
     const Translation h = sys.hostTranslate(gpa);
@@ -35,15 +36,16 @@ HybridWalker::hostProbe(Addr gpa, int row, Cycles &t, int &accesses)
     appendPlannedProbes(host, gpa, plan, probe_buf);
     // Hybrid walks have no fixed three-step structure: step -1 skips
     // the per-step tallies.
-    const BatchResult br =
-        executeProbePhase(mem, core, stats_, -1, probe_buf, t, &ledger_);
+    const BatchResult br = executeProbePhase(mem, core, stats_, -1,
+                                             probe_buf, t, &ledger_,
+                                             traced);
     t += br.latency;
     accesses += br.requests;
 
     refill_buf.clear();
     collectCwcRefills(host, hcwc, gpa, plan, options, refill_buf);
     if (!refill_buf.empty())
-        backgroundAccess(refill_buf, t);
+        backgroundAccess(refill_buf, t, traced);
 
     return h;
 }
@@ -51,6 +53,7 @@ HybridWalker::hostProbe(Addr gpa, int row, Cycles &t, int &accesses)
 WalkResult
 HybridWalker::translate(Addr gva, Cycles now)
 {
+    const bool traced = sampleWalk();
     WalkResult result;
     RadixSteps gsteps;
     RadixPageTable *gtable = sys.guestRadix();
@@ -75,7 +78,7 @@ HybridWalker::translate(Addr gva, Cycles now)
             t += ntlb.latency();
             charge(AttrCause::Tlb, ntlb.latency());
         } else {
-            host = hostProbe(entry_gpa, row, t, accesses);
+            host = hostProbe(entry_gpa, row, t, accesses, traced);
             ntlb.fill(entry_gpa, host.apply(entry_gpa) & ~mask(12));
         }
         t += seqAccess(host.apply(entry_gpa), t);
@@ -86,10 +89,10 @@ HybridWalker::translate(Addr gva, Cycles now)
 
     // Row 5: the data page's gPA.
     const Addr gpa_data = guest.apply(gva);
-    hostProbe(gpa_data, 5, t, accesses);
+    hostProbe(gpa_data, 5, t, accesses, traced);
 
     result.translation = sys.fullTranslate(gva);
-    finishWalk(result, now, t, accesses);
+    finishWalk(result, now, t, accesses, traced);
     return result;
 }
 

@@ -67,8 +67,10 @@ class HybridWalker : public Walker
     /**
      * One parallel hECPT translation of @p gpa (the Figure-8 "Step 3"
      * building block). @p row is 1..5 from gL4 down to the data page.
+     * A @p traced walk traces its probe and refill requests.
      */
-    Translation hostProbe(Addr gpa, int row, Cycles &t, int &accesses);
+    Translation hostProbe(Addr gpa, int row, Cycles &t, int &accesses,
+                          bool traced);
 
     PageWalkCache gpwc;
     NestedTlb ntlb;

@@ -27,6 +27,7 @@ NestedHptWalker::hostChain(Addr gpa, Cycles &t, int &accesses)
 WalkResult
 NestedHptWalker::translate(Addr gva, Cycles now)
 {
+    const bool traced = sampleWalk();
     WalkResult result;
     HashedPageTable *guest = sys.guestHpt();
     NECPT_ASSERT(guest != nullptr);
@@ -58,7 +59,7 @@ NestedHptWalker::translate(Addr gva, Cycles now)
 
     result.translation = sys.fullTranslate(gva);
     NECPT_ASSERT(result.translation.valid);
-    finishWalk(result, now, t, accesses);
+    finishWalk(result, now, t, accesses, traced);
     return result;
 }
 

@@ -45,6 +45,7 @@ ShadowPagingWalker::invalidateTranslationCaches(Addr gva,
 WalkResult
 ShadowPagingWalker::translate(Addr gva, Cycles now)
 {
+    const bool traced = sampleWalk();
     WalkResult result;
     Cycles t = now + pwc.latency();
     charge(AttrCause::Probe, pwc.latency());
@@ -79,7 +80,7 @@ ShadowPagingWalker::translate(Addr gva, Cycles now)
     }
 
     result.translation = t9n;
-    finishWalk(result, now, t, accesses);
+    finishWalk(result, now, t, accesses, traced);
     return result;
 }
 

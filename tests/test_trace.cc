@@ -101,6 +101,41 @@ TEST(TraceBuffer, OverlappedWalksKeepTheirSpans)
     }
 }
 
+/** Every walker design asks once per walk whether it is traced, and a
+ *  traced walk records one whole-walk span: the POM-TLB walk samples
+ *  once per TLB miss, its fallback nested walk included. */
+TEST(TraceBuffer, EveryDesignSpansEachSampledWalk)
+{
+    for (const ConfigId id :
+         {ConfigId::Radix, ConfigId::Ecpt, ConfigId::NestedRadix,
+          ConfigId::NestedEcpt, ConfigId::NestedHybrid,
+          ConfigId::AgilePagingIdeal, ConfigId::PomTlb,
+          ConfigId::FlatNested, ConfigId::ShadowPaging,
+          ConfigId::NestedHpt}) {
+        for (std::uint64_t every : {1u, 3u}) {
+            SCOPED_TRACE(configName(id) + " at --trace-walks="
+                         + std::to_string(every));
+            TraceBuffer t(TraceBuffer::default_capacity, every);
+            SimParams params;
+            params.warmup_accesses = 0;
+            params.measure_accesses = 400;
+            params.scale_denominator = 256;
+            params.tracer = &t;
+            const SimResult r = runSim(makeConfig(id), params, "GUPS");
+
+            std::uint64_t walk_spans = 0;
+            for (std::size_t i = 0; i < t.size(); ++i)
+                walk_spans += t.event(i).ph == 'X'
+                    && std::string(t.event(i).name) == "walk";
+            EXPECT_EQ(t.dropped(), 0u);
+            EXPECT_GT(t.walksSampled(), 0u);
+            EXPECT_EQ(walk_spans, t.walksSampled());
+            // Every walk asks once: every Nth is sampled.
+            EXPECT_EQ(t.walksSampled(), (r.walks + every - 1) / every);
+        }
+    }
+}
+
 TEST(TraceBuffer, ArgsAreCappedAtFour)
 {
     TraceBuffer t(4);
@@ -133,6 +168,27 @@ TEST(ChromeTrace, WriterEmitsValidStructure)
     // The process-name metadata record names the lane.
     EXPECT_NE(json.find("\"process_name\""), std::string::npos);
     EXPECT_NE(json.find("job-a"), std::string::npos);
+}
+
+TEST(ChromeTrace, DocumentCountsDroppedEvents)
+{
+    // A ring of 4 that overflows by k events says so in the document,
+    // summed over lanes; a ring that never filled writes 0.
+    for (std::uint64_t k : {0u, 1u, 7u}) {
+        TraceBuffer full(4);
+        TraceBuffer other(4);
+        for (std::uint64_t i = 0; i < 4 + k; ++i)
+            full.instant("e", TraceCat::Walk, 0, i);
+        other.instant("e", TraceCat::Walk, 0, 0);
+        const std::string path = "test_trace_dropped.json";
+        ASSERT_TRUE(writeChromeTrace(path, {{&full, "a"}, {&other, "b"}}));
+        const std::string json = readFile(path);
+        std::remove(path.c_str());
+        EXPECT_NE(json.find("\"otherData\":{\"dropped_events\":"
+                            + std::to_string(k) + "}"),
+                  std::string::npos)
+            << json.substr(json.size() - 80);
+    }
 }
 
 TEST(ChromeTrace, CanonicalDropsWallClockSpans)
