@@ -16,8 +16,9 @@ PhysMemPool::PhysMemPool(Addr base, std::uint64_t capacity_bytes,
       name_(std::move(pool_name))
 {
     NECPT_ASSERT(pageOffset(base, PageSize::Page1G) == 0);
-    region_bump = base + alignDown(capacity_bytes * 7 / 8,
+    region_zone = base + alignDown(capacity_bytes * 7 / 8,
                                    pageBytes(PageSize::Page1G));
+    region_bump = region_zone;
 }
 
 void

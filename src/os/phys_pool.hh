@@ -68,6 +68,9 @@ class PhysMemPool : public RegionAllocator
 
     const std::string &name() const { return name_; }
 
+    /** Lowest address of the region zone (see region_bump). */
+    Addr regionZoneBase() const { return region_zone; }
+
     /** Arm (or disarm, with nullptr) injected allocation failures.
      *  The plan must outlive the pool's use of it. */
     void setFaultPlan(FaultPlan *plan) { fault_plan = plan; }
@@ -86,6 +89,7 @@ class PhysMemPool : public RegionAllocator
      * share a 1GB region — keeping data regions size-uniform, which
      * the CWT descriptors exploit.
      */
+    Addr region_zone;
     Addr region_bump;
     std::uint64_t used = 0;
     std::string name_;

@@ -60,6 +60,9 @@ NestedSystem::NestedSystem(const SystemConfig &config)
     }
 
     if (cfg.virtualized) {
+        pt_memo_base = guest_pool->regionZoneBase();
+        pt_memo_limit = (cfg.guest_phys_bytes - pt_memo_base)
+            >> pageShift(PageSize::Page4K);
         host_node_alloc = std::make_unique<ScatteredPtAllocator>(
             *host_pool, host_pt_registry);
         switch (cfg.host_kind) {
@@ -112,6 +115,24 @@ NestedSystem::auditInvariants() const
                 "capacity", pool->name().c_str(),
                 (unsigned long long)pool->usedBytes(),
                 (unsigned long long)pool->capacityBytes()));
+    }
+    for (std::size_t page = 0; page < pt_memo.size(); ++page) {
+        if (!(pt_memo[page] & memo_valid))
+            continue;
+        const Addr gpa = pt_memo_base
+            + static_cast<Addr>(page) * pageBytes(PageSize::Page4K);
+        const Translation want = host_pt->lookup(gpa);
+        const Translation have = memoEntry(pt_memo[page]);
+        if (!want.valid || want.pa != have.pa || want.size != have.size)
+            throw InvariantViolation(strfmt(
+                "page-table memo: gPA 0x%llx memoized at hPA 0x%llx, "
+                "host table says %s",
+                (unsigned long long)gpa, (unsigned long long)have.pa,
+                want.valid ? strfmt("hPA 0x%llx (%s)",
+                                    (unsigned long long)want.pa,
+                                    pageSizeName(want.size))
+                                 .c_str()
+                           : "unmapped"));
     }
 }
 
@@ -228,23 +249,26 @@ NestedSystem::hostPageSize(Addr gpa)
     return use_thp ? PageSize::Page2M : PageSize::Page4K;
 }
 
-void
+Translation
 NestedSystem::hostFaultIn(Addr gpa)
 {
-    hostMapRun(gpa, 1, hostPageSize(gpa));
+    const PageSize size = hostPageSize(gpa);
+    return {hostMapRun(gpa, 1, size), size, true};
 }
 
-void
+Addr
 NestedSystem::hostMapRun(Addr gpa, int pages, PageSize size)
 {
     NECPT_ASSERT(cfg.virtualized);
+    Addr frame = invalid_addr;
     auto next_frame = [&] {
         ++host_faults;
-        return host_pool->allocFrame(size);
+        return frame = host_pool->allocFrame(size);
     };
     host_pt->mapBlock(pageBase(gpa, size), pages, size, next_frame);
     if (size == PageSize::Page4K)
         noteHost4k(gpa);
+    return frame;
 }
 
 void
@@ -260,24 +284,43 @@ NestedSystem::noteHost4k(Addr gpa)
     last_4k_block = block;
 }
 
-NestedSystem::UnmapInfo
-NestedSystem::guestUnmapPage(Addr gva)
+void
+NestedSystem::guestUnmap(Addr page, const Translation &g)
 {
-    const Translation g = guestTranslate(gva);
-    if (!g.valid)
-        return {};
-    const Addr page = pageBase(gva, g.size);
+    ++remaps;
     guest_pt->unmap(page, g.size);
     PhysMemPool &frames = cfg.virtualized ? *guest_pool : *host_pool;
     frames.freeFrame(g.pa, g.size);
-    return {true, page, g};
+}
+
+void
+NestedSystem::hostUnmap(Addr gpa, const Translation &h)
+{
+    ++remaps;
+    const Addr page = pageBase(gpa, h.size);
+    host_pt->unmap(page, h.size);
+    host_pool->freeFrame(h.pa, h.size);
+    // Drop the memo entries of the unmapped page, as far as the memo
+    // has grown over it.
+    const Addr end = page + pageBytes(h.size);
+    if (end <= pt_memo_base)
+        return;
+    const std::uint64_t first = memoPage(std::max(page, pt_memo_base));
+    const std::uint64_t last =
+        std::min<std::uint64_t>(memoPage(end), pt_memo.size());
+    for (std::uint64_t i = first; i < last; ++i)
+        pt_memo[i] = 0;
 }
 
 NestedSystem::UnmapInfo
 NestedSystem::balloonOut(Addr gva)
 {
-    UnmapInfo info = guestUnmapPage(gva);
-    if (!info.ok || !cfg.virtualized)
+    const Translation g = guestTranslate(gva);
+    if (!g.valid)
+        return {};
+    const UnmapInfo info{true, pageBase(gva, g.size), g};
+    guestUnmap(info.page, g);
+    if (!cfg.virtualized)
         return info;
     // The balloon driver hands the freed guest-physical frame to the
     // hypervisor, which drops its backing. Release every host page
@@ -290,10 +333,8 @@ NestedSystem::balloonOut(Addr gva)
     while (gpa < end) {
         const Translation h = host_pt->lookup(gpa);
         if (h.valid) {
-            const Addr hpage = pageBase(gpa, h.size);
-            host_pt->unmap(hpage, h.size);
-            host_pool->freeFrame(h.pa, h.size);
-            gpa = hpage + pageBytes(h.size);
+            hostUnmap(gpa, h);
+            gpa = pageBase(gpa, h.size) + pageBytes(h.size);
             continue;
         }
         // Unbacked: one query covers the rest of this table block, and
@@ -324,8 +365,7 @@ NestedSystem::migratePage(Addr gva)
         // freeing so the allocator cannot hand the same frame back.
         const Addr page = pageBase(gva, g.size);
         const Addr fresh = host_pool->allocFrame(g.size);
-        guest_pt->unmap(page, g.size);
-        host_pool->freeFrame(g.pa, g.size);
+        guestUnmap(page, g);
         guest_pt->map(page, fresh, g.size);
         return true;
     }
@@ -336,11 +376,9 @@ NestedSystem::migratePage(Addr gva)
     const Translation h = host_pt->lookup(gpa);
     if (!h.valid)
         return false;
-    const Addr hpage = pageBase(gpa, h.size);
     const Addr fresh = host_pool->allocFrame(h.size);
-    host_pt->unmap(hpage, h.size);
-    host_pool->freeFrame(h.pa, h.size);
-    host_pt->map(hpage, fresh, h.size);
+    hostUnmap(gpa, h);
+    host_pt->map(pageBase(gpa, h.size), fresh, h.size);
     return true;
 }
 
@@ -357,8 +395,7 @@ NestedSystem::thpDemote(Addr gva)
     guest_block_thp[page >> thp_chunk_shift] = false;
     // Copy-based split: the huge frame is released and each 4KB piece
     // re-lands in its own frame (keeps pool accounting size-exact).
-    guest_pt->unmap(page, PageSize::Page2M);
-    frames.freeFrame(g.pa, PageSize::Page2M);
+    guestUnmap(page, g);
     const int pieces = static_cast<int>(pageBytes(PageSize::Page2M)
                                         / pageBytes(PageSize::Page4K));
     for (int i = 0; i < pieces; ++i) {
@@ -390,9 +427,7 @@ NestedSystem::thpPromote(Addr gva)
     for (int i = 0; i < pieces; ++i) {
         const Addr va = region
             + static_cast<Addr>(i) * pageBytes(PageSize::Page4K);
-        const Translation t = guestTranslate(va);
-        guest_pt->unmap(va, PageSize::Page4K);
-        frames.freeFrame(t.pa, PageSize::Page4K);
+        guestUnmap(va, guestTranslate(va));
     }
     guest_pt->map(region, huge, PageSize::Page2M);
     return pieces;
@@ -429,8 +464,10 @@ NestedSystem::makeResident(Addr gva)
     }
     if (cfg.virtualized) {
         const Addr gpa = g.apply(gva);
-        if (!host_pt->lookup(gpa).valid)
-            hostFaultIn(gpa);
+        Translation h = host_pt->lookup(gpa);
+        if (!h.valid)
+            h = hostFaultIn(gpa);
+        residency = {gva, g, h, remaps};
     }
     return g;
 }
@@ -614,6 +651,44 @@ NestedSystem::hostTranslate(Addr gpa)
 }
 
 Translation
+NestedSystem::fillPtMemo(std::uint64_t page, Addr gpa)
+{
+    if (page >= pt_memo_limit)
+        return hostTranslate(gpa);
+    if (page >= pt_memo.size()) {
+        // Grow to just past @p page, one 4KB run of entries at a time:
+        // the zone fills upward from its base, so the memo spans the
+        // table regions in use, not the whole zone.
+        constexpr std::uint64_t grain =
+            pageBytes(PageSize::Page4K) / sizeof(std::uint64_t);
+        const auto n = static_cast<std::size_t>(
+            std::min(alignUp(page + 1, grain), pt_memo_limit));
+        pt_memo.reserve(n);
+        pt_memo.resize(n);
+    }
+    const Translation h = hostTranslate(gpa);
+    pt_memo[page] =
+        h.pa | static_cast<std::uint64_t>(h.size) << 1 | memo_valid;
+    return h;
+}
+
+bool
+NestedSystem::hostPtMemoized(Addr gpa) const
+{
+    const std::uint64_t page = memoPage(gpa);
+    return page < pt_memo.size() && (pt_memo[page] & memo_valid);
+}
+
+Translation
+NestedSystem::nested(Addr gva, const Translation &g, const Translation &h)
+{
+    const PageSize eff = static_cast<int>(g.size) < static_cast<int>(h.size)
+                             ? g.size : h.size;
+    const Addr hpa = h.apply(g.apply(gva));
+    return {hpa - pageOffset(gva, eff), eff, true};
+}
+
+Translation
 NestedSystem::fullTranslate(Addr gva)
 {
     const Translation g = guestTranslate(gva);
@@ -621,14 +696,23 @@ NestedSystem::fullTranslate(Addr gva)
         return {};
     if (!cfg.virtualized)
         return g;
-    const Addr gpa = g.apply(gva);
-    const Translation h = hostTranslate(gpa);
+    const Translation h = hostTranslate(g.apply(gva));
     if (!h.valid)
         return {};
-    const PageSize eff = static_cast<int>(g.size) < static_cast<int>(h.size)
-                             ? g.size : h.size;
-    const Addr hpa = h.apply(gpa);
-    return {hpa - pageOffset(gva, eff), eff, true};
+    return nested(gva, g, h);
+}
+
+Translation
+NestedSystem::guestTranslate(Addr gva, const Residency &res) const
+{
+    return current(gva, res) ? res.guest : guestTranslate(gva);
+}
+
+Translation
+NestedSystem::fullTranslate(Addr gva, const Residency &res)
+{
+    return current(gva, res) ? nested(gva, res.guest, res.host)
+                             : fullTranslate(gva);
 }
 
 std::uint64_t

@@ -17,6 +17,22 @@
  * Both tables are held as PageTables (pt/page_table.hh); the
  * constructor is the one place that picks an organization.
  *
+ * Functional translations are looked up once per access where the
+ * tables allow it (DESIGN.md, "Functional translations once per
+ * access"). Host bookkeeping only; no simulated structure sees it:
+ *  - hostTranslatePt() answers the host translation of a guest
+ *    page-table page from a dense memo indexed by 4KB page of the
+ *    guest pool's region zone, which holds every gECPT way and gCWT
+ *    chunk. Entries are translations, never slot addresses, so cuckoo
+ *    kicks and elastic resizes cannot make one stale; only a host
+ *    unmap can, and hostUnmap() drops the unmapped range. A fresh map
+ *    drops nothing, since page sizes never overlap. prefetchHostPt()
+ *    lets a walk start an entry's load a step before it needs it.
+ *  - The residency check records the guest and host translations it
+ *    found (lastResidency()); a walk of the same access reuses them
+ *    while remapCount(), bumped by guestUnmap() and hostUnmap(), has
+ *    not moved.
+ *
  * In native (non-virtualized) configurations the guest page table is
  * built directly in host-physical space and guest translations are
  * final.
@@ -216,10 +232,68 @@ class NestedSystem
     Translation hostTranslate(Addr gpa);
 
     /**
+     * hostTranslate() of a gPA inside a guest page-table page (a gECPT
+     * way or gCWT chunk, carved from the guest pool's region zone),
+     * answered from the exact memo of those pages' host translations.
+     * The memo grows on first use; a gPA outside the zone falls back
+     * to hostTranslate().
+     */
+    Translation
+    hostTranslatePt(Addr gpa)
+    {
+        const std::uint64_t page = memoPage(gpa);
+        if (page < pt_memo.size()) {
+            const std::uint64_t entry = pt_memo[page];
+            if (entry & memo_valid)
+                return memoEntry(entry);
+        }
+        return fillPtMemo(page, gpa);
+    }
+
+    /** Start loading @p gpa's memo entry for a hostTranslatePt() to
+     *  come (a hint: no effect on any answer). */
+    void
+    prefetchHostPt(Addr gpa) const
+    {
+        const std::uint64_t page = memoPage(gpa);
+        if (page < pt_memo.size())
+            __builtin_prefetch(&pt_memo[page]);
+    }
+
+    /**
      * gVA all the way to hPA with the *effective* page size
      * min(guest, host) — the granularity a nested TLB entry covers.
      */
     Translation fullTranslate(Addr gva);
+
+    /** The translations one residency check found for @p gva, and the
+     *  remapCount() they are good for. */
+    struct Residency
+    {
+        Addr gva = invalid_addr;
+        Translation guest;
+        Translation host;
+        std::uint64_t remaps = 0;
+    };
+
+    /** What the last ensureResident() found (virtualized only; a
+     *  native system records nothing). */
+    const Residency &lastResidency() const { return residency; }
+
+    /** Guest and host unmaps and remaps so far: while it stands still,
+     *  every mapped page keeps its translation. */
+    std::uint64_t remapCount() const { return remaps; }
+
+    /** guestTranslate(@p gva), taken from @p res while it is still
+     *  good for @p gva (same address, no unmap or remap since). */
+    Translation guestTranslate(Addr gva, const Residency &res) const;
+
+    /** fullTranslate(@p gva), composed from @p res while it is still
+     *  good for @p gva. */
+    Translation fullTranslate(Addr gva, const Residency &res);
+
+    /** Does the page-table memo hold @p gpa's host translation? */
+    bool hostPtMemoized(Addr gpa) const;
     /// @}
 
     /// @name Structure access for walkers
@@ -249,8 +323,9 @@ class NestedSystem
 
     /**
      * Cross-structure consistency audit: ECPT/CWT coherence on both
-     * sides plus pool accounting. Run after injected faults to prove
-     * the design absorbed them; throws InvariantViolation otherwise.
+     * sides, pool accounting, and every page-table memo entry against
+     * a fresh host lookup. Run after injected faults to prove the
+     * design absorbed them; throws InvariantViolation otherwise.
      */
     void auditInvariants() const;
 
@@ -300,12 +375,14 @@ class NestedSystem
     /** The page size a host fault at @p gpa installs. */
     PageSize hostPageSize(Addr gpa);
 
-    /** Install host backing for the page containing @p gpa. */
-    void hostFaultIn(Addr gpa);
+    /** Install host backing for the page containing @p gpa.
+     *  @return the mapping just installed. */
+    Translation hostFaultIn(Addr gpa);
 
     /** Host-fault the @p pages contiguous pages of @p size from
-     *  @p gpa, which share one host table block. */
-    void hostMapRun(Addr gpa, int pages, PageSize size);
+     *  @p gpa, which share one host table block.
+     *  @return the frame of the last page. */
+    Addr hostMapRun(Addr gpa, int pages, PageSize size);
 
     /** Prefault the never-faulted @p vma one guest table block at a
      *  time, backing each block's frames on the host as it goes. */
@@ -324,8 +401,51 @@ class NestedSystem
      *  guest and one host lookup, plus the faults it takes. */
     Translation makeResident(Addr gva);
 
-    /** Unmap the guest page containing @p gva and free its frame. */
-    UnmapInfo guestUnmapPage(Addr gva);
+    /// @name The one unmap per side
+    /// Every unmap or remap of an existing mapping goes through these:
+    /// each bumps remapCount(), and the host one drops the unmapped
+    /// range from the page-table memo.
+    /// @{
+    /** Unmap the guest page @p g maps at @p page and free its frame. */
+    void guestUnmap(Addr page, const Translation &g);
+
+    /** Unmap the host page @p h maps at @p gpa's page and free its
+     *  frame. */
+    void hostUnmap(Addr gpa, const Translation &h);
+    /// @}
+
+    /** Is @p res still good for @p gva? */
+    bool
+    current(Addr gva, const Residency &res) const
+    {
+        return res.gva == gva && res.remaps == remaps;
+    }
+
+    /** The nested translation of @p gva from its guest and host
+     *  mappings, at the effective page size. */
+    static Translation nested(Addr gva, const Translation &g,
+                              const Translation &h);
+
+    /** @p gpa's 4KB page within the region zone: the memo index. A
+     *  gPA below the zone wraps to a page past the memo's end. */
+    std::uint64_t
+    memoPage(Addr gpa) const
+    {
+        return (gpa - pt_memo_base) >> pageShift(PageSize::Page4K);
+    }
+
+    /** The host mapping a valid memo entry records. */
+    static Translation
+    memoEntry(std::uint64_t entry)
+    {
+        return {entry & ~mask(12), static_cast<PageSize>(entry >> 1 & 3),
+                true};
+    }
+
+    /** Memo miss: translate @p gpa, the zone's 4KB page @p page, and
+     *  record it, growing the memo over @p page first; a gPA outside
+     *  the zone is only translated. */
+    Translation fillPtMemo(std::uint64_t page, Addr gpa);
 
     /** The guest table as organization @p T, or nullptr. */
     template <class T>
@@ -374,6 +494,23 @@ class NestedSystem
 
     std::uint64_t guest_faults = 0;
     std::uint64_t host_faults = 0;
+
+    /// @name Functional translations once per access
+    /// @{
+    /** Memo entry: the host page's frame, then the page size in bits
+     *  1-2 and @ref memo_valid in bit 0; 0 is empty. */
+    static constexpr std::uint64_t memo_valid = 1;
+    /** The region zone's base gPA, and its size in 4KB pages (0 when
+     *  native: nothing is memoized). */
+    Addr pt_memo_base = 0;
+    std::uint64_t pt_memo_limit = 0;
+    /** One entry per 4KB page of the zone, up to the highest page
+     *  looked up so far. */
+    std::vector<std::uint64_t> pt_memo;
+
+    Residency residency;
+    std::uint64_t remaps = 0;
+    /// @}
 };
 
 } // namespace necpt

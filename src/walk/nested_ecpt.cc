@@ -169,7 +169,7 @@ NestedEcptWalker::refillGuestCwc(Addr gva, const EcptProbePlan &gplan,
                 // the gCWT page (it is a 4KB page-table allocation).
                 host.probeAddrs(gcwt_gpa, PageSize::Page4K,
                                 host.allWays(), background);
-                const Translation h = sys.hostTranslate(gcwt_gpa);
+                const Translation h = sys.hostTranslatePt(gcwt_gpa);
                 hpa = h.apply(gcwt_gpa);
                 if (feat.stc)
                     stc.fill(gcwt_gpa, hpa & ~mask(12));
@@ -224,6 +224,10 @@ class NestedEcptWalker::Machine : public WalkMachine
     start()
     {
         tracing = w.sampleWalk();
+        // The residency check of this access ran just before the walk
+        // (or, for a walk nobody checked, of some other access, which
+        // the system tells apart by address).
+        resident = w.sys.lastResidency();
         EcptPageTable &guest = *w.sys.guestEcpt();
         EcptPageTable &host = *w.sys.hostEcpt();
         const Addr gva = va();
@@ -242,6 +246,10 @@ class NestedEcptWalker::Machine : public WalkMachine
             w.tracePlan("gcwc", w.gcwc, gplan, t);
 
         appendPlannedProbes(guest, gva, gplan, scratch.guest_slots);
+        // Step 2 translates these slots through the host memo once the
+        // Step-1 probes return: start the entries' loads now.
+        for (Addr slot_gpa : scratch.guest_slots)
+            w.sys.prefetchHostPt(slot_gpa);
 
         // For each candidate gECPT slot (a gPA), translate through the
         // hECPTs — the parallel Step-1 probe group.
@@ -293,7 +301,7 @@ class NestedEcptWalker::Machine : public WalkMachine
         // ---- Step 2: fetch the gECPT candidates at host addresses ----
         scratch.probes.clear();
         for (Addr slot_gpa : scratch.guest_slots) {
-            const Translation h = w.sys.hostTranslate(slot_gpa);
+            const Translation h = w.sys.hostTranslatePt(slot_gpa);
             scratch.probes.push_back(h.apply(slot_gpa));
         }
         w.mem.issueBatch(scratch.probes, t, w.core,
@@ -317,7 +325,7 @@ class NestedEcptWalker::Machine : public WalkMachine
 
         // ---- Step 3: translate the data page's gPA ----
         EcptPageTable &host = *w.sys.hostEcpt();
-        const Translation g = w.sys.guestTranslate(va());
+        const Translation g = w.sys.guestTranslate(va(), resident);
         if (!g.valid) {
             // Translation churn unmapped the page beneath this
             // in-flight walk. Real hardware would read the stale PTE;
@@ -390,7 +398,7 @@ class NestedEcptWalker::Machine : public WalkMachine
         }
 
         WalkResult result;
-        result.translation = w.sys.fullTranslate(va());
+        result.translation = w.sys.fullTranslate(va(), resident);
         // Invalid here means churn unmapped the page mid-walk (see
         // abortUnmapped); the retire-time coherence check replays.
         w.finishWalk(result, startCycle(), t, fg_requests, tracing,
@@ -422,6 +430,9 @@ class NestedEcptWalker::Machine : public WalkMachine
     EcptProbePlan h3plan;
     Addr gpa_data = 0;
     bool use_pte3 = false;
+    /** The residency check's translations, reused by Step 3 and the
+     *  result while no unmap or remap has run since. */
+    NestedSystem::Residency resident;
     /** Per-walk probe buffers (guest_slots = Step-1 candidate gECPT
      *  gPAs, background = deferred refill traffic). */
     ProbeScratch scratch;

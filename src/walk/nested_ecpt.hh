@@ -18,6 +18,14 @@
  *
  * Neither design caches hPTE->gPTE pointers, since cuckoo rehashing and
  * elastic resizing move gPTEs (Section 4.4).
+ *
+ * The functional answers a walk needs besides its probe addresses come
+ * from NestedSystem's host bookkeeping, not from a simulated structure
+ * (DESIGN.md, "Functional translations once per access"): Step 2 and
+ * the gCWT refill translate slot gPAs through hostTranslatePt(), a memo
+ * of page-table pages' host translations; Step 3's gPA and the walk's
+ * result reuse the translations the access's residency check found,
+ * while remapCount() says nothing was unmapped or remapped since.
  */
 
 #ifndef NECPT_WALK_NESTED_ECPT_HH

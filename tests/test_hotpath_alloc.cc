@@ -14,8 +14,10 @@
  *   - MemoryHierarchy batchAccess/issueBatch/drain (pooled PendingTxns,
  *     scratch line buffers),
  *   - a full NestedEcptWalker::translate on resident pages (pooled walk
- *     machines, per-machine ProbeScratch), and the Nested Radix and
- *     Nested Hybrid walks (radix steps listed inline, in RadixSteps),
+ *     machines, per-machine ProbeScratch, the host-translation memo of
+ *     guest page-table pages, the residency check's translations), and
+ *     the Nested Radix and Nested Hybrid walks (radix steps listed
+ *     inline, in RadixSteps),
  *   - NestedSystem::ensureResident on resident pages under Nested Radix
  *     and Nested ECPTs (the per-access residency check),
  *   - EventScheduler at/runNext, and its pumps of a completion source
@@ -262,7 +264,8 @@ namespace
 
 /** Allocations of warmed translate() calls on resident pages under
  *  @p id: the per-access hot path an L2-TLB miss takes, with every
- *  step's memory traffic and background walk-cache refills. */
+ *  step's memory traffic and background walk-cache refills. Each walk
+ *  follows its access's residency check, as in the simulator's step. */
 std::uint64_t
 warmedWalkAllocations(ConfigId id)
 {
@@ -278,10 +281,9 @@ warmedWalkAllocations(ConfigId id)
     std::vector<Addr> vas;
     for (int i = 0; i < 64; ++i)
         vas.push_back(base + static_cast<Addr>(i) * 4096);
-    for (Addr va : vas)
-        sim.system().ensureResident(va);
     Cycles now = 1'000'000;
     for (Addr va : vas) { // warm pass: pools reach high-water mark
+        sim.system().ensureResident(va);
         sim.walker(0).translate(va, now);
         now += 1000;
     }
@@ -289,6 +291,7 @@ warmedWalkAllocations(ConfigId id)
     return allocationsDuring([&] {
         for (int round = 0; round < 10; ++round) {
             for (Addr va : vas) {
+                EXPECT_FALSE(sim.system().ensureResident(va));
                 const WalkResult w = sim.walker(0).translate(va, now);
                 EXPECT_GT(w.latency, 0u);
                 now += 1000;

@@ -10,8 +10,11 @@
 #include <tuple>
 #include <vector>
 
+#include "mem/hierarchy.hh"
 #include "os/phys_pool.hh"
 #include "os/system.hh"
+#include "walk/machine.hh"
+#include "walk/nested_ecpt.hh"
 
 namespace necpt
 {
@@ -793,5 +796,180 @@ INSTANTIATE_TEST_SUITE_P(
         PrefaultCase{"RadixHost", PtKind::Radix, PtKind::Radix, true,
                      false}),
     caseName<PrefaultCase>);
+
+// ------------------------------------------- Translations once per access
+
+namespace
+{
+
+/** The first 4KB page of guest ECPT way 0: a page-table page inside
+ *  the guest pool's region zone. */
+Addr
+gecptPage(const NestedSystem &sys)
+{
+    return sys.guestEcpt()->tableOf(PageSize::Page4K).wayBase(0);
+}
+
+} // namespace
+
+TEST(HostPtMemo, EntrySurvivesFreshHostMapsElsewhere)
+{
+    NestedSystem sys(smallSystem(PtKind::Ecpt, PtKind::Ecpt, false));
+    const Addr base = sys.mmapRegion(8ULL << 20);
+    sys.ensureResident(base);
+    const Addr pt = gecptPage(sys) + 0x48;
+    EXPECT_FALSE(sys.hostPtMemoized(pt));
+    const Translation first = sys.hostTranslatePt(pt);
+    ASSERT_TRUE(first.valid);
+    EXPECT_TRUE(sys.hostPtMemoized(pt));
+
+    // Fault in fresh guest and host pages all over the VMA.
+    const std::uint64_t remaps = sys.remapCount();
+    const std::uint64_t host_faults = sys.hostFaults();
+    for (Addr off = 4096; off < (8ULL << 20); off += 5 * 4096)
+        sys.ensureResident(base + off);
+    EXPECT_GT(sys.hostFaults(), host_faults);
+    EXPECT_EQ(sys.remapCount(), remaps) << "a fresh map is no remap";
+
+    EXPECT_TRUE(sys.hostPtMemoized(pt));
+    const Translation again = sys.hostTranslatePt(pt);
+    EXPECT_EQ(again.apply(pt), first.apply(pt));
+    EXPECT_EQ(again.apply(pt), sys.hostTranslate(pt).apply(pt));
+    EXPECT_NO_THROW(sys.auditInvariants());
+
+    // A gPA below the zone is translated, never memoized.
+    const Addr data_gpa = sys.guestTranslate(base).pa;
+    EXPECT_EQ(sys.hostTranslatePt(data_gpa).apply(data_gpa),
+              sys.hostTranslate(data_gpa).apply(data_gpa));
+    EXPECT_FALSE(sys.hostPtMemoized(data_gpa));
+}
+
+/** A host unmap (balloon or migrate) over memoized pages, backed by
+ *  4KB or 2MB host pages. */
+struct MemoDropCase
+{
+    const char *name;
+    bool host_2m;
+    bool migrate; //!< else balloon
+    friend void
+    PrintTo(const MemoDropCase &c, std::ostream *os)
+    {
+        *os << c.name;
+    }
+};
+
+class HostPtMemoDrop : public ::testing::TestWithParam<MemoDropCase>
+{};
+
+/**
+ * The memo drops exactly the host pages an unmap releases. A 2MB guest
+ * frame recycled from the region zone puts a data page where the memo
+ * indexes; three of its 4KB pages and one gECPT page are memoized.
+ * A migrate or balloon drops the entries inside the host pages it
+ * unmaps (one 4KB page, or the whole 2MB page) and keeps the rest, and
+ * every entry left matches the host table.
+ */
+TEST_P(HostPtMemoDrop, DropsExactlyTheUnmappedRange)
+{
+    const MemoDropCase &c = GetParam();
+    auto cfg = smallSystem(PtKind::Ecpt, PtKind::Ecpt, true);
+    cfg.guest_thp_coverage = 1.0;
+    cfg.host_thp = c.host_2m;
+    cfg.host_thp_coverage = 1.0;
+    NestedSystem sys(cfg);
+
+    // Hand the next 2MB guest fault a frame from the region zone.
+    PhysMemPool &pool = sys.guestPool();
+    const Addr zone_frame = pool.allocRegion(pageBytes(PageSize::Page2M));
+    ASSERT_EQ(pageOffset(zone_frame, PageSize::Page2M), 0u);
+    pool.freeFrame(zone_frame, PageSize::Page2M);
+
+    const Addr base = sys.mmapRegion(2ULL << 20, true);
+    const Addr gva = base + 0x1000;
+    sys.ensureResident(gva);
+    const Translation g = sys.guestTranslate(gva);
+    ASSERT_EQ(g.size, PageSize::Page2M);
+    ASSERT_EQ(g.pa, zone_frame);
+
+    const Addr pages[] = {zone_frame, zone_frame + 0x1000,
+                          zone_frame + 0x5000};
+    for (const Addr gpa : pages)
+        ASSERT_TRUE(sys.hostTranslatePt(gpa).valid);
+    const Addr pt = gecptPage(sys);
+    ASSERT_TRUE(sys.hostTranslatePt(pt).valid);
+    const Translation h = sys.hostTranslate(zone_frame + 0x1000);
+    ASSERT_EQ(h.size, c.host_2m ? PageSize::Page2M : PageSize::Page4K);
+
+    const std::uint64_t remaps = sys.remapCount();
+    if (c.migrate)
+        ASSERT_TRUE(sys.migratePage(gva));
+    else
+        ASSERT_TRUE(sys.balloonOut(gva).ok);
+    EXPECT_GT(sys.remapCount(), remaps);
+
+    // Migrating a 4KB host page drops only gva's page; a 2MB host
+    // page, or a balloon of the whole guest frame, drops all three.
+    for (const Addr gpa : pages) {
+        const bool dropped =
+            c.host_2m || !c.migrate || gpa == pageBase(g.apply(gva),
+                                                       PageSize::Page4K);
+        EXPECT_EQ(sys.hostPtMemoized(gpa), !dropped) << std::hex << gpa;
+    }
+    EXPECT_TRUE(sys.hostPtMemoized(pt));
+    EXPECT_NO_THROW(sys.auditInvariants());
+
+    if (c.migrate) {
+        // The next lookup memoizes the new backing.
+        const Addr gpa = g.apply(gva);
+        EXPECT_EQ(sys.hostTranslatePt(gpa).apply(gpa),
+                  sys.hostTranslate(gpa).apply(gpa));
+        EXPECT_TRUE(sys.hostPtMemoized(gpa));
+        EXPECT_NE(sys.hostTranslate(gpa).pa, h.pa);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Unmaps, HostPtMemoDrop,
+    ::testing::Values(MemoDropCase{"Migrate4K", false, true},
+                      MemoDropCase{"Balloon4K", false, false},
+                      MemoDropCase{"Migrate2M", true, true},
+                      MemoDropCase{"Balloon2M", true, false}),
+    caseName<MemoDropCase>);
+
+/**
+ * A walk reuses its access's residency check only while nothing was
+ * unmapped or remapped: the host re-backs the page under an in-flight
+ * walk, and the walk's result is the new translation, not the one the
+ * check found.
+ */
+TEST(Residency, WalkLooksUpAgainAfterAMidWalkRemap)
+{
+    auto cfg = smallSystem(PtKind::Ecpt, PtKind::Ecpt, false);
+    for (const bool remap : {false, true}) {
+        NestedSystem sys(cfg);
+        MemoryHierarchy mem(MemHierarchyConfig{}, 1);
+        NestedEcptWalker walker(sys, mem, 0);
+        const Addr base = sys.mmapRegion(1ULL << 20);
+        const Addr gva = base + 0x3123;
+        sys.ensureResident(gva);
+        const NestedSystem::Residency res = sys.lastResidency();
+        ASSERT_EQ(res.gva, gva);
+        const Translation before = sys.fullTranslate(gva);
+
+        WalkMachinePtr walk = walker.startWalk(gva, 100);
+        ASSERT_FALSE(walk->done()) << "the walk parks on Step 1";
+        if (remap) {
+            ASSERT_TRUE(sys.migratePage(gva));
+        }
+        EXPECT_EQ(sys.remapCount() != res.remaps, remap);
+        mem.drainAll();
+        ASSERT_TRUE(walk->done());
+
+        const Translation now = sys.fullTranslate(gva);
+        EXPECT_EQ(walk->result().translation.apply(gva), now.apply(gva));
+        EXPECT_EQ(now.apply(gva) != before.apply(gva), remap);
+        EXPECT_EQ(sys.fullTranslate(gva, res).apply(gva), now.apply(gva));
+    }
+}
 
 } // namespace necpt
