@@ -241,6 +241,31 @@ TEST(NecptRun, JsonIsTheWholeStdout)
     EXPECT_NE(out.find("\"host_time\""), std::string::npos) << out;
 }
 
+/** A bare --trace-walks samples few enough walks that they fit the
+ *  trace ring: the Nested ECPTs run that once kept 2,210 of 10,661
+ *  walk spans (254,763 events dropped) now drops none, and stderr
+ *  names the interval it chose. */
+TEST(NecptRun, BareTraceWalksKeepsWholeWalks)
+{
+    const std::string path = "test_cli_trace.json";
+    const auto [code, out] = runCli(
+        NECPT_RUN_PATH,
+        "--config \"Nested ECPTs\" --app GUPS --trace-walks --trace-out "
+            + path + " --quiet",
+        "NECPT_WARMUP=2000 NECPT_MEASURE=20000");
+    ASSERT_EQ(code, 0) << out;
+    EXPECT_TRUE(std::regex_search(
+        out, std::regex("trace: sampling every [0-9]+ walk")))
+        << out;
+    std::ifstream in(path);
+    const std::string trace((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    std::remove(path.c_str());
+    EXPECT_NE(trace.find("\"dropped_events\":0}"), std::string::npos)
+        << trace.substr(trace.size() > 200 ? trace.size() - 200 : 0);
+    EXPECT_NE(trace.find("\"name\":\"walk\""), std::string::npos);
+}
+
 /** Every core count the Simulator accepts (1-8) runs to exit 0. The
  *  shared L3 of N cores has 2,048 * N sets, which is not a power of
  *  two at 3, 5, 6 and 7 cores. */
