@@ -165,7 +165,8 @@ class AssocCache
      *
      * A key lives only in its one set, so a range of fewer keys than
      * sets visits just the set of each of its keys; a wider range
-     * covers every set and sweeps every tag row once.
+     * covers every set and sweeps every tag row once, a 64-bit row in
+     * one simd::dropKeyRange call.
      * @return number of lines invalidated.
      */
     std::size_t
@@ -184,6 +185,14 @@ class AssocCache
                     ++count;
                 }
             }
+            return count;
+        }
+        if constexpr (whole_keys) {
+            // A 64-bit tag is its key, and hi < keyLimit keeps invalid
+            // lines out of range: one kernel call sweeps a set.
+            for (std::size_t set = 0; set < sets; ++set)
+                count += static_cast<std::size_t>(simd::dropKeyRange(
+                    tagRow(set), static_cast<int>(assoc), lo, width));
             return count;
         }
         for (std::size_t set = 0; set < sets; ++set) {

@@ -222,6 +222,23 @@ class ElasticCuckooTable
     }
 
     /**
+     * find() restricted to way @p way: one hash, and one slot in each
+     * generation. For a key that way holds (a CWT descriptor names it)
+     * the result is find()'s; for any other key it misses.
+     */
+    FindResult
+    findInWay(std::uint64_t key, int way)
+    {
+        NECPT_ASSERT(way >= 0 && way < cfg.ways && key != empty_key);
+        const std::uint64_t raw = hashes[way](key);
+        if (FindResult r = probeWay(live, key, way, raw, false))
+            return r;
+        if (old)
+            return probeWay(*old, key, way, raw, true);
+        return {};
+    }
+
+    /**
      * Remove @p key. Covers both generations *and* the homeless list
      * (an entry can be parked there mid-settle under injected kick
      * exhaustion), and afterwards re-runs settle() so any parked entry
@@ -445,16 +462,26 @@ class ElasticCuckooTable
         return gen.base[way] + idx * cfg.slot_bytes;
     }
 
+    /** Probe way @p way of @p gen for @p key, whose raw hash in that
+     *  way is @p raw. */
+    FindResult
+    probeWay(Generation &gen, std::uint64_t key, int way, std::uint64_t raw,
+             bool is_old)
+    {
+        const auto idx = reduce(gen, raw);
+        const auto at = gen.at(way, idx);
+        if (gen.keys[at] != key)
+            return {};
+        return {&gen.values[at], way, slotAddr(gen, way, idx), is_old};
+    }
+
     FindResult
     findIn(Generation &gen, std::uint64_t key, bool is_old,
            const std::uint64_t *raw)
     {
-        for (int w = 0; w < cfg.ways; ++w) {
-            const auto idx = reduce(gen, raw[w]);
-            const auto at = gen.at(w, idx);
-            if (gen.keys[at] == key)
-                return {&gen.values[at], w, slotAddr(gen, w, idx), is_old};
-        }
+        for (int w = 0; w < cfg.ways; ++w)
+            if (FindResult r = probeWay(gen, key, w, raw[w], is_old))
+                return r;
         return {};
     }
 

@@ -61,6 +61,9 @@ int entryShiftFor(PageSize level);
  */
 struct CwtDescriptor
 {
+    /** ECPT ways the 2-bit way field can name. */
+    static constexpr int max_ways = 4;
+
     bool present = false;     //!< region mapped by a page of this size
     std::uint8_t way = 0;     //!< ECPT way holding it (present only)
     bool smaller_4k = false;  //!< region contains 4KB mappings
@@ -123,6 +126,28 @@ class CuckooWalkTable
      * covers the region at all (nothing ever mapped there).
      */
     std::optional<CwtDescriptor> query(Addr va) const;
+
+    /**
+     * Visit every present section: fn(va, way) with the section's
+     * first VA and its way. Reads only materialized chunks, in no
+     * particular order (the invariant audit).
+     */
+    template <typename Fn>
+    void
+    forEachPresent(Fn &&fn) const
+    {
+        for (const auto &[key, chunk] : chunks) {
+            for (int section = 0; section < sections_per_chunk; ++section) {
+                const std::uint8_t byte = chunk.nibbles[section / 2];
+                const CwtDescriptor d =
+                    unpackNibble((byte >> ((section % 2) * 4)) & 0xF);
+                if (d.present)
+                    fn(key << chunk_shift
+                           | static_cast<Addr>(section) << section_shift,
+                       static_cast<int>(d.way));
+            }
+        }
+    }
 
     /**
      * The key identifying the CWT chunk covering @p va — what the

@@ -12,6 +12,11 @@ EcptPageTable::EcptPageTable(RegionAllocator &allocator,
                              const EcptConfig &config)
     : cfg(config)
 {
+    if (cfg.ways < 2 || cfg.ways > CwtDescriptor::max_ways)
+        throw ConfigError(strfmt(
+            "ECPT ways = %d: must be 2 to %d, the ways a CWT "
+            "descriptor's way field can name", cfg.ways,
+            CwtDescriptor::max_ways));
     std::uint64_t seed = cfg.seed;
     for (int s = 0; s < num_page_sizes; ++s) {
         const auto size = all_page_sizes[s];
@@ -188,33 +193,56 @@ EcptPageTable::writeProtect(Addr va, PageSize size)
     return true;
 }
 
+namespace
+{
+
+/** The size-@p size page of @p va in @p hit, its block's find. */
+EcptPageTable::SizedResult
+sizedHit(const ElasticCuckooTable<PteBlock>::FindResult &hit, Addr va,
+         PageSize size)
+{
+    if (!hit)
+        return {};
+    const Pte &pte = hit.value->pte[pageNumber(va, size) & 0x7];
+    if (!pte.present())
+        return {};
+    return {{pte.frameBase(), size, true}, hit.way, hit.slot_addr};
+}
+
+} // namespace
+
 EcptPageTable::SizedResult
 EcptPageTable::lookupSized(Addr va, PageSize size) const
 {
     auto &table = const_cast<ElasticCuckooTable<PteBlock> &>(tableOf(size));
-    const auto key = blockKey(va, size);
-    auto hit = table.find(key);
-    if (!hit)
-        return {};
-    const int sub = static_cast<int>(pageNumber(va, size) & 0x7);
-    const Pte &pte = hit.value->pte[sub];
-    if (!pte.present())
-        return {};
-    SizedResult result;
-    result.translation = {pte.frameBase(), size, true};
-    result.way = hit.way;
-    result.slot_addr = hit.slot_addr;
-    return result;
+    return sizedHit(table.find(blockKey(va, size)), va, size);
 }
 
 Translation
 EcptPageTable::lookup(Addr va) const
 {
-    for (const auto size : all_page_sizes) {
-        const SizedResult r = lookupSized(va, size);
-        if (r.translation.valid)
-            return r.translation;
+    constexpr PageSize huge = PageSize::Page2M;
+    const auto &table_2m = tableOf(huge);
+    const bool has_1g = tableOf(PageSize::Page1G).size() != 0;
+    if (table_2m.size() == 0 && !has_1g)
+        return lookupSized(va, PageSize::Page4K).translation;
+    // Read the PMD-CWT descriptor first, as the walker does (Section
+    // 3.2), and probe the one table it names: at 2MB, the one way.
+    // Page sizes never overlap, and auditInvariants holds the
+    // descriptor exact both ways (a mapped page's section names its
+    // way or advertises it; a present section holds a page in its
+    // way), so no other table can hold @p va.
+    const auto d = cwtOf(huge)->query(va);
+    if (d && d->present) {
+        auto &table = const_cast<ElasticCuckooTable<PteBlock> &>(table_2m);
+        return sizedHit(table.findInWay(blockKey(va, huge), d->way), va,
+                        huge)
+            .translation;
     }
+    if (d && d->smaller_4k)
+        return lookupSized(va, PageSize::Page4K).translation;
+    if (has_1g)
+        return lookupSized(va, PageSize::Page1G).translation;
     return {};
 }
 
@@ -350,6 +378,23 @@ EcptPageTable::auditInvariants(const std::string &who) const
                             (unsigned long long)va));
                 }
             }
+        });
+    }
+    // The converse at the PMD and PUD levels: every present section
+    // holds a resident page in the way it names. A stale present bit
+    // would send lookup() to the 2MB table and hide the 4KB pages
+    // mapped below it.
+    for (const PageSize size : {PageSize::Page2M, PageSize::Page1G}) {
+        cwtOf(size)->forEachPresent([&](Addr va, int way) {
+            const SizedResult r = lookupSized(va, size);
+            if (!r.translation.valid || r.way != way)
+                throw InvariantViolation(strfmt(
+                    "%s %s-CWT: stale present bit — VA 0x%llx names way "
+                    "%d but the %s-ECPT %s", who.c_str(),
+                    pageLevelName(size), (unsigned long long)va, way,
+                    pageSizeName(size),
+                    r.translation.valid ? "holds it in another way"
+                                        : "does not map it"));
         });
     }
 }

@@ -47,6 +47,7 @@ struct PteBlock
 /** Geometry of a full ECPT (tables + CWTs) for one address space. */
 struct EcptConfig
 {
+    /** 2 to CwtDescriptor::max_ways (a descriptor names the way). */
     int ways = 3;
     /** Initial slots per way, per page size (Table 2). */
     std::array<std::uint64_t, num_page_sizes> initial_slots{
@@ -73,6 +74,8 @@ class EcptPageTable final : public PageTable
     // The cuckoo tables hold non-owning references to the per-size move
     // notifiers below; relocating this object would dangle them (the
     // PageTable base deletes copy and move).
+    /** @throws ConfigError for fewer than 2 or more than
+     *  CwtDescriptor::max_ways ways. */
     EcptPageTable(RegionAllocator &allocator, const EcptConfig &config);
 
     /** Install va -> pa for a page of @p size, maintaining the CWTs:
@@ -106,7 +109,13 @@ class EcptPageTable final : public PageTable
      *  @p va in place. @return true when such a mapping existed. */
     bool writeProtect(Addr va, PageSize size) override;
 
-    /** Functional lookup across all page sizes. */
+    /**
+     * Functional lookup across all page sizes. Once a 2MB or 1GB page
+     * exists, the PMD-CWT descriptor of @p va picks the one table to
+     * probe (at 2MB, the one way), as the walker's plan does; before
+     * that only the 4KB table is probed. DESIGN.md, "Functional
+     * lookups read the CWT first", has why that is exact.
+     */
     Translation lookup(Addr va) const override;
 
     /**
@@ -191,8 +200,10 @@ class EcptPageTable final : public PageTable
      * generations of every table) the matching CWT descriptor must be
      * present and name the way that actually holds the block, and no
      * table may have parked (homeless) entries or a key resident in
-     * both generations. Throws InvariantViolation naming @p who and
-     * the first offending block.
+     * both generations. Conversely, every present PMD/PUD descriptor
+     * must name a resident page in that way, which lookup() relies
+     * on. Throws InvariantViolation naming @p who and the first
+     * offending block.
      */
     void auditInvariants(const std::string &who) const override;
 

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "common/error.hh"
 #include "common/fault.hh"
 #include "common/rng.hh"
 #include "pt/ecpt.hh"
@@ -180,6 +182,259 @@ TEST(Ecpt, StructureBytesIncludeTablesAndCwts)
     pt.map(0x4000'0000, 0x1'0020'0000, PageSize::Page2M);
     EXPECT_GT(pt.cwtBytes(), 0u);
     EXPECT_GT(pt.structureBytes(), pt.cwtBytes());
+}
+
+/** A CWT descriptor names a way in two bits, so at most four ways. */
+TEST(Ecpt, RejectsMoreWaysThanADescriptorNames)
+{
+    BumpAllocator alloc;
+    EcptConfig cfg = smallEcpt();
+    cfg.ways = 5;
+    EXPECT_THROW(EcptPageTable(alloc, cfg), ConfigError);
+    cfg.ways = 4;
+    EcptPageTable four(alloc, cfg);
+    four.map(0x4000'0000, 0x1'0020'0000, PageSize::Page2M);
+    EXPECT_TRUE(four.lookup(0x4000'1234).valid);
+}
+
+/**
+ * A present PMD-CWT bit over an unmapped 2MB section would send
+ * lookup() to the 2MB table and hide whatever is mapped there; the
+ * audit's converse check names it.
+ */
+TEST(EcptLookup, AuditCatchesAStalePresentBit)
+{
+    BumpAllocator alloc;
+    EcptPageTable pt(alloc, smallEcpt());
+    pt.map(0x4000'0000, 0x1'0020'0000, PageSize::Page2M);
+    pt.map(0x4040'1000, 0xA000, PageSize::Page4K);
+    pt.auditInvariants("clean");
+    pt.cwtOf(PageSize::Page2M)->setPresent(0x4020'0000, 0);
+    try {
+        pt.auditInvariants("stale");
+        FAIL() << "a stale present bit passed the audit";
+    } catch (const InvariantViolation &e) {
+        EXPECT_NE(std::string(e.what()).find("stale present bit"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+namespace
+{
+
+/** lookup() as it was before it read the CWT: the one page size whose
+ *  table maps @p va (page sizes never overlap). */
+Translation
+lookupEveryTable(const EcptPageTable &pt, Addr va)
+{
+    Translation found;
+    for (const PageSize size : all_page_sizes) {
+        const Translation t = pt.lookupSized(va, size).translation;
+        if (t.valid) {
+            EXPECT_FALSE(found.valid) << "overlapping pages at " << std::hex
+                                      << va;
+            found = t;
+        }
+    }
+    return found;
+}
+
+/** One 2MB region of the model: a 2MB page, or 4KB pages, or nothing. */
+struct ModelRegion
+{
+    Addr base = 0;
+    Addr huge = invalid_addr;
+    std::vector<Addr> small = std::vector<Addr>(512, invalid_addr);
+    int small_count = 0;
+};
+
+/** Drive @p pt through random 4KB and 2MB maps and unmaps, 2MB splits
+ *  and collapses, and 1GB maps and unmaps; after every operation
+ *  lookup() must equal lookupEveryTable() and the model. */
+void
+checkCwtDirectedLookup(bool pte_cwt, std::uint64_t seed)
+{
+    BumpAllocator alloc;
+    EcptConfig cfg = smallEcpt(pte_cwt);
+    // The 2MB table starts at 4 slots per way and grows past 7, 14 and
+    // 28 blocks, so its own resize windows open as well.
+    cfg.initial_slots = {16, 4, 4};
+    EcptPageTable pt(alloc, cfg);
+    FaultSpec spec;
+    spec.kick_prob = 0.1;
+    spec.resize_prob = 0.3;
+    FaultPlan plan(spec, seed);
+    pt.setFaultPlan(&plan);
+
+    constexpr Addr kb4 = 4096, mb2 = 2ULL << 20, gb1 = 1ULL << 30;
+    // Two windows in different PMD-CWT chunks (16GB each), each of 16
+    // 2MB-table blocks holding two neighbouring regions, and four 1GB
+    // slots of their own.
+    std::vector<ModelRegion> regions(64);
+    for (std::size_t i = 0; i < regions.size(); ++i)
+        regions[i].base = (1ULL << 40) + (i / 32) * (3ULL << 34)
+            + (i % 32 / 2) * (8 * mb2) + (i % 2) * mb2;
+    const Addr giant_base = 1ULL << 42;
+    std::vector<Addr> giant(4, invalid_addr);
+    Addr next_pa = 1ULL << 36;
+    auto frame = [&](PageSize size) {
+        next_pa = (next_pa + pageBytes(size) - 1) & ~(pageBytes(size) - 1);
+        const Addr pa = next_pa;
+        next_pa += pageBytes(size);
+        return pa;
+    };
+    auto map4k = [&](ModelRegion &r, int first, int pages) {
+        std::vector<Addr> frames;
+        for (int i = 0; i < pages; ++i)
+            frames.push_back(frame(PageSize::Page4K));
+        std::size_t taken = 0;
+        auto next_frame = [&] { return frames[taken++]; };
+        pt.mapBlock(r.base + first * kb4, pages, PageSize::Page4K,
+                    next_frame);
+        for (int i = 0; i < pages; ++i) {
+            r.small_count += r.small[first + i] == invalid_addr;
+            r.small[first + i] = frames[i];
+        }
+    };
+    auto unmap4k = [&](ModelRegion &r, int page) {
+        pt.unmap(r.base + page * kb4, PageSize::Page4K);
+        r.small[page] = invalid_addr;
+        --r.small_count;
+    };
+
+    Rng rng(seed);
+    Rng probe_rng(seed ^ 0x51);
+    int resizing_2m_hits = 0;
+    auto expect = [&](Addr va) {
+        Translation want;
+        for (const ModelRegion &r : regions) {
+            if (va < r.base || va >= r.base + mb2)
+                continue;
+            if (r.huge != invalid_addr)
+                want = {r.huge, PageSize::Page2M, true};
+            else if (const Addr pa = r.small[(va - r.base) / kb4];
+                     pa != invalid_addr)
+                want = {pa, PageSize::Page4K, true};
+        }
+        if (va >= giant_base && va < giant_base + giant.size() * gb1) {
+            if (const Addr pa = giant[(va - giant_base) / gb1];
+                pa != invalid_addr)
+                want = {pa, PageSize::Page1G, true};
+        }
+        const Translation got = pt.lookup(va);
+        const Translation every = lookupEveryTable(pt, va);
+        resizing_2m_hits += want.valid && want.size == PageSize::Page2M
+            && pt.tableOf(PageSize::Page2M).resizing();
+        ASSERT_EQ(got.valid, every.valid) << std::hex << va;
+        ASSERT_EQ(got.valid, want.valid) << std::hex << va;
+        if (!want.valid)
+            return;
+        ASSERT_EQ(got.pa, every.pa) << std::hex << va;
+        ASSERT_EQ(got.size, every.size) << std::hex << va;
+        ASSERT_EQ(got.pa, want.pa) << std::hex << va;
+        ASSERT_EQ(got.size, want.size) << std::hex << va;
+    };
+    // Mapped and unmapped pages of @p r, its first and last byte and
+    // the bytes either side of it.
+    auto probeRegion = [&](const ModelRegion &r, int pages) {
+        for (int i = 0; i < pages; ++i)
+            expect(r.base + probe_rng.below(512) * kb4
+                   + probe_rng.below(kb4));
+        for (const Addr va : {r.base - 1, r.base, r.base + mb2 - 1,
+                              r.base + mb2})
+            expect(va);
+    };
+
+    // Half the regions start 2MB-mapped, so the first (injected)
+    // resize windows open in the 2MB table as well as the 4KB one.
+    for (std::size_t i = 0; i < regions.size(); i += 2) {
+        regions[i].huge = frame(PageSize::Page2M);
+        pt.map(regions[i].base, regions[i].huge, PageSize::Page2M);
+        map4k(regions[i + 1], static_cast<int>(rng.below(64)) * 8, 8);
+        probeRegion(regions[i], 8);
+        probeRegion(regions[i + 1], 8);
+    }
+    for (int op = 0; op < 500; ++op) {
+        ModelRegion &r = regions[rng.below(regions.size())];
+        const bool huge = r.huge != invalid_addr;
+        const std::uint64_t pick = rng.below(100);
+        if (pick < 40 && !huge) { // 4KB pages: 1-8 in one block
+            const int first = static_cast<int>(rng.below(512));
+            const int room = 8 - first % 8;
+            map4k(r, first, 1 + static_cast<int>(rng.below(room)));
+        } else if (pick < 55 && r.small_count > 0) { // 4KB unmap
+            int page = static_cast<int>(rng.below(512));
+            while (r.small[page] == invalid_addr)
+                page = (page + 1) % 512;
+            unmap4k(r, page);
+        } else if (pick < 65 && !huge && r.small_count == 0) { // 2MB map
+            r.huge = frame(PageSize::Page2M);
+            pt.map(r.base, r.huge, PageSize::Page2M);
+        } else if (pick < 72 && huge) { // 2MB unmap
+            pt.unmap(r.base, PageSize::Page2M);
+            r.huge = invalid_addr;
+        } else if (pick < 82 && huge) { // split into 512 4KB pages
+            pt.unmap(r.base, PageSize::Page2M);
+            r.huge = invalid_addr;
+            for (int first = 0; first < 512; first += 8)
+                map4k(r, first, 8);
+        } else if (pick < 92 && r.small_count > 0) { // collapse
+            for (int page = 0; page < 512; ++page)
+                if (r.small[page] != invalid_addr)
+                    unmap4k(r, page);
+            r.huge = frame(PageSize::Page2M);
+            pt.map(r.base, r.huge, PageSize::Page2M);
+        } else if (pick >= 92) { // 1GB map or unmap
+            const std::size_t slot = rng.below(giant.size());
+            const Addr va = giant_base + slot * gb1;
+            if (giant[slot] == invalid_addr) {
+                giant[slot] = frame(PageSize::Page1G);
+                pt.map(va, giant[slot], PageSize::Page1G);
+            } else {
+                pt.unmap(va, PageSize::Page1G);
+                giant[slot] = invalid_addr;
+            }
+        }
+        probeRegion(r, 32);
+        probeRegion(regions[probe_rng.below(regions.size())], 8);
+        for (std::size_t slot = 0; slot < giant.size(); ++slot)
+            expect(giant_base + slot * gb1 + probe_rng.below(gb1));
+        if (::testing::Test::HasFatalFailure())
+            return;
+        if (op % 50 == 49)
+            pt.auditInvariants(pte_cwt ? "host" : "guest");
+    }
+    EXPECT_GT(plan.counters().forced_resizes, 0u);
+    EXPECT_GT(plan.counters().forced_kicks, 0u);
+    EXPECT_GT(pt.tableOf(PageSize::Page2M).resizeCount(), 1u);
+    EXPECT_GT(resizing_2m_hits, 0);
+    EXPECT_GT(pt.mappingCount(PageSize::Page2M), 0u);
+    EXPECT_GT(pt.mappingCount(PageSize::Page4K), 0u);
+    for (const ModelRegion &r : regions)
+        for (Addr va = r.base; va < r.base + mb2; va += kb4)
+            expect(va + probe_rng.below(kb4));
+    pt.auditInvariants(pte_cwt ? "host" : "guest");
+}
+
+} // namespace
+
+/**
+ * The CWT-directed lookup finds what a probe of every table finds, for
+ * a guest table (no PTE-CWT) and a host table (with one), through 4KB
+ * and 2MB maps and unmaps, splits, collapses and 1GB pages, under
+ * injected resize windows (2MB lookups then probe one way in both
+ * generations) and kick exhaustion.
+ */
+TEST(EcptLookup, CwtDirectedMatchesEveryTable)
+{
+    for (const bool pte_cwt : {false, true}) {
+        for (const std::uint64_t seed : {11, 12}) {
+            SCOPED_TRACE(std::string(pte_cwt ? "host" : "guest")
+                         + " seed " + std::to_string(seed));
+            checkCwtDirectedLookup(pte_cwt, seed);
+        }
+    }
 }
 
 /** Random mixed-size mapping property test. */

@@ -164,6 +164,82 @@ TEST(SimdFindKey, VectorScan32EqualsScalar)
     checkVectorScan<std::uint32_t>();
 }
 
+// -------------------------------------------------- simd::dropKeyRange
+
+/**
+ * The range sweep against its scalar reference, on rows of 1-33 tags
+ * at four alignments, for ranges from 0, ranges ending at the largest
+ * key (keyLimit - 1), width-0 ranges and one across bit 63, where the
+ * vector compare flips signs. Each range sweeps a row of mixed tags
+ * (invalid ones, its ends and their outside neighbours), an all-match
+ * row and a no-match row. Both kernels must clear exactly the tags in
+ * range and count them; invalid tags never match.
+ */
+TEST(SimdDropKeyRange, VectorEqualsScalar)
+{
+    constexpr std::uint64_t empty = AssocCache<int>::empty_tag;
+    constexpr std::uint64_t top = AssocCache<int>::keyLimit(1) - 1;
+    constexpr std::uint64_t bit63 = std::uint64_t{1} << 63;
+    struct Range
+    {
+        std::uint64_t lo, width;
+    };
+    const Range ranges[] = {
+        {0, 0},         {0, 7},     {0, top}, {top, 0},
+        {top - 5, 5},   {100, 0},   {100, 37}, {bit63 - 2, 4},
+        {1ULL << 40, 1ULL << 20},
+    };
+    Rng rng(0xD809);
+    std::vector<std::uint64_t> before(33 + 3), scalar, vector;
+    for (const Range &r : ranges) {
+        const auto in = [&](std::uint64_t t) { return t - r.lo <= r.width; };
+        const std::uint64_t mixed[] = {
+            empty, 0,     1,     r.lo,  r.lo + r.width, r.lo - 1,
+            r.lo + r.width + 1, bit63 - 1, bit63, top, 99, 138};
+        std::vector<std::uint64_t> outside;
+        for (const std::uint64_t t : mixed)
+            if (!in(t))
+                outside.push_back(t);
+        for (int fill = 0; fill < 3; ++fill) {
+            for (int n = 1; n <= 33; ++n) {
+                for (int offset = 0; offset < 4; ++offset) {
+                    SCOPED_TRACE("lo " + std::to_string(r.lo) + " width "
+                                 + std::to_string(r.width) + " fill "
+                                 + std::to_string(fill) + ", row of "
+                                 + std::to_string(n) + " at offset "
+                                 + std::to_string(offset));
+                    std::uint64_t *row = before.data() + offset;
+                    int want = 0;
+                    for (int i = 0; i < n; ++i) {
+                        row[i] = fill == 0
+                            ? mixed[rng.below(std::size(mixed))]
+                            : fill == 1 ? r.lo + rng.below(r.width + 1)
+                                        : outside[rng.below(outside.size())];
+                        want += in(row[i]);
+                    }
+                    if (fill > 0) {
+                        ASSERT_EQ(want, fill == 1 ? n : 0);
+                    }
+                    scalar = before;
+                    vector = before;
+                    EXPECT_EQ(simd::dropKeyRangeScalar(
+                                  scalar.data() + offset, n, r.lo, r.width),
+                              want);
+                    EXPECT_EQ(simd::dropKeyRange(vector.data() + offset, n,
+                                                 r.lo, r.width),
+                              want);
+                    EXPECT_EQ(vector, scalar);
+                    for (std::size_t i = 0; i < before.size(); ++i) {
+                        const bool dropped = i >= std::size_t(offset)
+                            && i < std::size_t(offset + n) && in(before[i]);
+                        EXPECT_EQ(scalar[i], dropped ? empty : before[i]);
+                    }
+                }
+            }
+        }
+    }
+}
+
 // ------------------------------------ AssocCache key-range invalidation
 
 namespace
