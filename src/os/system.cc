@@ -394,16 +394,18 @@ NestedSystem::thpDemote(Addr gva)
     // or a fresh 2MB mapping could overlap the split pieces.
     guest_block_thp[page >> thp_chunk_shift] = false;
     // Copy-based split: the huge frame is released and each 4KB piece
-    // re-lands in its own frame (keeps pool accounting size-exact).
+    // re-lands in its own frame (keeps pool accounting size-exact),
+    // one table block of pieces per mapBlock, frames in address order.
     guestUnmap(page, g);
     const int pieces = static_cast<int>(pageBytes(PageSize::Page2M)
                                         / pageBytes(PageSize::Page4K));
-    for (int i = 0; i < pieces; ++i) {
-        const Addr va = page
-            + static_cast<Addr>(i) * pageBytes(PageSize::Page4K);
-        guest_pt->map(va, frames.allocFrame(PageSize::Page4K),
-                      PageSize::Page4K);
-    }
+    auto next_frame = [&frames] {
+        return frames.allocFrame(PageSize::Page4K);
+    };
+    for (int i = 0; i < pieces; i += PageTable::block_pages)
+        guest_pt->mapBlock(
+            page + static_cast<Addr>(i) * pageBytes(PageSize::Page4K),
+            PageTable::block_pages, PageSize::Page4K, next_frame);
     return pieces;
 }
 

@@ -4,12 +4,14 @@
 
 #include <iterator>
 #include <map>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "common/fault.hh"
 #include "mem/hierarchy.hh"
 #include "os/phys_pool.hh"
 #include "os/system.hh"
@@ -567,6 +569,106 @@ INSTANTIATE_TEST_SUITE_P(
         PrefaultBlockCase{"EcptThpTouchedVma", ecpt_thp_case, 0, true},
         PrefaultBlockCase{"EcptRecycledFrames", ecpt_case, 0, false, true}),
     caseName<PrefaultBlockCase>);
+
+/**
+ * thpDemote maps its 512 pieces one 8-page block per mapBlock; the
+ * machine must end as after the split it replaced, one map() per piece
+ * with frames from the same pool in the same order: same guest
+ * translations, same cuckoo tables down to each block's way and slot
+ * address, same CWT lines, counters and pool accounting. The guest
+ * table starts small, so it resizes as the splits fill it, and the
+ * fault plan forces resize windows and kick exhaustion.
+ */
+TEST(ThpDemote, BlocksMatchPerPageMaps)
+{
+    auto cfg = smallSystem(PtKind::Ecpt, PtKind::Ecpt, true);
+    cfg.guest_thp_coverage = 1.0;
+    cfg.host_thp_coverage = 0.5;
+    cfg.guest_ecpt.initial_slots = {16, 16, 16};
+    FaultSpec spec;
+    spec.kick_prob = 0.1;
+    spec.resize_prob = 0.3;
+    FaultPlan plan_blocks(spec, 21), plan_pages(spec, 21);
+    cfg.fault_plan = &plan_blocks;
+    NestedSystem blocks(cfg);
+    cfg.fault_plan = &plan_pages;
+    NestedSystem pages(cfg);
+
+    constexpr Addr mb2 = 2ULL << 20;
+    constexpr int regions = 12;
+    Addr base = 0;
+    for (NestedSystem *sys : {&blocks, &pages}) {
+        base = sys->mmapRegion(regions * mb2, true);
+        for (int i = 0; i < regions; ++i) {
+            sys->ensureResident(base + i * mb2 + 0x123);
+            ASSERT_EQ(sys->guestTranslate(base + i * mb2).size,
+                      PageSize::Page2M);
+        }
+    }
+    // The split this test pins: unmap, free the huge frame, then one
+    // map() per piece.
+    auto splitPageByPage = [&](Addr va) {
+        const Translation g = pages.guestTranslate(va);
+        EcptPageTable *pt = pages.guestEcpt();
+        pt->unmap(va, PageSize::Page2M);
+        pages.guestPool().freeFrame(g.pa, PageSize::Page2M);
+        for (Addr piece = va; piece < va + mb2; piece += 4096)
+            pt->map(piece, pages.guestPool().allocFrame(PageSize::Page4K),
+                    PageSize::Page4K);
+    };
+    // Split every region; collapse and split again every third one.
+    for (int i = 0; i < regions; ++i) {
+        const Addr va = base + ((i * 5) % regions) * mb2;
+        ASSERT_EQ(blocks.thpDemote(va), 512);
+        splitPageByPage(va);
+    }
+    for (int i = 0; i < regions; i += 3) {
+        const Addr va = base + i * mb2;
+        ASSERT_EQ(blocks.thpPromote(va), 512);
+        ASSERT_EQ(pages.thpPromote(va), 512);
+        ASSERT_EQ(blocks.thpDemote(va), 512);
+        splitPageByPage(va);
+    }
+    EXPECT_GT(plan_blocks.counters().forced_kicks, 0u);
+    EXPECT_GT(plan_blocks.counters().forced_resizes, 0u);
+    EXPECT_GT(blocks.guestEcpt()->tableOf(PageSize::Page4K).resizeCount(),
+              1u);
+
+    // A descriptor as one number: 0 without a chunk.
+    auto nibble = [](const std::optional<CwtDescriptor> &d) {
+        return d ? 1 + (d->present | d->way << 1 | d->smaller_4k << 3
+                        | d->smaller_2m << 4)
+                 : 0;
+    };
+    for (Addr va = base; va < base + regions * mb2; va += 4096) {
+        const Translation g = blocks.guestTranslate(va);
+        const Translation want = pages.guestTranslate(va);
+        ASSERT_TRUE(g.valid) << std::hex << va;
+        ASSERT_EQ(g.size, PageSize::Page4K) << std::hex << va;
+        ASSERT_EQ(g.pa, want.pa) << std::hex << va;
+        std::vector<Addr> lines, lines_want;
+        for (PageSize level : all_page_sizes) {
+            const CuckooWalkTable *cwt = blocks.guestEcpt()->cwtOf(level);
+            if (!cwt)
+                continue;
+            const CuckooWalkTable *twin = pages.guestEcpt()->cwtOf(level);
+            cwt->entryProbeAddrs(va, lines);
+            twin->entryProbeAddrs(va, lines_want);
+            ASSERT_EQ(nibble(cwt->query(va)), nibble(twin->query(va)))
+                << std::hex << va;
+        }
+        ASSERT_EQ(lines, lines_want) << std::hex << va;
+    }
+    EXPECT_EQ(ecptCounters(blocks), ecptCounters(pages));
+    EXPECT_TRUE(ecptBlocks(blocks) == ecptBlocks(pages));
+    EXPECT_EQ(plan_blocks.counters().forced_kicks,
+              plan_pages.counters().forced_kicks);
+    EXPECT_EQ(blocks.guestPool().usedBytes(), pages.guestPool().usedBytes());
+    EXPECT_EQ(blocks.hostPool().usedBytes(), pages.hostPool().usedBytes());
+    EXPECT_EQ(blocks.guestStructureBytes(), pages.guestStructureBytes());
+    blocks.auditInvariants();
+    pages.auditInvariants();
+}
 
 class PrefaultReserve : public ::testing::TestWithParam<PrefaultCase>
 {
