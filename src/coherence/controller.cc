@@ -39,8 +39,7 @@ CoherenceController::noteChurnOp(ChurnOp op, std::uint64_t pages)
 }
 
 std::size_t
-CoherenceController::applyInvalidation(const Invalidation &inv,
-                                       std::vector<std::size_t> &core_drops)
+CoherenceController::applyInvalidation(const Invalidation &inv)
 {
     std::size_t dropped = 0;
     for (std::size_t c = 0; c < cores.size(); ++c) {
@@ -66,7 +65,7 @@ CoherenceController::RoundPlan
 CoherenceController::beginRound(int initiator, Cycles now)
 {
     RoundPlan round;
-    const std::vector<Invalidation> batch =
+    const std::vector<Invalidation> &batch =
         batcher.pop(static_cast<std::size_t>(spec_.batch));
     if (batch.empty())
         return round;
@@ -81,9 +80,9 @@ CoherenceController::beginRound(int initiator, Cycles now)
     // cost below models *when cores may proceed*, not when entries
     // drop. In-flight walks that already read stale state are caught
     // by the directory epoch at retire time.
-    std::vector<std::size_t> core_drops(cores.size(), 0);
+    core_drops.assign(cores.size(), 0);
     for (const Invalidation &inv : batch) {
-        const std::size_t dropped = applyInvalidation(inv, core_drops);
+        const std::size_t dropped = applyInvalidation(inv);
         round.entries_dropped += dropped;
         if (tracer_) {
             tracer_->instant(

@@ -179,9 +179,9 @@ class CoherenceController
         Walker *walker = nullptr;
     };
 
-    /** Apply @p inv everywhere; @return per-core drop counts. */
-    std::size_t applyInvalidation(const Invalidation &inv,
-                                  std::vector<std::size_t> &core_drops);
+    /** Apply @p inv everywhere, adding each core's drops to
+     *  core_drops; @return entries dropped in all. */
+    std::size_t applyInvalidation(const Invalidation &inv);
 
     ChurnSpec spec_;
     std::vector<CoreSide> cores;
@@ -191,6 +191,9 @@ class CoherenceController
 
     ShootdownBatcher batcher;
     CoherenceDirectory directory;
+    /** The round's per-core drops (TLBs and private walk caches),
+     *  kept so a round allocates nothing. */
+    std::vector<std::size_t> core_drops;
     Stats stats_;
 };
 

@@ -12,9 +12,10 @@
 #define NECPT_COHERENCE_SHOOTDOWN_HH
 
 #include <cstdint>
-#include <deque>
+#include <utility>
 #include <vector>
 
+#include "common/log.hh"
 #include "common/types.hh"
 
 namespace necpt
@@ -63,29 +64,57 @@ struct Invalidation
  * rounds. Sources push as mutations happen; the controller pops up to
  * the spec's batch bound per round, amortizing the per-round IPI cost
  * over several invalidations (exactly why Linux batches its flushes).
+ *
+ * The queue is a ring that doubles when full, and a popped batch is
+ * kept in member storage, so rounds allocate nothing once the queue
+ * and the batch have reached their high-water marks.
  */
 class ShootdownBatcher
 {
   public:
-    void push(const Invalidation &inv) { queue.push_back(inv); }
+    void
+    push(const Invalidation &inv)
+    {
+        if (count == ring.size())
+            grow();
+        ring[(head + count) & (ring.size() - 1)] = inv;
+        ++count;
+    }
 
-    bool empty() const { return queue.empty(); }
-    std::size_t size() const { return queue.size(); }
+    bool empty() const { return count == 0; }
+    std::size_t size() const { return count; }
 
-    /** Pop up to @p max records, oldest first. */
-    std::vector<Invalidation>
+    /** Pop up to @p max records, oldest first. The batch stays valid
+     *  until the next pop. */
+    const std::vector<Invalidation> &
     pop(std::size_t max)
     {
-        std::vector<Invalidation> batch;
-        while (!queue.empty() && batch.size() < max) {
-            batch.push_back(queue.front());
-            queue.pop_front();
+        batch.clear();
+        for (; count > 0 && batch.size() < max; --count) {
+            batch.push_back(ring[head]);
+            head = (head + 1) & (ring.size() - 1);
         }
         return batch;
     }
 
   private:
-    std::deque<Invalidation> queue;
+    /** Double the ring (16 records at first), oldest record first. */
+    void
+    grow()
+    {
+        std::vector<Invalidation> bigger(
+            ring.empty() ? 16 : 2 * ring.size());
+        for (std::size_t i = 0; i < count; ++i)
+            bigger[i] = ring[(head + i) & (ring.size() - 1)];
+        ring = std::move(bigger);
+        head = 0;
+    }
+
+    /** Power-of-two capacity; `count` records from `head`, wrapping. */
+    std::vector<Invalidation> ring;
+    std::size_t head = 0;
+    std::size_t count = 0;
+    std::vector<Invalidation> batch;
 };
 
 /**
@@ -94,27 +123,27 @@ class ShootdownBatcher
  * asks at retire time to detect that it raced with a shootdown and
  * must replay against the mutated page tables.
  *
- * A bounded ring keeps the last `capacity` records; queries reaching
+ * A fixed ring keeps the last `capacity` records; queries reaching
  * past the ring answer true conservatively (a spurious replay is
  * correct, a missed one is not). Epochs are dense: one per recorded
- * invalidation.
+ * invalidation, so epoch e sits in slot (e - 1) % capacity.
  */
 class CoherenceDirectory
 {
   public:
     explicit CoherenceDirectory(std::size_t capacity = 256)
-        : cap(capacity)
-    {}
+        : ring(capacity)
+    {
+        NECPT_ASSERT(capacity > 0);
+    }
 
     std::uint64_t epoch() const { return epoch_; }
 
     void
     record(const Invalidation &inv)
     {
+        ring[epoch_ % ring.size()] = Record{inv.gva, inv.bytes};
         ++epoch_;
-        ring.push_back(Record{inv.gva, inv.bytes, epoch_});
-        if (ring.size() > cap)
-            ring.pop_front();
     }
 
     /** Was any VA in the page range containing @p gva invalidated
@@ -126,14 +155,11 @@ class CoherenceDirectory
             return false;
         // Records newer than since_epoch already evicted? Can't tell —
         // answer yes and let the (cheap, functional) replay decide.
-        if (!ring.empty() && ring.front().epoch > since_epoch + 1)
+        if (epoch_ - since_epoch > ring.size())
             return true;
-        if (ring.empty())
-            return true;
-        for (auto it = ring.rbegin(); it != ring.rend(); ++it) {
-            if (it->epoch <= since_epoch)
-                break;
-            if (gva >= it->gva && gva - it->gva < it->bytes)
+        for (std::uint64_t e = epoch_; e > since_epoch; --e) {
+            const Record &r = ring[(e - 1) % ring.size()];
+            if (gva >= r.gva && gva - r.gva < r.bytes)
                 return true;
         }
         return false;
@@ -142,13 +168,11 @@ class CoherenceDirectory
   private:
     struct Record
     {
-        Addr gva;
-        std::uint64_t bytes;
-        std::uint64_t epoch;
+        Addr gva = 0;
+        std::uint64_t bytes = 0;
     };
 
-    std::size_t cap;
-    std::deque<Record> ring;
+    std::vector<Record> ring;
     std::uint64_t epoch_ = 0;
 };
 

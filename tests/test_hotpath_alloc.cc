@@ -22,7 +22,10 @@
  *     and Nested ECPTs (the per-access residency check),
  *   - EventScheduler at/runNext, and its pumps of a completion source
  *     (inline Handler storage, whose size and triviality sim/sched.hh
- *     also checks at compile time; the source's front read in place).
+ *     also checks at compile time; the source's front read in place),
+ *   - CoherenceController queue/beginRound/finishRound (the batcher's
+ *     ring and its popped batch, the per-core drop counts and the
+ *     directory's fixed ring are member storage).
  *
  * Each test warms the structure first — pools and scratch buffers are
  * allowed to grow to their high-water mark — then snapshots the global
@@ -39,6 +42,7 @@
 #include <new>
 #include <vector>
 
+#include "coherence/churn.hh"
 #include "common/hash.hh"
 #include "common/rng.hh"
 #include "mem/cache.hh"
@@ -312,6 +316,60 @@ TEST(HotPathAlloc, RadixWalkSteadyStateIsAllocationFree)
 {
     for (ConfigId id : {ConfigId::NestedRadix, ConfigId::NestedHybrid})
         EXPECT_EQ(warmedWalkAllocations(id), 0u) << configName(id);
+}
+
+/**
+ * Shootdown rounds on a built 4-core Nested ECPTs THP machine: 4KB and
+ * 2MB invalidations, with and without a host range, reach every core's
+ * TLBs and walk caches. The queue runs deeper than a batch, so the
+ * batcher's ring wraps, and the directory's ring wraps too.
+ */
+TEST(HotPathAlloc, CoherenceRoundSteadyStateIsAllocationFree)
+{
+    SimParams params;
+    params.cores = 4;
+    params.warmup_accesses = 500;
+    params.measure_accesses = 2000;
+    params.churn = parseChurnSpec("all,mode:sw");
+    Simulator sim(makeConfig(ConfigId::NestedEcptThp), params);
+    sim.run("GUPS");
+    CoherenceController *coherence = sim.coherenceController();
+    ASSERT_NE(coherence, nullptr);
+
+    const Addr base = sim.system().mmapRegion(64ULL << 20);
+    Cycles now = 1'000'000;
+    std::uint64_t rounds = 0;
+    auto pass = [&] {
+        for (int i = 0; i < 40; ++i) {
+            const Addr gva = base + static_cast<Addr>(i % 32) * (2ULL << 20);
+            const bool huge = i % 3 == 0;
+            coherence->queueInvalidation(
+                {huge ? gva : gva + 0x5000, huge ? 2ULL << 20 : 0x1000,
+                 i % 2 ? gva + 0x4000'0000 : invalid_addr,
+                 i % 2 ? 0x1000ULL : 0, InvalKind::Remap});
+        }
+        while (coherence->pending()) {
+            const auto round = coherence->beginRound(rounds % 4, now);
+            ASSERT_TRUE(round.started);
+            coherence->finishRound(round);
+            ++rounds;
+            now += 1000;
+        }
+        // The pass's first record dropped the 2MB page at base; past
+        // the last region nothing was dropped.
+        const std::uint64_t before = coherence->epoch() - 40;
+        EXPECT_TRUE(coherence->invalidatedSince(base + 0x1234, before));
+        EXPECT_FALSE(
+            coherence->invalidatedSince(base + (64ULL << 20), before));
+    };
+    pass(); // warm: the batcher's ring and batch reach capacity
+    const std::uint64_t warm_rounds = rounds;
+    const std::uint64_t allocs = allocationsDuring([&] {
+        for (int r = 0; r < 20; ++r)
+            pass();
+    });
+    EXPECT_EQ(allocs, 0u);
+    EXPECT_EQ(rounds, 21 * warm_rounds);
 }
 
 namespace
