@@ -6,7 +6,10 @@
  * made of — the packed set-associative cache (an L2 shape that fits a
  * host L2, and the 8-core L3, which does not), the elastic cuckoo
  * table's find and probe-address generation, and its one-pass d-way
- * hash (hashWays) — plus the machine-build step every run pays first, prefault
+ * hash (hashWays) — two layers of translation churn that the end-to-end
+ * benchmark does not time on their own (a 2MB TLB shootdown's range
+ * sweep, and functional lookups in a mostly 2MB-mapped ECPT), plus the
+ * machine-build step every run pays first, prefault
  * (host ns per prefaulted page), reported as operations per second and
  * nanoseconds per operation, and written to
  * BENCH_hotpath.json in the same shape bench_sim_throughput emits, so
@@ -25,8 +28,10 @@
 #include "common/hash.hh"
 #include "common/rng.hh"
 #include "mem/cache.hh"
+#include "mmu/tlb.hh"
 #include "os/system.hh"
 #include "pt/cuckoo.hh"
+#include "pt/ecpt.hh"
 #include "sim/config.hh"
 #include "sim/experiment.hh"
 #include "tests/test_util.hh" // BumpAllocator backing the tables
@@ -228,6 +233,65 @@ hashWaysPass()
     });
 }
 
+/** 2MB shootdowns on full default TLBs: each range covers 512 keys of
+ *  the 4KB arrays, more than they have sets, so it sweeps every tag
+ *  row of the L1 (16 x 4) and L2 (85 x 12) 4KB TLBs. The ranges hold
+ *  no entry, so the TLBs stay full. One op is one invalidateRange. */
+Sample
+tlbInvalidate2m()
+{
+    TlbHierarchy tlb;
+    for (Addr i = 0; i < 4096; ++i) {
+        tlb.install(i * 0x41000, {0x1'0000'0000 + i * 0x1000,
+                                  PageSize::Page4K, true});
+        tlb.install(i << 21, {0x2'0000'0000 + (i << 21), PageSize::Page2M,
+                              true});
+    }
+    const std::uint64_t ops = 400'000;
+    const Addr far = 1ULL << 40;
+    return measure("tlb_invalidate_2m", ops, [&] {
+        std::uint64_t dropped = 0;
+        for (std::uint64_t i = 0; i < ops; ++i)
+            dropped += tlb.invalidateRange(far + ((i % 4096) << 21),
+                                           2ULL << 20);
+        g_sink = dropped;
+    });
+}
+
+/** Functional lookups in an ECPT mapped like a THP guest: 7 of every 8
+ *  2MB regions by a 2MB page, the 8th by 4KB pages, and a few unmapped
+ *  addresses past the mapped span. One op is one lookup. */
+Sample
+ecptLookupThp()
+{
+    BumpAllocator alloc;
+    EcptPageTable pt(alloc, EcptConfig{});
+    constexpr Addr mb2 = 2ULL << 20;
+    const Addr base = 1ULL << 40;
+    const std::uint64_t regions = 4096;
+    for (std::uint64_t r = 0; r < regions; ++r) {
+        const Addr va = base + r * mb2;
+        if (r % 8 != 7) {
+            pt.map(va, (1ULL << 36) + r * mb2, PageSize::Page2M);
+            continue;
+        }
+        for (Addr off = 0; off < mb2; off += 4096)
+            pt.map(va + off, (1ULL << 37) + r * mb2 + off, PageSize::Page4K);
+    }
+    Rng rng(0xEC97);
+    std::vector<Addr> vas(1 << 16);
+    for (Addr &va : vas)
+        va = base + rng.below(regions * mb2 * 33 / 32);
+    const std::uint64_t rounds = 60;
+    return measure("ecpt_lookup_thp", rounds * vas.size(), [&] {
+        std::uint64_t mapped = 0;
+        for (std::uint64_t r = 0; r < rounds; ++r)
+            for (const Addr va : vas)
+                mapped += pt.lookup(va).valid;
+        g_sink = mapped;
+    });
+}
+
 /** prefaultAll of one 1GB VMA into a fresh machine of configuration
  *  @p id: 262144 4KB pages, enough to push the PTE-ECPTs through an
  *  elastic resize. One op is one prefaulted page. */
@@ -257,6 +321,8 @@ main()
     samples.push_back(cuckooFind());
     samples.push_back(cuckooProbeAddrs());
     samples.push_back(hashWaysPass());
+    samples.push_back(tlbInvalidate2m());
+    samples.push_back(ecptLookupThp());
     samples.push_back(
         prefault("prefault_nested_ecpt_4k", ConfigId::NestedEcpt));
     samples.push_back(
