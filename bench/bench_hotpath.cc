@@ -11,12 +11,15 @@
  * sweep, and functional lookups in a mostly 2MB-mapped ECPT), plus the
  * machine-build step every run pays first, prefault
  * (host ns per prefaulted page), reported as operations per second and
- * nanoseconds per operation, and written to
- * BENCH_hotpath.json in the same shape bench_sim_throughput emits, so
- * tools/check_bench.py can diff either artifact against its committed
- * baseline. These are the structures the allocation-free-hot-path work
- * targets; a layout or inlining regression shows up here first, at
- * much finer grain than the end-to-end throughput bench.
+ * nanoseconds per operation, and written to BENCH_hotpath.json. These
+ * are the structures the allocation-free-hot-path work targets; a
+ * layout or inlining regression shows up here first, at much finer
+ * grain than perfbench/, the end-to-end benchmark.
+ *
+ * The JSON also carries host_ref, the rate of a fixed integer-mixing
+ * kernel that tracks raw host CPU speed. CI scales its floor on
+ * perfbench's gups-ecpt-8c rate by it (.github/workflows/ci.yml,
+ * "Repository benchmark smoke").
  */
 
 #include <array>
@@ -292,6 +295,44 @@ ecptLookupThp()
     });
 }
 
+/**
+ * Deterministic host-speed reference: fixed-work serial integer
+ * mixing (SplitMix64 finalizer), no memory traffic, so the rate
+ * tracks raw host CPU speed and nothing about the simulator. CI
+ * scales an absolute rate floor by this rate over the reference
+ * host's, so a slow dev laptop isn't failed for not being the CI
+ * runner.
+ */
+double
+hostReferenceRate()
+{
+    constexpr std::uint64_t iters = std::uint64_t(1) << 26;
+    double best = 0.0;
+    std::uint64_t x = 0x9e3779b97f4a7c15ull;
+    // Best-of-3: the max filters scheduler preemption out of the
+    // calibration the same way it distorts the measured rows least.
+    for (int rep = 0; rep < 3; ++rep) {
+        const auto begin = std::chrono::steady_clock::now();
+        for (std::uint64_t i = 0; i < iters; ++i) {
+            x += 0x9e3779b97f4a7c15ull;
+            std::uint64_t z = x;
+            z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+            z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+            x ^= z >> 31; // serial dependence: keeps the loop scalar
+        }
+        const auto end = std::chrono::steady_clock::now();
+        const double s =
+            std::chrono::duration<double>(end - begin).count();
+        if (s > 0)
+            best = best > iters / s ? best : iters / s;
+    }
+    // The checksum escaping here is what stops the compiler from
+    // folding the whole loop away.
+    std::printf("%-28s %12.0f mixes/s  (checksum %016llx)\n",
+                "host reference kernel", best, (unsigned long long)x);
+    return best;
+}
+
 /** prefaultAll of one 1GB VMA into a fresh machine of configuration
  *  @p id: 262144 4KB pages, enough to push the PTE-ECPTs through an
  *  elastic resize. One op is one prefaulted page. */
@@ -310,6 +351,7 @@ prefault(const std::string &name, ConfigId id)
 int
 main()
 {
+    const double host_ref = hostReferenceRate();
     printBanner("Hot-path component throughput (wall clock)",
                 "engineering harness; not a paper figure");
 
@@ -335,7 +377,10 @@ main()
         return 1;
     }
     std::fprintf(out, "{\n  \"bench\": \"hotpath\",\n"
-                      "  \"unit\": \"ops_per_sec\",\n  \"results\": [\n");
+                      "  \"unit\": \"ops_per_sec\",\n"
+                      "  \"host_ref\": %.1f,\n"
+                      "  \"results\": [\n",
+                 host_ref);
     for (std::size_t i = 0; i < samples.size(); ++i) {
         const Sample &s = samples[i];
         std::fprintf(out,

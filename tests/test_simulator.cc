@@ -163,7 +163,8 @@ TEST(Simulator, OverlappedWalksDeterministic)
 
 /** The 8-core contention smoke: with the cap at 4 the cores really do
  *  keep multiple walks in flight (walk.inflight > 1), and raising the
- *  cap never slows the machine down relative to serialized walks. */
+ *  cap, with or without walk coalescing, never slows the machine down
+ *  relative to serialized walks. */
 TEST(Simulator, OverlappedWalksShowConcurrency)
 {
     SimParams params = quickParams();
@@ -176,6 +177,8 @@ TEST(Simulator, OverlappedWalksShowConcurrency)
     const SimResult serial = runSim(cfg, params, "GUPS");
     params.max_outstanding_walks = 4;
     const SimResult mlp = runSim(cfg, params, "GUPS");
+    params.walk_coalescing = true;
+    const SimResult coalesced = runSim(cfg, params, "GUPS");
 
     EXPECT_GT(mlp.walk_inflight_avg, 1.0);
     EXPECT_GT(mlp.walk_inflight_max, 1u);
@@ -183,6 +186,7 @@ TEST(Simulator, OverlappedWalksShowConcurrency)
                      mlp.walk_inflight_avg);
     // Overlapping independent misses can only help execution time.
     EXPECT_LT(mlp.cycles, serial.cycles);
+    EXPECT_LT(coalesced.cycles, serial.cycles);
     // Concurrent walks for one page are not coalesced (GUPS's
     // read-modify-write pairs re-walk a page whose first walk is
     // still in flight), so the walk count can only grow.
