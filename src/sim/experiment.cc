@@ -33,13 +33,11 @@ SimParams
 paramsFromEnv()
 {
     SimParams params;
-    const bool full = envNumber<std::uint64_t>("NECPT_FULL", 0) != 0;
-    params.warmup_accesses = envNumber<std::uint64_t>(
-        "NECPT_WARMUP", full ? 800'000 : 200'000);
-    params.measure_accesses = envNumber<std::uint64_t>(
-        "NECPT_MEASURE", full ? 4'000'000 : 1'000'000);
-    params.scale_denominator =
-        envNumber<std::uint64_t>("NECPT_SCALE", full ? 8 : 16);
+    params.warmup_accesses =
+        envNumber<std::uint64_t>("NECPT_WARMUP", 200'000);
+    params.measure_accesses =
+        envNumber<std::uint64_t>("NECPT_MEASURE", 1'000'000);
+    params.scale_denominator = envNumber<std::uint64_t>("NECPT_SCALE", 16);
     params.max_outstanding_walks = envNumber<int>(
         "NECPT_MLP", 1, 1, SimParams::max_outstanding_walks_limit);
     return params;

@@ -13,7 +13,6 @@
  *   NECPT_APPS     comma-separated app subset    (default: all 11)
  *   NECPT_MLP      in-flight walks per core      (default 1)
  *   NECPT_JOBS     sweep worker threads          (default min(4, hw))
- *   NECPT_FULL     =1: 4x longer runs, scale 8
  */
 
 #ifndef NECPT_SIM_EXPERIMENT_HH

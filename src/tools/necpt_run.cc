@@ -190,6 +190,12 @@ run(int argc, char **argv)
         auto i32 = [&](const std::string &text) {
             return parseNumber<int>(arg, text);
         };
+        // Sample intervals: 0 would turn the output off, so it is an
+        // error, not a default.
+        auto positive = [](const std::string &flag,
+                           const std::string &text) {
+            return parseNumber<std::uint64_t>(flag, text, 1);
+        };
         if (arg == "--list") list = true;
         else if (arg == "--config") config_name = value();
         else if (arg == "--app") app_name = value();
@@ -215,11 +221,12 @@ run(int argc, char **argv)
         else if (arg == "--stats-json") stats_json_path = value();
         else if (arg == "--trace-walks") trace_walks_auto = true;
         else if (arg.rfind("--trace-walks=", 0) == 0)
-            trace_walks = u64(arg.substr(14));
+            trace_walks = positive("--trace-walks", arg.substr(14));
         else if (arg == "--trace-out") trace_out_path = value();
-        else if (arg == "--sample-metrics") sample_metrics = u64(value());
+        else if (arg == "--sample-metrics")
+            sample_metrics = positive(arg, value());
         else if (arg.rfind("--sample-metrics=", 0) == 0)
-            sample_metrics = u64(arg.substr(17));
+            sample_metrics = positive("--sample-metrics", arg.substr(17));
         else if (arg == "--timeseries-out") timeseries_out_path = value();
         else if (arg == "--critical-path") critical_path_k = 5;
         else if (arg.rfind("--critical-path=", 0) == 0)

@@ -20,7 +20,7 @@
  * per-job seeds derived from the base seed and the job key drive
  * fault draws only. Any --jobs value produces identical records.
  * Environment knobs: NECPT_WARMUP, NECPT_MEASURE, NECPT_SCALE,
- * NECPT_APPS, NECPT_MLP, NECPT_FULL, NECPT_JOBS (sim/experiment.hh).
+ * NECPT_APPS, NECPT_MLP, NECPT_JOBS (sim/experiment.hh).
  *
  * Fault campaigns (`--faults SPEC`) replicate the grid under
  * --fault-seeds independent fault streams with the spec's injection
@@ -118,6 +118,10 @@ run(int argc, char **argv)
         auto atLeast = [&](int lo, const std::string &text) {
             return parseNumber<int>(arg, text, lo);
         };
+        auto positive = [](const std::string &flag,
+                           const std::string &text) {
+            return parseNumber<std::uint64_t>(flag, text, 1);
+        };
         if (arg == "--list") list = true;
         else if (arg == "--jobs") options.jobs = atLeast(1, value());
         else if (arg == "--timeout")
@@ -135,12 +139,13 @@ run(int argc, char **argv)
         else if (arg == "--trace") sweep_trace_path = value();
         else if (arg == "--trace-walks") trace_walks = 1;
         else if (arg.rfind("--trace-walks=", 0) == 0)
-            trace_walks = u64(arg.substr(14));
+            trace_walks = positive("--trace-walks", arg.substr(14));
         else if (arg == "--trace-canonical") trace_canonical = true;
         else if (arg == "--sample-metrics")
-            options.sample_interval = u64(value());
+            options.sample_interval = positive(arg, value());
         else if (arg.rfind("--sample-metrics=", 0) == 0)
-            options.sample_interval = u64(arg.substr(17));
+            options.sample_interval =
+                positive("--sample-metrics", arg.substr(17));
         else if (arg == "--timeseries-out") timeseries_path = value();
         else if (arg == "--faults") fault_spec_str = value();
         else if (arg == "--fault-seeds")

@@ -143,6 +143,20 @@ INSTANTIATE_TEST_SUITE_P(
         CliCase{"CriticalPathNegative",
                 "--config \"Nested ECPTs\" --app GUPS --critical-path=-1",
                 1, "config error: --critical-path must be at least 1"},
+        CliCase{"TraceWalksZero",
+                "--config \"Nested ECPTs\" --app GUPS --trace-walks=0 "
+                "--trace-out t.json",
+                1, "config error: --trace-walks must be at least 1, got '0'"},
+        CliCase{"SampleMetricsZero",
+                "--config \"Nested ECPTs\" --app GUPS --sample-metrics 0 "
+                "--timeseries-out ts.json",
+                1,
+                "config error: --sample-metrics must be at least 1, got '0'"},
+        CliCase{"SampleMetricsEqualsZero",
+                "--config \"Nested ECPTs\" --app GUPS --sample-metrics=0 "
+                "--timeseries-out ts.json",
+                1,
+                "config error: --sample-metrics must be at least 1, got '0'"},
         CliCase{"UnknownApp",
                 "--config \"Nested ECPTs\" --app NoSuchApp",
                 1, "config error: unknown workload 'NoSuchApp'"},
@@ -169,6 +183,18 @@ INSTANTIATE_TEST_SUITE_P(
                 NECPT_SWEEP_PATH, "NECPT_JOBS=0"},
         CliCase{"RetriesNegative", "smoke --retries -1 --no-json", 1,
                 "config error: --retries must be at least 0, got '-1'",
+                NECPT_SWEEP_PATH},
+        CliCase{"TraceWalksZero",
+                "smoke --trace s.json --trace-walks=0 --no-json", 1,
+                "config error: --trace-walks must be at least 1, got '0'",
+                NECPT_SWEEP_PATH},
+        CliCase{"SampleMetricsZero",
+                "smoke --sample-metrics 0 --no-json", 1,
+                "config error: --sample-metrics must be at least 1, got '0'",
+                NECPT_SWEEP_PATH},
+        CliCase{"SampleMetricsEqualsZero",
+                "smoke --sample-metrics=0 --no-json", 1,
+                "config error: --sample-metrics must be at least 1, got '0'",
                 NECPT_SWEEP_PATH},
         CliCase{"FaultSeedsZero",
                 "smoke --faults all --fault-seeds 0 --no-json", 1,
